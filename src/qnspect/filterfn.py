@@ -13,18 +13,44 @@ because the analytic oracles (the Lorentzian-squared amplitude filter of the
 sinusoidal waveforms, and the Fejer-comb dephasing filter) are continuous-
 time results that the sampled waveform must reproduce at the 1% level.
 
+Every transform reduces to Fourier sums over the N segment start times,
+S(w) = sum_m x_m e^{i w m dt}, and one kernel evaluates them.  Its path
+follows from the frequency grid alone:
+
+* a strictly increasing, evenly spaced grid of at least two points: the
+  chirp-z transform on the unit circle (``scipy.signal.ZoomFFT``; Rabiner,
+  Schafer & Rader 1969), O((N + M) log(N + M)) for M points;
+* any other grid (scattered or single points): the direct sum, one
+  frequency at a time.
+
+F_Omega is S of the samples times the segment factor
+phi(w) = int_0^dt e^{iws} ds = (e^{iw dt} - 1)/(iw).
+
+F_Z needs I_pm(w) = sum_m e^{iwt_m} e^{+-i Th_m} phi(w +- Omega_m), whose
+segment factor couples frequency and sample.  With
+u_max = (max|w| + max|Omega|) dt < 1 on an evenly spaced grid, phi is
+expanded as dt sum_{k<=K} (iu dt)^k/(k+1)!, K the smallest order with
+u_max^K/(K+1)! < 1e-17, and (w +- Omega_m)^k binomially:
+
+    I_pm(w) = dt sum_{p+j<=K} i^{p+j} (w dt)^j / (p! j! (p+j+1))
+                  * S[e^{+-i Th} (+-Omega dt)^p](w),
+
+so I_pm costs K+1 chirp-z transforms.  For u_max >= 1 or an uneven grid,
+and always for F_Z(0) (:func:`dephasing_ff_dc`), I_pm is the segment-exact
+direct sum.
+
 The higher-order dephasing filter G_Z(w, w', T) is a quadruple time integral
 of sin[Theta(t1)-Theta(t2)] sin[Theta(t3)-Theta(t4)] against three exponential
 pairings.  Expanding the sines factorizes every term into products of the
 double transform
 
     W(a, b) = dt^2 sum_{j1} sin(Th_j1) e^{i a t_j1} sum_{j2<=j1} cos(Th_j2) e^{i b t_j2}
-              - (sin <-> cos),
+              - (sin <-> cos).
 
-which prefix sums evaluate in O(N) per frequency column; a discrete Fourier
-transform over the row index then yields whole frequency grids at once.
-G_Z deliberately uses the plain left-endpoint Riemann convention so that the
-brute-force quadruple sum reproduces it exactly.
+Its frequencies lie on the DFT grid 2*pi*j/(N*dt), so each column b costs
+one set of prefix sums over j2 and one length-N FFT over j1, which yields
+every row a at once.  G_Z deliberately uses the plain left-endpoint Riemann
+convention so that the brute-force quadruple sum reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -32,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import ZoomFFT
 
 from .errors import GridError, ParameterError
 from .waveform import PiecewiseConstantWaveform, rotation_angle
@@ -49,7 +76,11 @@ __all__ = [
     "higher_order_ff_to_csv",
 ]
 
-_BLOCK = 256  # frequency rows per vectorized block: keeps temporaries ~ tens of MB
+# largest phase (rad) by which a grid point may miss the evenly spaced
+# frequency the chirp-z transform evaluates in its place
+_GRID_PHASE_TOL = 1e-10
+# truncation of the segment-factor series: u_max^K/(K+1)! below this
+_TAYLOR_TOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -94,17 +125,66 @@ def _segment_integral(u: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _is_even_grid(omegas: np.ndarray, total_time: float) -> bool:
+    """True for >= 2 strictly increasing, evenly spaced points.
+
+    Evenly spaced means every point lies within _GRID_PHASE_TOL / total_time
+    of the line through the end points; NaN or inf points never qualify.
+    """
+    if omegas.size < 2:
+        return False
+    step = (omegas[-1] - omegas[0]) / (omegas.size - 1)
+    if not step > 0.0:
+        return False
+    line = omegas[0] + step * np.arange(omegas.size)
+    return bool(np.max(np.abs(omegas - line)) * total_time <= _GRID_PHASE_TOL)
+
+
+def _fourier_sums(x: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
+    """S[..., k] = sum_m x[..., m] e^{i omegas[k] m dt}, over the last axis of x."""
+    n = x.shape[-1]
+    if _is_even_grid(omegas, n * dt):
+        # ZoomFFT sums x_m e^{-2 pi i f m} on an even grid of f (cycles per
+        # sample); f = -w dt/(2 pi) turns that into e^{+i w m dt}
+        cycles = -dt / (2.0 * np.pi)
+        zoom = ZoomFFT(n, [omegas[0] * cycles, omegas[-1] * cycles], omegas.size,
+                       fs=1.0, endpoint=True)
+        return zoom(x)
+    t = np.arange(n) * dt
+    out = np.empty(x.shape[:-1] + omegas.shape, dtype=complex)
+    for k, w in enumerate(omegas):
+        out[..., k] = x @ np.exp(1j * w * t)
+    return out
+
+
 def amplitude_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionGrid:
     """Amplitude filter function F_Omega on the given angular-frequency grid."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    t = np.arange(waveform.n) * waveform.dt
-    values = np.empty(omegas.size)
-    for lo in range(0, omegas.size, _BLOCK):
-        w = omegas[lo:lo + _BLOCK]
-        phases = np.exp(1j * np.outer(w, t))
-        transform = (phases @ waveform.samples) * _segment_integral(w, waveform.dt)
-        values[lo:lo + _BLOCK] = 0.25 * np.abs(transform) ** 2
+    transform = (_fourier_sums(waveform.samples, waveform.dt, omegas)
+                 * _segment_integral(omegas, waveform.dt))
+    values = 0.25 * np.abs(transform) ** 2
     return FilterFunctionGrid(omegas=omegas, values=values, total_time=waveform.total_time)
+
+
+def _segment_exact_sums(waveform: PiecewiseConstantWaveform, omegas: np.ndarray,
+                        sign: int) -> np.ndarray:
+    """I_sign(w) = sum_m e^{iwt_m} e^{sign i Th_m} phi(w + sign Omega_m), summed directly."""
+    phase = sign * rotation_angle(waveform)[:-1]
+    rates = sign * waveform.samples
+    t = np.arange(waveform.n) * waveform.dt
+    return np.array([
+        np.sum(np.exp(1j * (w * t + phase)) * _segment_integral(w + rates, waveform.dt))
+        for w in omegas
+    ], dtype=complex)
+
+
+def _taylor_order(u_max: float) -> int:
+    """Smallest K with u_max^K/(K+1)! < _TAYLOR_TOL."""
+    order, term = 0, 1.0
+    while term >= _TAYLOR_TOL:
+        order += 1
+        term *= u_max / (order + 1)
+    return order
 
 
 def _exp_theta_transforms(waveform: PiecewiseConstantWaveform, omegas: np.ndarray):
@@ -112,20 +192,26 @@ def _exp_theta_transforms(waveform: PiecewiseConstantWaveform, omegas: np.ndarra
 
     Returns (I_plus, I_minus) with
         I_pm(w) = int_0^T e^{iwt} e^{+-i Theta(t)} dt,
-    using Theta linear with slope Omega_m on segment m.
+    using Theta linear with slope Omega_m on segment m: a sum of chirp-z
+    transforms on even grids with u_max < 1, the direct sum otherwise.
     """
-    theta = rotation_angle(waveform)[:-1]
-    t = np.arange(waveform.n) * waveform.dt
-    i_plus = np.empty(omegas.size, dtype=complex)
-    i_minus = np.empty(omegas.size, dtype=complex)
-    for lo in range(0, omegas.size, _BLOCK):
-        w = omegas[lo:lo + _BLOCK, None]
-        seg_p = _segment_integral(w + waveform.samples[None, :], waveform.dt)
-        seg_m = _segment_integral(w - waveform.samples[None, :], waveform.dt)
-        base = np.exp(1j * (w * t[None, :]))
-        rot = np.exp(1j * theta)[None, :]
-        i_plus[lo:lo + _BLOCK] = np.sum(base * rot * seg_p, axis=1)
-        i_minus[lo:lo + _BLOCK] = np.sum(base * np.conj(rot) * seg_m, axis=1)
+    dt = waveform.dt
+    u_max = (np.max(np.abs(omegas), initial=0.0) + np.max(np.abs(waveform.samples))) * dt
+    if not (u_max < 1.0 and _is_even_grid(omegas, waveform.total_time)):
+        return (_segment_exact_sums(waveform, omegas, +1),
+                _segment_exact_sums(waveform, omegas, -1))
+    p = np.arange(_taylor_order(u_max) + 1)
+    rot = np.exp(1j * rotation_angle(waveform)[:-1])
+    powers = (waveform.samples * dt)[None, :] ** p[:, None]  # (Omega dt)^p, 0^0 = 1
+    series = np.concatenate([rot * powers, np.conj(rot) * powers * (-1.0) ** p[:, None]])
+    transforms = _fourier_sums(series, dt, omegas).reshape(2, p.size, omegas.size)
+    # weights[p] = sum_j i^{p+j} (w dt)^j / (p! j! (p+j+1)) over p + j <= K
+    degree = p[:, None] + p[None, :]
+    fact = np.cumprod(np.maximum(p, 1)).astype(float)
+    coef = np.array([1, 1j, -1, -1j])[degree % 4] / (fact[:, None] * fact[None, :] * (degree + 1))
+    coef[degree > p[-1]] = 0.0
+    weights = coef @ (omegas * dt)[None, :] ** p[:, None]
+    i_plus, i_minus = dt * np.sum(weights[None] * transforms, axis=1)
     return i_plus, i_minus
 
 
@@ -141,8 +227,8 @@ def dephasing_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionG
 
 def dephasing_ff_dc(waveform: PiecewiseConstantWaveform) -> float:
     """F_Z(0, T) = |int_0^T e^{i Theta(t)} dt|^2, segment-exact."""
-    i_plus, _ = _exp_theta_transforms(waveform, np.zeros(1))
-    return float(np.abs(i_plus[0]) ** 2)
+    i_plus = _segment_exact_sums(waveform, np.zeros(1), +1)[0]
+    return float(np.abs(i_plus) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +302,28 @@ def _check_dft_grid(omegas: np.ndarray, waveform: PiecewiseConstantWaveform) -> 
     return rounded.astype(int)
 
 
-def _ordered_double_transforms(theta: np.ndarray, dt: float, alphas: np.ndarray,
+def _ordered_double_transforms(theta: np.ndarray, alphas: np.ndarray,
                                betas: np.ndarray) -> np.ndarray:
-    """W[a, b] = dt^2 * [ sum_{j1} sin(Th_j1) e^{i a t_j1} sum_{j2<=j1} cos(Th_j2) e^{i b t_j2}
-                          - (sin and cos swapped) ].
+    """W[a, b] / dt^2 at integer DFT indices a (rows) and b (columns).
 
-    The inner sums over j2 are running prefix sums, built once per beta; the
-    outer sums are Fourier transforms over j1 evaluated at all requested
-    alphas by one matrix product per beta batch.
+    W[a, b] / dt^2 = sum_{j1} sin(Th_j1) z^{a j1} sum_{j2<=j1} cos(Th_j2) z^{b j2}
+                     - (sin and cos swapped),   z = e^{2 pi i/N}.
+
+    The inner sums over j2 are running prefix sums, built once per column b;
+    the outer sum over j1 is one inverse FFT per column, read at every row a.
     """
     n = theta.size
-    t = np.arange(n) * dt
     sin_t, cos_t = np.sin(theta), np.cos(theta)
-    outer = np.exp(1j * np.outer(alphas, t))  # (A, N)
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    j = np.arange(n)
+    rows = np.mod(alphas, n)
     w = np.empty((alphas.size, betas.size), dtype=complex)
-    for j, beta in enumerate(betas):
-        inner_phase = np.exp(1j * beta * t)
+    for col, beta in enumerate(betas):
+        inner_phase = roots[np.mod(beta * j, n)]
         prefix_cos = np.cumsum(cos_t * inner_phase)
         prefix_sin = np.cumsum(sin_t * inner_phase)
-        w[:, j] = outer @ (sin_t * prefix_cos - cos_t * prefix_sin)
-    return w * dt * dt
+        w[:, col] = np.fft.ifft(sin_t * prefix_cos - cos_t * prefix_sin)[rows]
+    return w * n
 
 
 def higher_order_ff(waveform: PiecewiseConstantWaveform, omegas,
@@ -251,23 +339,16 @@ def higher_order_ff(waveform: PiecewiseConstantWaveform, omegas,
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     omegas_prime = np.atleast_1d(np.asarray(omegas_prime, dtype=float))
-    _check_dft_grid(omegas, waveform)
-    _check_dft_grid(omegas_prime, waveform)
+    idx = _check_dft_grid(omegas, waveform)
+    idx_prime = _check_dft_grid(omegas_prime, waveform)
 
-    theta = rotation_angle(waveform)[:-1]
-    needed = np.unique(np.concatenate([omegas, -omegas, omegas_prime, -omegas_prime]))
-    w_all = _ordered_double_transforms(theta, waveform.dt, needed, needed)
-    pos = {om: i for i, om in enumerate(needed)}
-
-    def W(a, b):
-        return w_all[pos[a], pos[b]]
-
-    diag_w = np.array([W(w, -w) for w in omegas])
-    diag_wp = np.array([W(wp, -wp) for wp in omegas_prime])
-    values = np.empty((omegas.size, omegas_prime.size), dtype=complex)
-    for i, w in enumerate(omegas):
-        for j, wp in enumerate(omegas_prime):
-            values[i, j] = diag_w[i] * diag_wp[j] + W(w, wp) * (W(-w, -wp) + W(-wp, -w))
+    needed = np.unique(np.concatenate([idx, -idx, idx_prime, -idx_prime]))
+    w_all = _ordered_double_transforms(rotation_angle(waveform)[:-1], needed, needed)
+    w_all *= waveform.dt ** 2
+    a, neg_a, b, neg_b = (np.searchsorted(needed, k)
+                          for k in (idx, -idx, idx_prime, -idx_prime))
+    pairings = w_all[np.ix_(neg_a, neg_b)] + w_all[np.ix_(neg_b, neg_a)].T
+    values = np.outer(w_all[a, neg_a], w_all[b, neg_b]) + w_all[np.ix_(a, b)] * pairings
     return HigherOrderFFGrid(
         omegas=omegas, omegas_prime=omegas_prime, values=values,
         total_time=waveform.total_time,

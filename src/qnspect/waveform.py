@@ -54,8 +54,10 @@ class PiecewiseConstantWaveform:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size < 1:
             raise ParameterError("waveform needs at least one sample")
-        if not self.dt > 0.0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
+        if not np.all(np.isfinite(samples)):
+            raise ParameterError("waveform samples must be finite")
+        if not (self.dt > 0.0 and np.isfinite(self.dt)):
+            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
 
     @property
     def n(self) -> int:

@@ -193,3 +193,9 @@ class TestErrorPaths:
     def test_bad_family_is_exit_2(self, tmp_path):
         assert run_cli("waveform", "--family", "dr", "--lambda-mhz", 0.5,
                        "--t-us", 1.0, "--n", 3, "--out", tmp_path / "z") == 2
+
+    def test_nan_amplitude_is_exit_2_without_artifacts(self, tmp_path):
+        out = tmp_path / "nan"
+        assert run_cli("ff", "--waveform", "dpss", "--amp-mhz", "nan", "--lambda-mhz", 0.25,
+                       "--t-us", 40, "--n", 800, "--out", out) == 2
+        assert not out.exists() or not any(out.iterdir())

@@ -192,6 +192,110 @@ class TestHigherOrderFF:
         assert g_sl[0, 1] > 0.1 * g_sl[1, 2]
 
 
+# ---------------------------------------------------------------------------
+# Transform-kernel paths against direct segment-exact sums
+# ---------------------------------------------------------------------------
+
+
+def direct_first_order(wf, omegas):
+    """(F_Omega, F_Z) from segment-exact sums written out over a (M, N) grid.
+
+    int_0^dt e^{ius} ds = dt e^{iu dt/2} sinc(u dt/2pi), and Theta is linear
+    on each segment, so I_pm(w) = sum_m e^{i(w t_m +- Th_m)} seg(w +- Omega_m)
+    and F_Z = (|I_+|^2 + |I_-|^2)/2.
+    """
+    dt = wf.dt
+    w = np.asarray(omegas, dtype=float)[:, None]
+    t = np.arange(wf.n)[None, :] * dt
+    theta = np.concatenate([[0.0], np.cumsum(wf.samples * dt)[:-1]])[None, :]
+    omega = wf.samples[None, :]
+
+    def seg(u):
+        return dt * np.exp(0.5j * u * dt) * np.sinc(u * dt / (2 * np.pi))
+
+    s_omega = np.sum(omega * np.exp(1j * w * t), axis=1) * seg(w[:, 0])
+    i_plus = np.sum(np.exp(1j * (w * t + theta)) * seg(w + omega), axis=1)
+    i_minus = np.sum(np.exp(1j * (w * t - theta)) * seg(w - omega), axis=1)
+    return 0.25 * np.abs(s_omega) ** 2, 0.5 * (np.abs(i_plus) ** 2 + np.abs(i_minus) ** 2)
+
+
+def direct_gz(wf, omegas, omegas_prime):
+    """G_Z from the double transform W written as dense prefix-sum matrices."""
+    dt = wf.dt
+    t = np.arange(wf.n) * dt
+    theta = np.concatenate([[0.0], np.cumsum(wf.samples * dt)[:-1]])
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    lower = np.tril(np.ones((wf.n, wf.n)))  # j2 <= j1
+
+    def W(a, b):
+        ea, eb = np.exp(1j * a * t), np.exp(1j * b * t)
+        return dt**2 * ((sin_t * ea) @ lower @ (cos_t * eb) - (cos_t * ea) @ lower @ (sin_t * eb))
+
+    return np.array([[W(w, -w) * W(wp, -wp) + W(w, wp) * (W(-w, -wp) + W(-wp, -w))
+                      for wp in omegas_prime] for w in omegas])
+
+
+def random_waveform(rng, n=400, dt=1e-8, rate=2e6):
+    return PiecewiseConstantWaveform(rng.normal(0.0, rate, n), dt)
+
+
+FIRST_ORDER_GRIDS = {
+    "ascending": lambda dt: np.linspace(0.0, 0.3 / dt, 161),
+    "negative": lambda dt: np.linspace(-0.25 / dt, -0.01 / dt, 97),
+    "single point": lambda dt: np.array([0.07 / dt]),
+    "non-uniform": lambda dt: np.sort(np.random.default_rng(3).uniform(-0.3, 0.3, 60)) / dt,
+    "u_max >= 1": lambda dt: np.linspace(0.0, 1.5 / dt, 121),
+}
+
+
+class TestKernelPaths:
+    @pytest.mark.parametrize("grid_name", sorted(FIRST_ORDER_GRIDS))
+    def test_first_order_match_direct_sum(self, grid_name):
+        rng = np.random.default_rng(11)
+        for trial in range(3):
+            wf = random_waveform(rng, n=int(rng.integers(200, 500)))
+            omegas = FIRST_ORDER_GRIDS[grid_name](wf.dt)
+            want_amp, want_deph = direct_first_order(wf, omegas)
+            got_amp = amplitude_ff(wf, omegas).values
+            got_deph = dephasing_ff(wf, omegas).values
+            assert np.abs(got_amp - want_amp).max() <= 1e-9 * want_amp.max()
+            assert np.abs(got_deph - want_deph).max() <= 1e-9 * want_deph.max()
+
+    def test_path_selection(self):
+        from qnspect.filterfn import _is_even_grid, _taylor_order
+
+        assert _is_even_grid(np.linspace(0.0, 1e7, 1000), 1e-4)
+        assert _is_even_grid(np.linspace(-1e7, -1e5, 7), 1e-4)
+        assert not _is_even_grid(np.array([1e6]), 1e-4)
+        assert not _is_even_grid(np.linspace(1e7, 0.0, 10), 1e-4)
+        assert not _is_even_grid(np.array([0.0, 1e6, 2.5e6]), 1e-4)
+        assert not _is_even_grid(np.array([0.0, np.nan, 2e6]), 1e-4)
+        # the order is the first K with u_max^K/(K+1)! < 1e-17
+        for u_max in (0.0, 0.15, 0.44, 0.99):
+            k = _taylor_order(u_max)
+            assert u_max**k / special.factorial(k + 1) < 1e-17
+            assert k == 1 or u_max ** (k - 1) / special.factorial(k) >= 1e-17
+
+    def test_dc_grid_point_of_dephasing_robust(self, dr_waveform):
+        grid = np.linspace(0.0, 2 * np.pi * 2e6, 1000)
+        fz = dephasing_ff(dr_waveform, grid).values
+        assert fz[0] < 1e-12 * T * T
+
+    def test_gz_matches_direct_sum_on_near_dft_grid(self):
+        rng = np.random.default_rng(5)
+        for trial in range(3):
+            n = int(rng.integers(40, 80))
+            wf = random_waveform(rng, n=n, dt=float(rng.uniform(0.5e-8, 2e-8)), rate=3e6)
+            base = 2 * np.pi / wf.total_time
+            idx = np.array([-3, 0, 2, 5, n // 2 + 3])
+            idx_prime = np.array([-1, 1, 4])
+            # within the DFT-grid tolerance of 1e-8 in index units, not bit-exact
+            nudge = 5e-9 * np.maximum(1.0, np.abs(idx)) * np.where(idx % 2, 1, -1)
+            got = higher_order_ff(wf, (idx + nudge) * base, idx_prime * base).values
+            want = direct_gz(wf, idx * base, idx_prime * base)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
 def test_csv_writers(tmp_path):
     wf = dephasing_robust(10e-6, 2, 1, 200)
     grid = np.linspace(0, 2 * np.pi * 1e6, 5)

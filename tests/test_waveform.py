@@ -155,6 +155,18 @@ class TestSynthesize:
             synthesize(coeffs, self.ds, self.dt)
 
 
+@pytest.mark.parametrize("samples, dt", [
+    ([0.0, np.nan, 1.0], 1e-8),
+    ([0.0, np.inf, 1.0], 1e-8),
+    ([0.0, -np.inf, 1.0], 1e-8),
+    ([0.0, 1.0], np.nan),
+    ([0.0, 1.0], np.inf),
+])
+def test_rejects_non_finite(samples, dt):
+    with pytest.raises(ParameterError):
+        PiecewiseConstantWaveform(np.asarray(samples), dt)
+
+
 class TestRotationAngle:
     def test_zero_waveform(self):
         wf = PiecewiseConstantWaveform(np.zeros(64), 1e-8)
