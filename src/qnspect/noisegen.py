@@ -61,6 +61,9 @@ class SpectrumModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown spectrum kind {self.kind!r}")
+        values = (self.a_omega, self.c, self.a_z, self.omega_l, self.omega_h, self.mean)
+        if not all(math.isfinite(v) for v in values):
+            raise ParameterError(f"spectrum parameters must be finite, got {self}")
         if self.kind == FLAT_CUTOFF:
             if self.a_omega < 0 or self.omega_h <= 0:
                 raise ParameterError("flat_cutoff needs a_omega >= 0 and omega_h > 0")

@@ -37,6 +37,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import NonConvergenceError, ParameterError
+from .filterfn import _segment_integral
 from .lp_reduce import AffineConstraintSet, prune_constraints
 from .slepian import DpssSet, dpss
 from .waveform import (
@@ -204,13 +205,7 @@ def objective_Iz(coeffs: WaveformCoefficients, problem: DesignProblem) -> float:
 def _dc_residual(theta: np.ndarray, samples: np.ndarray, dt: float,
                  total_time: float) -> np.ndarray:
     """(Re, Im) of int_0^T e^{i Theta(t)} dt / T with segment-exact integrals."""
-    u = samples * dt
-    small = np.abs(u) < 1e-7
-    seg = np.empty(samples.size, dtype=complex)
-    ub = u[~small]
-    seg[~small] = (np.exp(1j * ub) - 1.0) / (1j * samples[~small])
-    seg[small] = dt * (1.0 + 1j * u[small] / 2.0 - u[small] ** 2 / 6.0)
-    integral = np.sum(np.exp(1j * theta) * seg) / total_time
+    integral = np.sum(np.exp(1j * theta) * _segment_integral(samples, dt)) / total_time
     return np.array([integral.real, integral.imag])
 
 

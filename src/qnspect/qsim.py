@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, ParameterError
-from .filterfn import amplitude_ff, dephasing_ff, dephasing_ff_dc, higher_order_ff
+from .filterfn import (_segment_integral, amplitude_ff, dephasing_ff, dephasing_ff_dc,
+                       higher_order_ff)
 from .noisegen import NoiseRealization, SpectrumModel, psd_eval, sample_many
 from .waveform import PiecewiseConstantWaveform, rotation_angle
 
@@ -46,7 +47,6 @@ class QubitPropagator:
     """Total 2x2 unitary over [0, T] for one noise realization."""
 
     matrix: np.ndarray
-    waveform_id: str = ""
     amp_index: int = -1
     deph_index: int = -1
 
@@ -232,23 +232,11 @@ def error_vector_first_order(waveform: PiecewiseConstantWaveform,
         raise ParameterError("noise trajectories must match the waveform grid")
     dt = waveform.dt
     omega = waveform.samples
-    theta = rotation_angle(waveform)
-    th0, th1 = theta[:-1], theta[1:]
-
     a1 = 0.5 * dt * float(np.sum(omega * amp_noise.samples))
-
-    # per-segment integrals of sin(Theta), cos(Theta)
-    nonzero = np.abs(omega) * dt > 1e-12
-    int_sin = np.empty(waveform.n)
-    int_cos = np.empty(waveform.n)
-    om = omega[nonzero]
-    int_sin[nonzero] = (np.cos(th0[nonzero]) - np.cos(th1[nonzero])) / om
-    int_cos[nonzero] = (np.sin(th1[nonzero]) - np.sin(th0[nonzero])) / om
-    int_sin[~nonzero] = np.sin(th0[~nonzero]) * dt
-    int_cos[~nonzero] = np.cos(th0[~nonzero]) * dt
-
-    a2 = float(np.sum(int_sin * deph_noise.samples))
-    a3 = float(np.sum(int_cos * deph_noise.samples))
+    # per-segment integrals of e^{i Theta}: Im is int sin(Theta), Re is int cos(Theta)
+    seg = np.exp(1j * rotation_angle(waveform)[:-1]) * _segment_integral(omega, dt)
+    a2 = float(np.sum(seg.imag * deph_noise.samples))
+    a3 = float(np.sum(seg.real * deph_noise.samples))
     return np.array([a1, a2, a3])
 
 

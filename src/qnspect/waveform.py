@@ -5,9 +5,10 @@ uniform grid: sample m holds on [m*dt, (m+1)*dt).  Three families matter
 here:
 
 * dephasing-robust sinusoids  Omega_0 * sin(lambda*t)  with lambda = 2*pi*M/T
-  and Omega_0/lambda a root of the Bessel function J0 (these null the DC
-  component of the dephasing filter; the sampled amplitude carries a factor
-  x/sin(x), x = lambda*dt/2, so the null survives the piecewise hold),
+  and Omega_0/lambda a root of the Bessel function J0, taken from
+  ``scipy.special.jn_zeros`` (these null the DC component of the dephasing
+  filter; the sampled amplitude carries a factor x/sin(x), x = lambda*dt/2,
+  so the null survives the piecewise hold),
 * sine-modulated Slepian (DPSS) envelopes, the standard spectrally
   concentrated probe, and
 * free linear combinations of cosine/sine-modulated DPSS, the search space
@@ -20,6 +21,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import ParameterError
 from .slepian import DpssSet, dpss
@@ -27,7 +29,6 @@ from .slepian import DpssSet, dpss
 __all__ = [
     "PiecewiseConstantWaveform",
     "WaveformCoefficients",
-    "bessel_j0",
     "bessel_j0_roots",
     "root_index_for_peak_rate",
     "dephasing_robust",
@@ -120,89 +121,15 @@ class WaveformCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# Bessel J0 and its roots
+# Roots of J0
 # ---------------------------------------------------------------------------
-
-_SERIES_CUT = 14.0
-
-
-def bessel_j0(x):
-    """J0 evaluated by ascending series (|x| <= 14) or Hankel asymptotics.
-
-    Good to ~1e-11 absolute everywhere, which brackets roots to better than
-    1e-10.  Self-contained on purpose: the root finder below is exercised
-    against an independent library oracle in the tests.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) <= _SERIES_CUT
-    if np.any(small):
-        out[small] = _j0_series(x[small])
-    if np.any(~small):
-        out[~small] = _j0_asymptotic(np.abs(x[~small]))
-    return out if out.ndim else float(out)
-
-
-def _j0_series(x):
-    q = -0.25 * x * x
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for k in range(1, 60):
-        term = term * q / (k * k)
-        acc += term
-        if np.all(np.abs(term) < 1e-18 * (1.0 + np.abs(acc))):
-            break
-    return acc
-
-
-def _j0_asymptotic(x):
-    # Hankel expansion: J0 = sqrt(2/(pi x)) [P cos(x - pi/4) - Q sin(x - pi/4)]
-    # with a_k = prod((2j-1)^2) / (k! 8^k) split into even (P) and odd (Q) k.
-    inv = 1.0 / x
-    coeffs = [1.0]
-    for k in range(1, 12):
-        coeffs.append(coeffs[-1] * (2 * k - 1) ** 2 / (8.0 * k))
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for k, a in enumerate(coeffs):
-        term = a * inv**k
-        if k % 2 == 0:
-            p += (-1.0) ** (k // 2) * term
-        else:
-            q += -((-1.0) ** (k // 2)) * term
-    chi = x - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
 def bessel_j0_roots(count: int) -> np.ndarray:
-    """First ``count`` positive roots of J0, ascending, accurate to 1e-10.
-
-    Bracketing uses McMahon's expansion j_r ~ (r - 1/4)*pi; each root is then
-    polished by bisection on the series/asymptotic J0 evaluator.
-    """
+    """First ``count`` positive roots of J0, ascending (``scipy.special.jn_zeros``)."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    roots = np.empty(count)
-    for r in range(1, count + 1):
-        beta = (r - 0.25) * np.pi
-        a, b = beta - 0.2, beta + 0.4
-        fa = bessel_j0(a)
-        if bessel_j0(b) * fa > 0:  # cannot happen for McMahon brackets, but be safe
-            raise RuntimeError(f"failed to bracket J0 root {r}")
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b or b - a <= 1e-13 * max(1.0, mid):
-                break
-            fm = bessel_j0(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fm * fa > 0:
-                a, fa = mid, fm
-            else:
-                b = mid
-        roots[r - 1] = 0.5 * (a + b)
-    return roots
+    return special.jn_zeros(0, count)
 
 
 def root_index_for_peak_rate(modulation_freq: float, target_rate: float) -> int:

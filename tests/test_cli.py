@@ -199,3 +199,18 @@ class TestErrorPaths:
         assert run_cli("ff", "--waveform", "dpss", "--amp-mhz", "nan", "--lambda-mhz", 0.25,
                        "--t-us", 40, "--n", 800, "--out", out) == 2
         assert not out.exists() or not any(out.iterdir())
+
+    def test_nan_spectrum_parameter_is_exit_2_without_survival(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({
+            "waveform": {"family": "dr", "n": 400, "dt_ns": 50.0, "amp_mhz": 5.0},
+            "amplitude_noise": {"kind": "flat_cutoff", "a_omega": float("nan"),
+                                "omega_h_mhz": 2.0},
+            "dephasing_noise": {"kind": "dc_delta", "mu_z_mhz": 0.0},
+            "lambdas_mhz": [0.1],
+            "realizations": 3,
+            "seed": 0,
+        }))
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", path, "--out", out) == 2
+        assert not (out / "survival.csv").exists()

@@ -133,3 +133,18 @@ def test_json_schema():
 
     with pytest.raises(ParameterError):
         spectrum_model_from_json({"kind": "lorentzian"})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["a_omega", "c", "a_z", "omega_l", "omega_h", "mean"])
+def test_rejects_non_finite_parameters(field, value):
+    valid = {"c": 299.1, "a_z": 1e8, "omega_l": 0.01 * MHZ, "omega_h": 2 * MHZ}
+    with pytest.raises(ParameterError):
+        SpectrumModel(kind="one_over_f", **{**valid, field: value})
+
+
+def test_factories_reject_nan():
+    with pytest.raises(ParameterError):
+        SpectrumModel.flat_cutoff(math.nan, 2 * MHZ)
+    with pytest.raises(ParameterError):
+        SpectrumModel.dc_delta(math.nan)

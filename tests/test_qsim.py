@@ -153,6 +153,24 @@ class TestErrorVector:
         assert abs(a[1] - a2_ref) < 1e-6 * max(abs(a2_ref), 1e-12)
         assert abs(a[2] - a3_ref) < 1e-6 * max(abs(a3_ref), 1e-12)
 
+    def test_small_rate_segments(self):
+        # a large first sample sets Theta ~ 1 rad; the slow segments after it
+        # must not lose digits to cos(Th0) - cos(Th1) cancellation
+        n, dt = 50, 1e-8
+        for rate_dt in (3e-12, 3e-11, 3e-10):
+            samples = np.full(n, rate_dt / dt)
+            samples[0] = 1.0 / dt
+            wf = PiecewiseConstantWaveform(samples, dt)
+            bz = np.linspace(1e5, 2e5, n)
+            a = error_vector_first_order(wf, zero_noise(n), NoiseRealization(bz, 0.0, 0, 0))
+            th0 = np.concatenate(([0.0], np.cumsum(samples * dt)[:-1]))
+            sin_half = np.sin(samples * dt) / samples
+            cos_half = 2.0 * np.sin(samples * dt / 2.0) ** 2 / samples
+            a2_ref = np.sum((np.sin(th0) * sin_half + np.cos(th0) * cos_half) * bz)
+            a3_ref = np.sum((np.cos(th0) * sin_half - np.sin(th0) * cos_half) * bz)
+            np.testing.assert_allclose(a[1], a2_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(a[2], a3_ref, rtol=1e-12, atol=0)
+
 
 class TestMagnusSecondOrder:
     def test_zero_for_free_evolution(self):
