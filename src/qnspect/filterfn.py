@@ -113,16 +113,13 @@ class HigherOrderFFGrid:
 
 
 def _segment_integral(u: np.ndarray, dt: float) -> np.ndarray:
-    """int_0^dt e^{i u s} ds = (e^{i u dt} - 1)/(i u), with the u -> 0 limit."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape, dtype=complex)
-    small = np.abs(u) * dt < 1e-7
-    ub = u[~small]
-    out[~small] = (np.exp(1j * ub * dt) - 1.0) / (1j * ub)
-    us = u[small]
-    # series to O((u dt)^3): dt (1 + i u dt/2 - (u dt)^2/6)
-    out[small] = dt * (1.0 + 1j * us * dt / 2.0 - (us * dt) ** 2 / 6.0)
-    return out
+    """int_0^dt e^{i u s} ds = dt (sinc(x/2) e^{i x/2}), x = u dt, without a branch.
+
+    Written as dt (sin x / x + i sin(x/2) sin(x/2)/(x/2)) so that neither part
+    cancels: both are accurate to rounding from x = 0 upward.
+    """
+    x = np.asarray(u, dtype=float) * dt
+    return dt * (np.sinc(x / np.pi) + 1j * np.sin(x / 2.0) * np.sinc(x / (2.0 * np.pi)))
 
 
 def _is_even_grid(omegas: np.ndarray, total_time: float) -> bool:
@@ -140,21 +137,32 @@ def _is_even_grid(omegas: np.ndarray, total_time: float) -> bool:
     return bool(np.max(np.abs(omegas - line)) * total_time <= _GRID_PHASE_TOL)
 
 
-def _fourier_sums(x: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
-    """S[..., k] = sum_m x[..., m] e^{i omegas[k] m dt}, over the last axis of x."""
-    n = x.shape[-1]
+def _fourier_plan(n: int, dt: float, omegas: np.ndarray):
+    """x -> _fourier_sums(x, dt, omegas) for x of last-axis length n.
+
+    The path and its precomputed factors are fixed once, for callers that
+    transform many arrays on one grid.
+    """
     if _is_even_grid(omegas, n * dt):
         # ZoomFFT sums x_m e^{-2 pi i f m} on an even grid of f (cycles per
         # sample); f = -w dt/(2 pi) turns that into e^{+i w m dt}
         cycles = -dt / (2.0 * np.pi)
-        zoom = ZoomFFT(n, [omegas[0] * cycles, omegas[-1] * cycles], omegas.size,
+        return ZoomFFT(n, [omegas[0] * cycles, omegas[-1] * cycles], omegas.size,
                        fs=1.0, endpoint=True)
-        return zoom(x)
     t = np.arange(n) * dt
-    out = np.empty(x.shape[:-1] + omegas.shape, dtype=complex)
-    for k, w in enumerate(omegas):
-        out[..., k] = x @ np.exp(1j * w * t)
-    return out
+
+    def direct(x):
+        out = np.empty(x.shape[:-1] + omegas.shape, dtype=complex)
+        for k, w in enumerate(omegas):
+            out[..., k] = x @ np.exp(1j * w * t)
+        return out
+
+    return direct
+
+
+def _fourier_sums(x: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
+    """S[..., k] = sum_m x[..., m] e^{i omegas[k] m dt}, over the last axis of x."""
+    return _fourier_plan(x.shape[-1], dt, omegas)(x)
 
 
 def amplitude_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionGrid:
@@ -393,17 +401,13 @@ def higher_order_ff_brute(waveform: PiecewiseConstantWaveform, omega: float,
 
 def ff_to_csv(grid: FilterFunctionGrid, path):
     """CSV columns ``omega_rad_per_s, value``."""
-    with open(path, "w") as fh:
-        fh.write("omega_rad_per_s,value\n")
-        for w, v in zip(grid.omegas, grid.values):
-            fh.write(f"{w:.17g},{v:.17g}\n")
+    np.savetxt(path, np.column_stack([grid.omegas, grid.values]), fmt="%.17g",
+               delimiter=",", header="omega_rad_per_s,value", comments="")
 
 
 def higher_order_ff_to_csv(grid: HigherOrderFFGrid, path):
     """CSV columns ``omega, omega_prime, re, im`` (rad/s and s^4)."""
-    with open(path, "w") as fh:
-        fh.write("omega,omega_prime,re,im\n")
-        for i, w in enumerate(grid.omegas):
-            for j, wp in enumerate(grid.omegas_prime):
-                z = grid.values[i, j]
-                fh.write(f"{w:.17g},{wp:.17g},{z.real:.17g},{z.imag:.17g}\n")
+    w, wp = np.meshgrid(grid.omegas, grid.omegas_prime, indexing="ij")
+    z = grid.values.ravel()
+    np.savetxt(path, np.column_stack([w.ravel(), wp.ravel(), z.real, z.imag]), fmt="%.17g",
+               delimiter=",", header="omega,omega_prime,re,im", comments="")

@@ -9,6 +9,9 @@ harmonic superposition on the DFT grid w_j = j * 2*pi/(N*dt), j >= 1:
 with A_j, B_j independent standard normals.  The synthesis hits the target
 PSD exactly on the grid (no windowing bias) and keeps the DC component
 deterministic: detuning lives in ``mean`` only, never in the stochastic sum.
+Because every w_j is a DFT frequency, each realization is one inverse real
+FFT of the spectrum a_j (A_j - i B_j)/2 at bin j (a_j A_j at the Nyquist bin
+of an even N, whose sine term vanishes on the grid).
 The lag-0 autocovariance is (1/pi) * integral_0^inf S(w) dw, which ties the
 amplitude convention to the filter-function overlap integrals round-trip.
 """
@@ -127,7 +130,7 @@ def psd_eval(model: SpectrumModel, omega) -> np.ndarray:
 
 
 def _harmonic_amplitudes(model: SpectrumModel, n: int, dt: float):
-    """Deterministic per-harmonic amplitudes sqrt(2 S(w_j) dw / 2 pi), j = 1..N//2."""
+    """Bins j in 1..N//2 with nonzero amplitude sqrt(2 S(w_j) dw / 2 pi), and the amplitudes."""
     if model.cutoff > np.pi / dt * (1.0 + 1e-12):
         raise ParameterError(
             f"Nyquist frequency {np.pi / dt:.3e} rad/s cannot carry the spectrum "
@@ -135,10 +138,9 @@ def _harmonic_amplitudes(model: SpectrumModel, n: int, dt: float):
         )
     domega = 2.0 * np.pi / (n * dt)
     j = np.arange(1, n // 2 + 1)
-    omegas = j * domega
-    amps = np.sqrt(2.0 * psd_eval(model, omegas) * domega / (2.0 * np.pi))
+    amps = np.sqrt(2.0 * psd_eval(model, j * domega) * domega / (2.0 * np.pi))
     keep = amps > 0.0
-    return omegas[keep], amps[keep]
+    return j[keep], amps[keep]
 
 
 def sample_process(model: SpectrumModel, n: int, dt: float, seed: int,
@@ -161,19 +163,19 @@ def sample_many(model: SpectrumModel, n: int, dt: float, seed: int,
     out = np.full((len(indices), n), float(model.mean))
     if model.kind == DC_DELTA:
         return out
-    omegas, amps = _harmonic_amplitudes(model, n, dt)
-    if omegas.size == 0:
-        return out
-    t = np.arange(n) * dt
-    cos_basis = np.cos(np.outer(omegas, t))
-    sin_basis = np.sin(np.outer(omegas, t))
-    # one matrix-vector product per realization: identical results whether a
+    bins, amps = _harmonic_amplitudes(model, n, dt)
+    # irfft sums X_0 + 2 Re sum_j X_j e^{2 pi i j m/n}, except that the
+    # Nyquist bin of an even n enters once
+    half = np.where(2 * bins == n, 1.0, 0.5) * amps
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
+    # one inverse transform per realization: identical results whether a
     # trajectory is drawn alone or as part of a batch
     for r, index in enumerate(indices):
         rng = np.random.default_rng([int(seed), int(index)])
-        coeff_a = rng.standard_normal(omegas.size) * amps
-        coeff_b = rng.standard_normal(omegas.size) * amps
-        out[r] += coeff_a @ cos_basis + coeff_b @ sin_basis
+        coeff_a = rng.standard_normal(bins.size)
+        coeff_b = rng.standard_normal(bins.size)
+        spectrum[bins] = half * (coeff_a - 1j * coeff_b)
+        out[r] += np.fft.irfft(spectrum, n, norm="forward")
     return out
 
 

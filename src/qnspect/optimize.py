@@ -22,11 +22,12 @@ F_Z(0, x) = 0.  Structure of the solver:
 
 Objective quadrature runs in the plain Riemann convention for F_Z, which is
 indistinguishable from the segment-exact transform everywhere the integrand
-carries weight but lets a zero-padded FFT evaluate the whole uniform part of
-the grid at once.  The default grid refines near DC (spacing well below
-delta_omega) and continues at 2*pi/(8T) up to Nyquist; the refinement is
-required for the quadrature to track adaptive integration of the smooth
-closed forms to 0.1%.
+carries weight.  The default grid is the union of three evenly spaced
+pieces: 2*pi/(8T) spacing up to Nyquist, a fine patch near DC (spacing well
+below delta_omega) and a patch over the first filter lobes; the refinement
+is required for the quadrature to track adaptive integration of the smooth
+closed forms to 0.1%.  Each piece is one chirp-z transform of the
+filterfn kernel, planned once per problem.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import NonConvergenceError, ParameterError
-from .filterfn import _segment_integral
+from .filterfn import _fourier_plan, _segment_integral
 from .lp_reduce import AffineConstraintSet, prune_constraints
 from .slepian import DpssSet, dpss
 from .waveform import (
@@ -74,20 +75,18 @@ class DesignProblem:
     max_rate: float
     reduced_constraints: AffineConstraintSet
     delta_omega: float
-    objective_grid: np.ndarray
 
     def __post_init__(self):
         if self.delta_omega <= 0:
             raise ParameterError("delta_omega must be positive")
-        grid = np.asarray(self.objective_grid, dtype=float)
-        object.__setattr__(self, "objective_grid", grid)
-        nyquist = np.pi / self.dt
-        if grid[-1] < nyquist * (1 - 1e-9):
-            raise ParameterError("objective grid must reach the Nyquist frequency")
 
     @property
     def total_time(self) -> float:
         return self.n * self.dt
+
+    @property
+    def objective_grid(self) -> np.ndarray:
+        return default_objective_grid(self.n, self.dt, self.delta_omega)
 
     @property
     def basis(self) -> np.ndarray:
@@ -112,6 +111,16 @@ def identity_vector(dpss_set: DpssSet, omega0: float, dt: float,
     return modulation_basis(dpss_set, omega0, dt, num_orders).sum(axis=0)
 
 
+def _objective_pieces(n: int, dt: float, delta_omega: float) -> tuple[np.ndarray, ...]:
+    """The three evenly spaced grids whose union is the objective grid."""
+    total_time = n * dt
+    base = 2.0 * np.pi / (8.0 * total_time)
+    uniform = np.arange(0, 4 * n + 1) * base  # reaches pi/dt exactly
+    head = np.linspace(0.0, 8.0 * delta_omega, 129)
+    turnover = np.linspace(0.0, 16.0 * np.pi / total_time, 321)
+    return uniform, head, turnover
+
+
 def default_objective_grid(n: int, dt: float, delta_omega: float) -> np.ndarray:
     """Uniform 2*pi/(8T) spacing up to Nyquist plus a fine patch near DC.
 
@@ -120,29 +129,21 @@ def default_objective_grid(n: int, dt: float, delta_omega: float) -> np.ndarray:
     delta_omega < 2*pi/(8T); eight points per 2*pi/T linewidth keep the
     trapezoid rule on the oscillatory filter below the 0.1% level.
     """
-    total_time = n * dt
-    base = 2.0 * np.pi / (8.0 * total_time)
-    uniform = np.arange(0, 4 * n + 1) * base  # reaches pi/dt exactly
-    head = np.linspace(0.0, 8.0 * delta_omega, 129)
-    turnover = np.linspace(0.0, 16.0 * np.pi / total_time, 321)
+    uniform, head, turnover = _objective_pieces(n, dt, delta_omega)
     return np.union1d(np.union1d(uniform, head), turnover)
 
 
 def build_design_problem(omega0: float, n: int, dt: float, max_rate: float,
                          time_bandwidth: float = 1.0, num_orders: int = 3,
                          eps: float = 0.1, seed: int = 0,
-                         delta_omega: float = 2.0 * np.pi * 1e3,
-                         objective_grid=None) -> DesignProblem:
-    """Assemble DPSS basis, pruned constraints and quadrature grid."""
+                         delta_omega: float = 2.0 * np.pi * 1e3) -> DesignProblem:
+    """Assemble DPSS basis and pruned constraints; the grid follows from (n, dt)."""
     dpss_set = dpss(n, time_bandwidth / n, num_orders)
     full = amplitude_constraints(dpss_set, omega0, dt, max_rate, num_orders)
     reduced = prune_constraints(full, eps=eps, rng_seed=seed)
-    if objective_grid is None:
-        objective_grid = default_objective_grid(n, dt, delta_omega)
     return DesignProblem(
         dpss_set=dpss_set, omega0=omega0, dt=dt, n=n, num_orders=num_orders,
         max_rate=max_rate, reduced_constraints=reduced, delta_omega=delta_omega,
-        objective_grid=np.asarray(objective_grid, dtype=float),
     )
 
 
@@ -150,41 +151,27 @@ def build_design_problem(omega0: float, n: int, dt: float, max_rate: float,
 # Objective
 # ---------------------------------------------------------------------------
 
-_PAD = 8
-
 
 def _make_objective(problem: DesignProblem):
     """Closure evaluating I_Z from a rotation-angle trajectory.
 
-    F_Z is evaluated in the left-endpoint Riemann convention: grid points on
-    the pad-8 DFT bins come from two FFTs, the remaining refinement points
-    from one precomputed phase matrix.  (The Riemann and segment-exact
-    conventions differ only by O((w dt)^2), invisible under the 1/(w + dw)
-    weight.)
+    F_Z is evaluated in the left-endpoint Riemann convention,
+    dt^2 (|S[cos Theta]|^2 + |S[sin Theta]|^2), by one chirp-z plan per
+    evenly spaced piece of the grid, scattered into union order.  (The
+    Riemann and segment-exact conventions differ only by O((w dt)^2),
+    invisible under the 1/(w + dw) weight.)
     """
-    n = problem.n
-    dt = problem.dt
+    n, dt = problem.n, problem.dt
     grid = problem.objective_grid
-    base = 2.0 * np.pi / (_PAD * n * dt)
-    idx = grid / base
-    nearest = np.round(idx)
-    aligned = (np.abs(idx - nearest) < 1e-9 * np.maximum(1.0, idx)) & (nearest <= _PAD * n // 2)
-    bins = nearest[aligned].astype(int)
-    stray = np.flatnonzero(~aligned)
-    t = np.arange(n) * dt
-    stray_phase = np.exp(1j * np.outer(grid[stray], t)) if stray.size else None
+    plans = [(np.searchsorted(grid, piece), _fourier_plan(n, dt, piece))
+             for piece in _objective_pieces(n, dt, problem.delta_omega)]
     weight = 1.0 / (grid + problem.delta_omega)
 
     def evaluate(theta: np.ndarray) -> float:
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        trig = np.stack([np.cos(theta), np.sin(theta)])
         fz = np.empty(grid.size)
-        cos_sp = np.fft.rfft(cos_t, n=_PAD * n)
-        sin_sp = np.fft.rfft(sin_t, n=_PAD * n)
-        fz[aligned] = dt * dt * (np.abs(cos_sp[bins]) ** 2 + np.abs(sin_sp[bins]) ** 2)
-        if stray.size:
-            fz[stray] = dt * dt * (
-                np.abs(stray_phase @ cos_t) ** 2 + np.abs(stray_phase @ sin_t) ** 2
-            )
+        for index, plan in plans:
+            fz[index] = dt * dt * np.sum(np.abs(plan(trig)) ** 2, axis=0)
         return float(np.trapezoid(fz * weight, grid) / np.pi)
 
     return evaluate

@@ -14,7 +14,13 @@ from qnspect import (
     modulated_dpss_waveform,
 )
 from qnspect.errors import GridError
-from qnspect.filterfn import ff_to_csv, higher_order_ff_brute, higher_order_ff_to_csv
+from qnspect.filterfn import (
+    FilterFunctionGrid,
+    HigherOrderFFGrid,
+    ff_to_csv,
+    higher_order_ff_brute,
+    higher_order_ff_to_csv,
+)
 
 T = 100e-6
 N = 10000
@@ -281,6 +287,17 @@ class TestKernelPaths:
         fz = dephasing_ff(dr_waveform, grid).values
         assert fz[0] < 1e-12 * T * T
 
+    @pytest.mark.parametrize("grid_name", ["ascending", "non-uniform"])
+    def test_plan_matches_fourier_sums(self, grid_name):
+        from qnspect.filterfn import _fourier_plan, _fourier_sums
+
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(2, 300)) + 1j * rng.normal(size=(2, 300))
+        omegas = FIRST_ORDER_GRIDS[grid_name](1e-8)
+        plan = _fourier_plan(300, 1e-8, omegas)
+        assert np.array_equal(plan(x), _fourier_sums(x, 1e-8, omegas))
+        assert np.array_equal(plan(x[1]), _fourier_sums(x[1], 1e-8, omegas))
+
     def test_gz_matches_direct_sum_on_near_dft_grid(self):
         rng = np.random.default_rng(5)
         for trial in range(3):
@@ -310,3 +327,40 @@ def test_csv_writers(tmp_path):
     lines = (tmp_path / "gz.csv").read_text().splitlines()
     assert lines[0] == "omega,omega_prime,re,im"
     assert len(lines) == 5
+
+
+def test_segment_integral_against_mpmath():
+    from qnspect.filterfn import _segment_integral
+
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    dt = 1e-8
+    mags = [1e-10, 1e-8, 9.9e-8, 1e-7, 1.01e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2,
+            0.1, 0.5, 1.0, 2.0, 3.0]
+    u = np.array([0.0] + mags + [-m for m in mags]) / dt
+    got = _segment_integral(u, dt)
+    for ui, value in zip(u, got):
+        if ui == 0.0:
+            want = mpmath.mpf(dt)
+        else:
+            # (e^{iu dt} - 1)/(iu), evaluated at 40 digits
+            mu = mpmath.mpf(float(ui))
+            want = (mpmath.exp(1j * mu * mpmath.mpf(dt)) - 1) / (1j * mu)
+        assert float(abs(mpmath.mpc(value) - want)) <= 1e-15 * dt, ui * dt
+
+
+def test_csv_bytes_match_fstring_format(tmp_path):
+    omegas = np.array([-3.5e7, -1e-300, 0.0, 5e-324, 1.0 / 3.0, 2.0 ** 60])
+    values = np.array([0.0, -0.0, -1.2345678901234567e-20, 5e-324, -2.5e-310, 7.0e22])
+    ff_to_csv(FilterFunctionGrid(omegas, values, 1e-4), tmp_path / "ff.csv")
+    want = "omega_rad_per_s,value\n" + "".join(f"{w:.17g},{v:.17g}\n"
+                                              for w, v in zip(omegas, values))
+    assert (tmp_path / "ff.csv").read_bytes() == want.encode()
+
+    gz = values[:, None] * (1.0 - 3e-17j) + 1j * values[::-1][None, :]
+    higher_order_ff_to_csv(HigherOrderFFGrid(omegas, omegas[:4], gz[:, :4], 1e-4),
+                           tmp_path / "gz.csv")
+    want = "omega,omega_prime,re,im\n" + "".join(
+        f"{w:.17g},{wp:.17g},{gz[i, j].real:.17g},{gz[i, j].imag:.17g}\n"
+        for i, w in enumerate(omegas) for j, wp in enumerate(omegas[:4]))
+    assert (tmp_path / "gz.csv").read_bytes() == want.encode()

@@ -57,6 +57,24 @@ class TestSampleProcess:
         c = sample_process(FLAT, 512, 1e-8, seed=5, index=4)
         assert not np.array_equal(a.samples, c.samples)
 
+    @pytest.mark.parametrize("n", [512, 511])
+    def test_matches_dense_harmonic_sum(self, n):
+        # flat spectrum through the Nyquist bin (present for even n), against
+        # sum_j a_j (A_j cos w_j t + B_j sin w_j t) with the same draws
+        dt, a_omega = 1e-8, 1.04e-11
+        model = SpectrumModel.flat_cutoff(a_omega, np.pi / dt * (1 + 1e-13))
+        got = sample_many(model, n, dt, seed=6, indices=[0, 5])
+        j = np.arange(1, n // 2 + 1)
+        domega = 2 * np.pi / (n * dt)
+        amps = np.sqrt(2 * a_omega * domega / (2 * np.pi))
+        phase = 2 * np.pi * ((j[:, None] * np.arange(n)[None, :]) % n) / n
+        for row, index in zip(got, [0, 5]):
+            rng = np.random.default_rng([6, index])
+            coeff_a = rng.standard_normal(j.size) * amps
+            coeff_b = rng.standard_normal(j.size) * amps
+            want = coeff_a @ np.cos(phase) + coeff_b @ np.sin(phase)
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_nyquist_guard(self):
         with pytest.raises(ParameterError):
             sample_process(FLAT, 64, 1e-6, seed=0)  # Nyquist 0.5 MHz < cutoff

@@ -79,6 +79,43 @@ class TestObjective:
             objective_Iz(bad, small_problem)
 
 
+def dense_riemann_objective(problem, theta):
+    """(1/pi) trapz F_Z/(w + delta_omega) on the default grid, with the
+    left-endpoint F_Z = dt^2 (|S[cos Theta]|^2 + |S[sin Theta]|^2) written as
+    a dense (M, N) phase matrix."""
+    grid = default_objective_grid(problem.n, problem.dt, problem.delta_omega)
+    t = np.arange(problem.n) * problem.dt
+    phase = np.exp(1j * np.outer(grid, t))
+    fz = problem.dt**2 * (np.abs(phase @ np.cos(theta)) ** 2 + np.abs(phase @ np.sin(theta)) ** 2)
+    return np.trapezoid(fz / (grid + problem.delta_omega), grid) / np.pi
+
+
+@pytest.mark.parametrize("n", [400, 401])
+def test_objective_matches_dense_riemann_sum(n):
+    from qnspect.optimize import _make_objective, _theta_of
+
+    problem = build_design_problem(0.1 * MHZ, n, 100e-6 / n, 5 * MHZ, eps=0.1, seed=0)
+    evaluate = _make_objective(problem)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        theta = _theta_of(rng.normal(0, 0.5 * MHZ, 6), problem)
+        want = dense_riemann_objective(problem, theta)
+        assert abs(evaluate(theta) / want - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n, dt", [(400, 250e-9), (2000, 50e-9), (20_000, 5e-9)])
+def test_objective_pieces_are_even_grids(n, dt):
+    from qnspect.filterfn import _is_even_grid
+    from qnspect.optimize import _objective_pieces
+
+    pieces = _objective_pieces(n, dt, 2 * np.pi * 1e3)
+    assert len(pieces) == 3
+    for piece in pieces:
+        assert _is_even_grid(piece, n * dt)
+    grid = default_objective_grid(n, dt, 2 * np.pi * 1e3)
+    assert np.array_equal(np.union1d(np.union1d(*pieces[:2]), pieces[2]), grid)
+
+
 class TestProblemAssembly:
     def test_grid_reaches_nyquist(self, small_problem):
         assert small_problem.objective_grid[-1] >= np.pi / small_problem.dt * (1 - 1e-12)
