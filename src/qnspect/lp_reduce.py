@@ -7,7 +7,8 @@ identical rows.  The pruning pass keeps a constraint only when a small LP
 shows it can be violated by more than eps while all previously kept rows
 hold; a second pass tightens the survivors by (1 + eps) and drops anything
 exactly redundant.  The result is a polytope that is a subset of the
-original feasible region yet within a factor (1 + eps) of it.
+original feasible region yet within a factor (1 + eps) of it.  It serves
+the ``prune`` command; the design solver bounds the samples directly.
 
 The LP itself is a dense primal simplex over free variables (split into
 positive/negative parts plus slacks).  Every instance here has the origin
@@ -235,10 +236,8 @@ def prune_constraints(full: AffineConstraintSet, eps: float,
 
 def constraints_to_csv(constraints: AffineConstraintSet, path):
     """One row per constraint, columns a_0 ... a_{d-1} (rhs implicitly 1)."""
-    with open(path, "w") as fh:
-        fh.write(",".join(f"a_{j}" for j in range(constraints.dimension)) + "\n")
-        for row in constraints.rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    header = ",".join(f"a_{j}" for j in range(constraints.dimension))
+    np.savetxt(path, constraints.rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def constraints_from_csv(path) -> AffineConstraintSet:

@@ -6,17 +6,19 @@ the dephasing filter,
 
     I_Z(x) = (1/pi) int_0^Nyquist F_Z(w, x) / (w + delta_omega) dw,
 
-minimized subject to (i) the LP-reduced amplitude constraints, (ii) the
-linear net-identity constraint, and (iii) the nonlinear DC null
-F_Z(0, x) = 0.  Structure of the solver:
+minimized subject to (i) the amplitude bound |Omega_m(x)| <= max_rate on
+every sample, (ii) the linear net-identity constraint, and (iii) the
+nonlinear DC null F_Z(0, x) = 0.  Structure of the solver:
 
 * the identity constraint is linear and homogeneous, so it is eliminated
   exactly by parametrizing x on the null space of its coefficient vector;
 * F_Z(0) = |int e^{i Theta}|^2 is split into its real and imaginary parts,
   two smooth equality constraints driven to zero by an augmented-Lagrangian
   outer loop;
-* the reduced linear rows enter as a quadratic hinge penalty, which is exact
-  because the minimizer sits strictly inside the amplitude polytope;
+* the amplitude bound is read from the samples the objective already
+  computes and enters as a quadratic hinge on |Omega_m| (1 + eps)/max_rate - 1,
+  exact while the minimizer sits strictly inside the bound; a solution that
+  still breaks |Omega_m| <= max_rate is reported as non-convergence;
 * the inner minimizer is quasi-Newton (L-BFGS) with central-difference
   gradients over the handful of coefficients.
 
@@ -33,6 +35,7 @@ filterfn kernel, planned once per problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -73,12 +76,15 @@ class DesignProblem:
     n: int
     num_orders: int
     max_rate: float
-    reduced_constraints: AffineConstraintSet
+    eps: float
+    seed: int
     delta_omega: float
 
     def __post_init__(self):
         if self.delta_omega <= 0:
             raise ParameterError("delta_omega must be positive")
+        if not self.eps > 0.0:
+            raise ParameterError(f"eps must be positive, got {self.eps}")
 
     @property
     def total_time(self) -> float:
@@ -88,9 +94,16 @@ class DesignProblem:
     def objective_grid(self) -> np.ndarray:
         return default_objective_grid(self.n, self.dt, self.delta_omega)
 
-    @property
+    @cached_property
     def basis(self) -> np.ndarray:
         return modulation_basis(self.dpss_set, self.omega0, self.dt, self.num_orders)
+
+    @cached_property
+    def reduced_constraints(self) -> AffineConstraintSet:
+        """LP-pruned, (1 + eps)-tightened amplitude rows; the solve does not use them."""
+        full = amplitude_constraints(self.dpss_set, self.omega0, self.dt, self.max_rate,
+                                     self.num_orders)
+        return prune_constraints(full, self.eps, rng_seed=self.seed)
 
 
 def amplitude_constraints(dpss_set: DpssSet, omega0: float, dt: float,
@@ -137,13 +150,11 @@ def build_design_problem(omega0: float, n: int, dt: float, max_rate: float,
                          time_bandwidth: float = 1.0, num_orders: int = 3,
                          eps: float = 0.1, seed: int = 0,
                          delta_omega: float = 2.0 * np.pi * 1e3) -> DesignProblem:
-    """Assemble DPSS basis and pruned constraints; the grid follows from (n, dt)."""
+    """Assemble the DPSS basis (no LP); the grid follows from (n, dt)."""
     dpss_set = dpss(n, time_bandwidth / n, num_orders)
-    full = amplitude_constraints(dpss_set, omega0, dt, max_rate, num_orders)
-    reduced = prune_constraints(full, eps=eps, rng_seed=seed)
     return DesignProblem(
         dpss_set=dpss_set, omega0=omega0, dt=dt, n=n, num_orders=num_orders,
-        max_rate=max_rate, reduced_constraints=reduced, delta_omega=delta_omega,
+        max_rate=max_rate, eps=eps, seed=seed, delta_omega=delta_omega,
     )
 
 
@@ -177,9 +188,12 @@ def _make_objective(problem: DesignProblem):
     return evaluate
 
 
+def _theta(samples: np.ndarray, dt: float) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(samples * dt)))[:-1]
+
+
 def _theta_of(x: np.ndarray, problem: DesignProblem) -> np.ndarray:
-    samples = problem.basis @ x
-    return np.concatenate(([0.0], np.cumsum(samples * problem.dt)))[:-1]
+    return _theta(problem.basis @ x, problem.dt)
 
 
 def objective_Iz(coeffs: WaveformCoefficients, problem: DesignProblem) -> float:
@@ -206,20 +220,20 @@ def project_dephasing_robust(problem: DesignProblem,
     """Least-squares projection of the dephasing-robust sinusoid onto the basis.
 
     The target is Omega_0 sin(omega0 t) with Omega_0 = omega0 * j_{0,root};
-    the projected coefficients are then shrunk (if necessary) into the
-    reduced feasible region.
+    the projected coefficients are then shrunk (if necessary) until every
+    sample satisfies |Omega_m| (1 + eps) <= max_rate.
     """
     omega0 = problem.omega0
     amp = omega0 * bessel_j0_roots(root_index)[-1]
     m = np.arange(problem.n)
     target = amp * np.sin(omega0 * m * problem.dt)
     x, *_ = np.linalg.lstsq(problem.basis, target, rcond=None)
-    x = _shrink_into_region(x, problem.reduced_constraints)
+    x = _shrink_into_region(x, problem)
     return WaveformCoefficients.from_vector(omega0, x)
 
 
-def _shrink_into_region(x: np.ndarray, constraints: AffineConstraintSet) -> np.ndarray:
-    worst = float(np.max(constraints.rows @ x)) if constraints.num_rows else 0.0
+def _shrink_into_region(x: np.ndarray, problem: DesignProblem) -> np.ndarray:
+    worst = float(np.max(np.abs(problem.basis @ x))) * (1.0 + problem.eps) / problem.max_rate
     if worst > 1.0:
         x = x / (worst * (1.0 + 1e-9))
     return x
@@ -228,17 +242,19 @@ def _shrink_into_region(x: np.ndarray, constraints: AffineConstraintSet) -> np.n
 def solve_design(problem: DesignProblem, init: WaveformCoefficients | None = None,
                  seed: int = 0, max_outer: int = 14, inner_maxiter: int = 80,
                  fz_tol: float = 1e-9) -> WaveformCoefficients:
-    """Minimize the dephasing objective over the reduced feasible region.
+    """Minimize the dephasing objective under the amplitude bound.
 
-    Returns coefficients satisfying the reduced linear rows, the identity
-    constraint (exactly, by construction) and F_Z(0) <= fz_tol * T^2, locally
-    minimal in the objective.
+    The bound is a hinge on the iterate's own samples, |Omega_m| (1 + eps) <=
+    max_rate at all N of them.  Returns coefficients satisfying
+    max |Omega_m| <= max_rate (to 1e-9), the identity constraint (exactly,
+    by construction) and F_Z(0) <= fz_tol * T^2, locally minimal in the
+    objective.
 
     Raises
     ------
     NonConvergenceError
-        When the DC-null residual cannot be met; ``best`` carries the best
-        iterate.
+        When the DC-null residual or the amplitude bound cannot be met;
+        ``best`` carries the best iterate.
     """
     if init is None:
         init = project_dephasing_robust(problem)
@@ -246,15 +262,15 @@ def solve_design(problem: DesignProblem, init: WaveformCoefficients | None = Non
         raise ParameterError("init order count does not match the problem")
 
     basis = problem.basis
-    rows = problem.reduced_constraints.rows
-    e = identity_vector(problem.dpss_set, problem.omega0, problem.dt, problem.num_orders)
+    e = basis.sum(axis=0)  # net-identity coefficients, as identity_vector
+    tightened_rate = problem.max_rate / (1.0 + problem.eps)
 
     # null-space parametrization x = Z u (u in units of max_rate)
     _, _, vt = np.linalg.svd(e[None, :])
     z = vt[1:].T  # (2K, 2K-1)
     scale = problem.max_rate
 
-    x0 = _shrink_into_region(init.as_vector(), problem.reduced_constraints)
+    x0 = _shrink_into_region(init.as_vector(), problem)
     u0 = (z.T @ x0) / scale
 
     total_time = problem.total_time
@@ -264,10 +280,10 @@ def solve_design(problem: DesignProblem, init: WaveformCoefficients | None = Non
     def pieces(u):
         x = z @ (u * scale)
         samples = basis @ x
-        theta = np.concatenate(([0.0], np.cumsum(samples * problem.dt)))[:-1]
+        theta = _theta(samples, problem.dt)
         f = objective(theta) / f_scale
         h = _dc_residual(theta, samples, problem.dt, total_time)
-        slack = rows @ x - 1.0 if rows.size else np.zeros(0)
+        slack = np.abs(samples) / tightened_rate - 1.0
         return f, h, slack
 
     rho_in = 1e4
@@ -327,7 +343,12 @@ def solve_design(problem: DesignProblem, init: WaveformCoefficients | None = Non
             )
 
     x = z @ (u * scale)
-    return WaveformCoefficients.from_vector(problem.omega0, x)
+    coeffs = WaveformCoefficients.from_vector(problem.omega0, x)
+    ratio = float(np.max(np.abs(basis @ x))) / problem.max_rate
+    if ratio > 1.0 + 1e-9:
+        raise NonConvergenceError(
+            f"amplitude bound not met: max|Omega|/Omega_max = {ratio:.6f}", best=coeffs)
+    return coeffs
 
 
 def design_waveform(coeffs: WaveformCoefficients,

@@ -214,3 +214,11 @@ class TestErrorPaths:
         out = tmp_path / "sim"
         assert run_cli("simulate", "--config", path, "--out", out) == 2
         assert not (out / "survival.csv").exists()
+
+    def test_unmeetable_amplitude_bound_is_exit_3_without_coefficients(self, tmp_path):
+        # Omega_max = 2 MHz cannot hold a DC-null design at omega0/2pi = 1 MHz
+        # in T = 20 us: the solver must report it instead of writing a waveform
+        out = tmp_path / "opt"
+        assert run_cli("optimize", "--omega0-mhz", 1.0, "--omega-max-mhz", 2.0,
+                       "--n", 400, "--dt-ns", 50, "--k", 3, "--seed", 1, "--out", out) == 3
+        assert not (out / "coefficients.json").exists()

@@ -21,6 +21,7 @@ from qnspect.filterfn import (
     higher_order_ff_brute,
     higher_order_ff_to_csv,
 )
+from qnspect.lp_reduce import AffineConstraintSet, constraints_to_csv
 
 T = 100e-6
 N = 10000
@@ -364,3 +365,8 @@ def test_csv_bytes_match_fstring_format(tmp_path):
         f"{w:.17g},{wp:.17g},{gz[i, j].real:.17g},{gz[i, j].imag:.17g}\n"
         for i, w in enumerate(omegas) for j, wp in enumerate(omegas[:4]))
     assert (tmp_path / "gz.csv").read_bytes() == want.encode()
+
+    rows = np.column_stack([omegas, values, values[::-1]])
+    constraints_to_csv(AffineConstraintSet(rows, np.arange(len(rows))), tmp_path / "rows.csv")
+    want = "a_0,a_1,a_2\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert (tmp_path / "rows.csv").read_bytes() == want.encode()

@@ -192,6 +192,55 @@ class TestSolve:
         assert err.value.best.num_orders == 3
 
 
+def short_pulse_problem(omega0_mhz, max_rate_mhz):
+    # T = 20 us and omega0/2pi near 1 MHz: the DC null needs amplitudes of the
+    # order of max_rate, so the amplitude bound shapes the solution
+    return build_design_problem(omega0_mhz * MHZ, 400, 20e-6 / 400, max_rate_mhz * MHZ,
+                                num_orders=3, eps=0.1, seed=1)
+
+
+class TestAmplitudeBound:
+    def test_binding_bound_is_met(self):
+        problem = short_pulse_problem(1.9, 5.0)
+        solution = solve_design(problem, seed=1)
+        wf = design_waveform(solution, problem)
+        ratio = np.abs(wf.samples).max() / problem.max_rate
+        assert 0.9 < ratio <= 1 + 1e-9
+        assert dephasing_ff_dc(wf) < 1e-9 * problem.total_time**2
+
+    def test_unmeetable_bound_raises_with_best_iterate(self):
+        from qnspect.errors import NonConvergenceError
+
+        problem = short_pulse_problem(1.0, 2.0)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_design(problem, seed=1)
+        best = err.value.best
+        assert best is not None and best.num_orders == 3
+        assert np.abs(design_waveform(best, problem).samples).max() > problem.max_rate
+
+    def test_design_path_runs_no_lp(self, monkeypatch):
+        from qnspect import optimize
+        from qnspect.lp_reduce import prune_constraints
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LP pruning on the design path")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "prune_constraints", refuse)
+            problem = build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ,
+                                           eps=0.1, seed=3)
+            solve_design(problem, seed=3)
+        full = amplitude_constraints(problem.dpss_set, problem.omega0, problem.dt,
+                                     problem.max_rate, 3)
+        direct = prune_constraints(full, 0.1, rng_seed=3)
+        assert np.array_equal(problem.reduced_constraints.rows, direct.rows)
+        assert np.array_equal(problem.reduced_constraints.labels, direct.labels)
+
+    def test_nonpositive_eps_rejected(self):
+        with pytest.raises(ParameterError):
+            build_design_problem(0.1 * MHZ, 400, 250e-9, 5 * MHZ, eps=0.0)
+
+
 def test_default_grid_structure():
     grid = default_objective_grid(1000, 1e-8, 2 * np.pi * 1e3)
     assert grid[0] == 0.0
