@@ -29,9 +29,15 @@ from .filterfn import (
     higher_order_ff,
     higher_order_ff_to_csv,
 )
-from .lp_reduce import constraints_to_csv
+from .lp_reduce import constraints_to_csv, prune_constraints
 from .noisegen import SpectrumModel, psd_eval, spectrum_model_from_json
-from .optimize import build_design_problem, design_waveform, objective_Iz, solve_design
+from .optimize import (
+    amplitude_constraints,
+    build_design_problem,
+    design_waveform,
+    objective_Iz,
+    solve_design,
+)
 from .qsim import bias_breakdown, overlap_amplitude, survival_probabilities, tomographic_estimator
 from .slepian import dpss
 from .spectro import overlap_matrix, reconstruct
@@ -181,23 +187,22 @@ def _cmd_gz(args):
 
 def _cmd_prune(args):
     out = _outdir(args)
-    problem = build_design_problem(
-        args.omega0_mhz * MHZ, args.n, args.dt_ns * 1e-9, args.omega_max_mhz * MHZ,
-        time_bandwidth=args.nw, num_orders=args.k, eps=args.eps, seed=args.seed,
-    )
-    constraints_to_csv(problem.reduced_constraints, out / "constraints.csv")
+    full = amplitude_constraints(dpss(args.n, args.nw / args.n, args.k), args.omega0_mhz * MHZ,
+                                 args.dt_ns * 1e-9, args.omega_max_mhz * MHZ, args.k)
+    reduced = prune_constraints(full, args.eps, rng_seed=args.seed)
+    constraints_to_csv(reduced, out / "constraints.csv")
     config = {"omega0_mhz": args.omega0_mhz, "n": args.n, "dt_ns": args.dt_ns,
               "omega_max_mhz": args.omega_max_mhz, "nw": args.nw, "k": args.k,
               "eps": args.eps}
     _write_manifest(out, "prune", config, args.seed, ["constraints.csv"])
-    print(f"retained {problem.reduced_constraints.num_rows} constraints")
+    print(f"retained {reduced.num_rows} constraints")
 
 
 def _cmd_optimize(args):
     out = _outdir(args)
     problem = build_design_problem(
         args.omega0_mhz * MHZ, args.n, args.dt_ns * 1e-9, args.omega_max_mhz * MHZ,
-        time_bandwidth=args.nw, num_orders=args.k, eps=args.eps, seed=args.seed,
+        time_bandwidth=args.nw, num_orders=args.k, eps=args.eps,
     )
     coeffs = solve_design(problem, seed=args.seed)
     wf = design_waveform(coeffs, problem)
@@ -206,7 +211,7 @@ def _cmd_optimize(args):
         "cos_coeffs_rad_per_s": [float(v) for v in coeffs.cos_coeffs],
         "sin_coeffs_rad_per_s": [float(v) for v in coeffs.sin_coeffs],
         "objective": objective_Iz(coeffs, problem),
-        "reduced_rows": problem.reduced_constraints.num_rows,
+        "max_amplitude_ratio": float(np.max(np.abs(wf.samples))) / problem.max_rate,
     }
     with open(out / "coefficients.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -205,8 +205,8 @@ def prune_constraints(full: AffineConstraintSet, eps: float,
     to 1 -- and a second shuffled pass removes rows that became exactly
     redundant.  The returned region is a subset of the input region.
     """
-    if eps <= 0.0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     rng = np.random.default_rng(rng_seed)
     rows = full.rows
 

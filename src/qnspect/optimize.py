@@ -42,7 +42,7 @@ from scipy.optimize import minimize
 
 from .errors import NonConvergenceError, ParameterError
 from .filterfn import _fourier_plan, _segment_integral
-from .lp_reduce import AffineConstraintSet, prune_constraints
+from .lp_reduce import AffineConstraintSet
 from .slepian import DpssSet, dpss
 from .waveform import (
     PiecewiseConstantWaveform,
@@ -77,14 +77,13 @@ class DesignProblem:
     num_orders: int
     max_rate: float
     eps: float
-    seed: int
     delta_omega: float
 
     def __post_init__(self):
-        if self.delta_omega <= 0:
-            raise ParameterError("delta_omega must be positive")
-        if not self.eps > 0.0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
+        for name in ("max_rate", "eps", "delta_omega"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
 
     @property
     def total_time(self) -> float:
@@ -97,13 +96,6 @@ class DesignProblem:
     @cached_property
     def basis(self) -> np.ndarray:
         return modulation_basis(self.dpss_set, self.omega0, self.dt, self.num_orders)
-
-    @cached_property
-    def reduced_constraints(self) -> AffineConstraintSet:
-        """LP-pruned, (1 + eps)-tightened amplitude rows; the solve does not use them."""
-        full = amplitude_constraints(self.dpss_set, self.omega0, self.dt, self.max_rate,
-                                     self.num_orders)
-        return prune_constraints(full, self.eps, rng_seed=self.seed)
 
 
 def amplitude_constraints(dpss_set: DpssSet, omega0: float, dt: float,
@@ -150,11 +142,15 @@ def build_design_problem(omega0: float, n: int, dt: float, max_rate: float,
                          time_bandwidth: float = 1.0, num_orders: int = 3,
                          eps: float = 0.1, seed: int = 0,
                          delta_omega: float = 2.0 * np.pi * 1e3) -> DesignProblem:
-    """Assemble the DPSS basis (no LP); the grid follows from (n, dt)."""
+    """Assemble the DPSS basis (no LP); the grid follows from (n, dt).
+
+    ``seed`` is accepted for callers written when the build pruned the
+    amplitude rows; nothing here is random, so it is unused.
+    """
     dpss_set = dpss(n, time_bandwidth / n, num_orders)
     return DesignProblem(
         dpss_set=dpss_set, omega0=omega0, dt=dt, n=n, num_orders=num_orders,
-        max_rate=max_rate, eps=eps, seed=seed, delta_omega=delta_omega,
+        max_rate=max_rate, eps=eps, delta_omega=delta_omega,
     )
 
 

@@ -222,3 +222,23 @@ class TestErrorPaths:
         assert run_cli("optimize", "--omega0-mhz", 1.0, "--omega-max-mhz", 2.0,
                        "--n", 400, "--dt-ns", 50, "--k", 3, "--seed", 1, "--out", out) == 3
         assert not (out / "coefficients.json").exists()
+
+    def test_nonpositive_amplitude_bound_is_exit_2(self, tmp_path):
+        for command in ("optimize", "prune"):
+            out = tmp_path / command
+            assert run_cli(command, "--omega0-mhz", 0.2, "--omega-max-mhz", 0,
+                           "--n", 400, "--dt-ns", 250, "--out", out) == 2
+            assert not any(out.glob("*.*"))
+
+
+def test_optimize_reports_met_amplitude_ratio(tmp_path):
+    assert run_cli("optimize", "--omega0-mhz", 0.2, "--n", 400, "--dt-ns", 250,
+                   "--out", tmp_path) == 0
+    payload = json.loads((tmp_path / "coefficients.json").read_text())
+    lines = [ln for ln in (tmp_path / "waveform.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    samples = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
+    assert "reduced_rows" not in payload
+    assert payload["max_amplitude_ratio"] == pytest.approx(np.abs(samples).max() / (5 * MHZ),
+                                                           rel=1e-12)
+    assert payload["max_amplitude_ratio"] <= 1.0

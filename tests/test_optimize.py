@@ -219,26 +219,26 @@ class TestAmplitudeBound:
         assert np.abs(design_waveform(best, problem).samples).max() > problem.max_rate
 
     def test_design_path_runs_no_lp(self, monkeypatch):
-        from qnspect import optimize
-        from qnspect.lp_reduce import prune_constraints
+        from qnspect import lp_reduce
 
         def refuse(*args, **kwargs):
-            raise AssertionError("LP pruning on the design path")
+            raise AssertionError("LP on the design path")
 
-        with monkeypatch.context() as patch:
-            patch.setattr(optimize, "prune_constraints", refuse)
-            problem = build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ,
-                                           eps=0.1, seed=3)
-            solve_design(problem, seed=3)
-        full = amplitude_constraints(problem.dpss_set, problem.omega0, problem.dt,
-                                     problem.max_rate, 3)
-        direct = prune_constraints(full, 0.1, rng_seed=3)
-        assert np.array_equal(problem.reduced_constraints.rows, direct.rows)
-        assert np.array_equal(problem.reduced_constraints.labels, direct.labels)
+        monkeypatch.setattr(lp_reduce, "_simplex_max", refuse)
+        problem = build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ,
+                                       eps=0.1, seed=3)
+        solution = solve_design(problem, seed=3)
+        assert np.abs(design_waveform(solution, problem).samples).max() <= problem.max_rate
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ParameterError):
             build_design_problem(0.1 * MHZ, 400, 250e-9, 5 * MHZ, eps=0.0)
+
+    @pytest.mark.parametrize("max_rate, eps", [(0.0, 0.1), (-5 * MHZ, 0.1), (np.inf, 0.1),
+                                               (np.nan, 0.1), (5 * MHZ, np.inf)])
+    def test_bound_must_be_positive_and_finite(self, max_rate, eps):
+        with pytest.raises(ParameterError):
+            build_design_problem(0.1 * MHZ, 400, 250e-9, max_rate, eps=eps)
 
 
 def test_default_grid_structure():
