@@ -144,8 +144,8 @@ def build_design_problem(omega0: float, n: int, dt: float, max_rate: float,
                          delta_omega: float = 2.0 * np.pi * 1e3) -> DesignProblem:
     """Assemble the DPSS basis (no LP); the grid follows from (n, dt).
 
-    ``seed`` is accepted for callers written when the build pruned the
-    amplitude rows; nothing here is random, so it is unused.
+    ``seed`` is unused (nothing here is random); it stays while existing
+    callers pass it.
     """
     dpss_set = dpss(n, time_bandwidth / n, num_orders)
     return DesignProblem(

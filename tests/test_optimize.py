@@ -230,12 +230,8 @@ class TestAmplitudeBound:
         solution = solve_design(problem, seed=3)
         assert np.abs(design_waveform(solution, problem).samples).max() <= problem.max_rate
 
-    def test_nonpositive_eps_rejected(self):
-        with pytest.raises(ParameterError):
-            build_design_problem(0.1 * MHZ, 400, 250e-9, 5 * MHZ, eps=0.0)
-
     @pytest.mark.parametrize("max_rate, eps", [(0.0, 0.1), (-5 * MHZ, 0.1), (np.inf, 0.1),
-                                               (np.nan, 0.1), (5 * MHZ, np.inf)])
+                                               (np.nan, 0.1), (5 * MHZ, 0.0), (5 * MHZ, np.inf)])
     def test_bound_must_be_positive_and_finite(self, max_rate, eps):
         with pytest.raises(ParameterError):
             build_design_problem(0.1 * MHZ, 400, 250e-9, max_rate, eps=eps)
