@@ -230,12 +230,17 @@ def run_sweep(config: dict, seed: int, realizations: int):
     Returns a list of per-lambda result dicts (the rows of survival.csv).
     """
     lambdas = _lambdas_from_config(config["lambdas_mhz"])
+    waveforms = [_waveform_from_config(config["waveform"], lam) for lam in lambdas]
+    return _sweep_rows(config, lambdas, waveforms, seed, realizations)
+
+
+def _sweep_rows(config: dict, lambdas, waveforms, seed: int, realizations: int):
+    """run_sweep on probe waveforms already built, one per lambda."""
     amp_model = spectrum_model_from_json(config["amplitude_noise"])
     deph_model = spectrum_model_from_json(config["dephasing_noise"])
     shots = config.get("shots")
     rows = []
-    for i, lam in enumerate(lambdas):
-        wf = _waveform_from_config(config["waveform"], lam)
+    for i, (lam, wf) in enumerate(zip(lambdas, waveforms)):
         triple = survival_probabilities(wf, amp_model, deph_model, realizations,
                                         seed=seed + 1000 * i, shots=shots)
         est = tomographic_estimator(triple)
@@ -398,19 +403,20 @@ def _reconstruction_sweep(out: Path, scale: dict, seed: int, deph_payloads,
     bands = scale["bands"]
     delta = scale["delta_mhz"]
     lambdas = {"start_mhz": delta, "step_mhz": delta, "count": bands}
+    lambda_values = _lambdas_from_config(lambdas)
     artifacts = []
     rows_out = []
     for family in ("dr", "dpss"):
         wf_cfg = {"family": family, "n": n, "dt_ns": scale["dt_ns"],
                   "amp_mhz": 5.0, "nw": 1.0}
-        waveforms = [_waveform_from_config(wf_cfg, lam)
-                     for lam in _lambdas_from_config(lambdas)]
+        waveforms = [_waveform_from_config(wf_cfg, lam) for lam in lambda_values]
         matrix = overlap_matrix(waveforms, bands, delta * MHZ)
         truth = psd_eval(spectrum_model_from_json(_AMP_NOISE), matrix.band_centers)
         for tag, payload in zip(tag_values, deph_payloads):
             config = {"waveform": wf_cfg, "amplitude_noise": _AMP_NOISE,
                       "dephasing_noise": payload, "lambdas_mhz": lambdas}
-            sweep = run_sweep(config, seed, scale["realizations"])
+            sweep = _sweep_rows(config, lambda_values, waveforms, seed,
+                                scale["realizations"])
             estimates = reconstruct([r["estimator"] for r in sweep], matrix,
                                     true_spectrum=truth)
             for i, freq in enumerate(estimates.frequencies):

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ParameterError
 
@@ -208,7 +209,7 @@ def free_induction_chi(model: SpectrumModel, t: float) -> float:
 def t2_estimate(model: SpectrumModel, t_max: float = 1e-2) -> float:
     """Free-induction coherence time of a dephasing spectrum.
 
-    The smallest T with chi(T) = 1/2, solved by bisection; ``math.inf``
+    The T with chi(T) = 1/2, found by Brent's method; ``math.inf``
     when chi(t_max) < 1/2.  The threshold reflects the sigma_z convention of
     the noise Hamiltonian: a fluctuation beta_z rotates the Bloch vector at
     2*beta_z, so the free-induction coherence decays as exp(-2*chi) and the
@@ -220,16 +221,8 @@ def t2_estimate(model: SpectrumModel, t_max: float = 1e-2) -> float:
         raise TypeError("t2_estimate needs a stochastic dephasing spectrum")
     if free_induction_chi(model, t_max) < 0.5:
         return math.inf
-    lo, hi = 0.0, t_max
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if free_induction_chi(model, mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-9 * t_max:
-            break
-    return 0.5 * (lo + hi)
+    return brentq(lambda t: free_induction_chi(model, t) - 0.5, 0.0, t_max,
+                  xtol=1e-9 * t_max)
 
 
 def spectrum_model_from_json(payload: dict) -> SpectrumModel:

@@ -3,10 +3,13 @@
 Discretizing the overlap integral <Delta a1^2> = (1/pi) int F_Omega S dw
 into L bands of width delta_omega turns one tomographic measurement per
 modulation frequency into a row of the linear system F . S = P.  Band
-integrals use the actual filter functions (trapezoid quadrature resolving
-the 2*pi/T linewidth), the first band is widened to [0, 1.5*delta_omega] so
-it encloses the filter peak sitting at lambda = delta_omega, and the system
-is solved by non-negative least squares.
+integrals use the actual filter functions: each probe's F_Omega is evaluated
+once, on one even grid from 0 to (L + 1/2)*delta_omega that resolves the
+2*pi/T linewidth and has every band edge as a node, and each band is a
+difference of one cumulative trapezoid sum.  The first band is widened to
+[0, 1.5*delta_omega] so it encloses the filter peak sitting at
+lambda = delta_omega, and the system is solved by non-negative least squares
+(``scipy.optimize.nnls``, the Lawson-Hanson active-set method).
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridError, NonConvergenceError, ParameterError
 from .filterfn import amplitude_ff
-from .waveform import PiecewiseConstantWaveform
 
 __all__ = ["OverlapMatrix", "ReconstructionResult", "overlap_matrix", "nnls", "reconstruct"]
 
@@ -48,7 +52,11 @@ def overlap_matrix(waveforms, num_bands: int, delta_omega: float,
     """Assemble the band-integral matrix [F]_rl = (1/pi) int_band_l F_Omega_r dw.
 
     Bands: l = 1 integrates [0, 1.5*delta_omega]; l > 1 integrates
-    [(l - 1/2)*delta_omega, (l + 1/2)*delta_omega].
+    [(l - 1/2)*delta_omega, (l + 1/2)*delta_omega].  Each waveform's F_Omega
+    is evaluated once, on the even grid of ``(2L + 1)*per_half + 1`` nodes
+    from 0 to (L + 1/2)*delta_omega, with ``per_half`` trapezoid intervals
+    per half band; band l > 1 spans nodes [(2l - 1), (2l + 1)]*per_half and
+    band 1 spans [0, 3*per_half].
 
     Parameters
     ----------
@@ -61,7 +69,7 @@ def overlap_matrix(waveforms, num_bands: int, delta_omega: float,
         Nyquist frequency pi/dt.
     points_per_linewidth : int
         Trapezoid resolution in points per 2*pi/T; at least 8 is required to
-        resolve the filter peaks.
+        resolve the filter peaks.  Every band gets at least 8 intervals.
     """
     waveforms = list(waveforms)
     if not waveforms:
@@ -76,74 +84,40 @@ def overlap_matrix(waveforms, num_bands: int, delta_omega: float,
         raise GridError("points_per_linewidth below 8 under-resolves the filter peaks")
 
     linewidth = 2.0 * np.pi / total_time
-    edges = [(0.0, 1.5 * delta_omega)] + [
-        ((l - 0.5) * delta_omega, (l + 0.5) * delta_omega) for l in range(2, num_bands + 1)
-    ]
-    grids = []
-    for lo, hi in edges:
-        npts = max(9, int(np.ceil((hi - lo) / linewidth * points_per_linewidth)) + 1)
-        grids.append(np.linspace(lo, hi, npts))
+    per_half = max(4, int(np.ceil(0.5 * delta_omega / linewidth * points_per_linewidth)))
+    grid = np.linspace(0.0, (num_bands + 0.5) * delta_omega, (2 * num_bands + 1) * per_half + 1)
+    hi = (2 * np.arange(1, num_bands + 1) + 1) * per_half
+    lo = hi - 2 * per_half
+    lo[0] = 0
 
     labels = np.arange(1, len(waveforms) + 1) if row_labels is None else np.asarray(row_labels)
-    matrix = np.empty((len(waveforms), num_bands))
-    for r, wf in enumerate(waveforms):
-        for l, grid in enumerate(grids):
-            ff = amplitude_ff(wf, grid)
-            matrix[r, l] = np.trapezoid(ff.values, grid) / np.pi
+    values = np.array([amplitude_ff(wf, grid).values for wf in waveforms])
+    cumulative = cumulative_trapezoid(values, grid, initial=0.0)
     return OverlapMatrix(
-        matrix=matrix,
+        matrix=(cumulative[:, hi] - cumulative[:, lo]) / np.pi,
         delta_omega=delta_omega,
         band_centers=np.arange(1, num_bands + 1) * delta_omega,
         row_labels=labels,
     )
 
 
-def nnls(matrix: np.ndarray, y: np.ndarray, max_iter: int | None = None) -> np.ndarray:
-    """Lawson-Hanson active-set solver for min ||A x - y|| with x >= 0.
-
-    At the returned solution the KKT conditions hold: x >= 0, and the
-    gradient w = A^T (y - A x) satisfies w <= tol on the zero set and
-    |w| <= tol on the support, with tol = 1e-10 * max|A^T y|.
+def nnls(matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """min ||A x - y|| subject to x >= 0, by ``scipy.optimize.nnls``.
 
     Raises
     ------
     NonConvergenceError
-        If the iteration cap is reached; the best iterate is attached.
+        If scipy's active-set iteration cap is reached.
     """
     a = np.asarray(matrix, dtype=float)
     y = np.asarray(y, dtype=float)
     if a.ndim != 2 or y.shape != (a.shape[0],):
         raise ParameterError("matrix and measurement vector dimensions disagree")
-    n = a.shape[1]
-    if max_iter is None:
-        max_iter = 5 * n + 50
-
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    tol = 1e-10 * max(np.abs(a.T @ y).max(), 1e-300)
-
-    for _ in range(max_iter):
-        w = a.T @ (y - a @ x)
-        candidates = ~passive & (w > tol)
-        if not candidates.any():
-            return x
-        entering = int(np.flatnonzero(candidates)[np.argmax(w[candidates])])
-        passive[entering] = True
-
-        while True:
-            z = np.zeros(n)
-            sub = np.flatnonzero(passive)
-            z[sub], *_ = np.linalg.lstsq(a[:, sub], y, rcond=None)
-            if z[sub].min() > 0.0:
-                x = z
-                break
-            shrink = passive & (z <= 0.0)
-            alpha = np.min(x[shrink] / (x[shrink] - z[shrink]))
-            x = x + alpha * (z - x)
-            drop = passive & (x <= 1e-12 * max(1.0, np.abs(x).max()))
-            passive[drop] = False
-            x[~passive] = 0.0
-    raise NonConvergenceError("NNLS iteration cap reached", best=x)
+    try:
+        x, _ = scipy.optimize.nnls(a, y)
+    except RuntimeError as exc:
+        raise NonConvergenceError(f"NNLS iteration cap reached: {exc}") from exc
+    return x
 
 
 def reconstruct(measurements, matrix: OverlapMatrix, true_spectrum=None,
@@ -157,15 +131,22 @@ def reconstruct(measurements, matrix: OverlapMatrix, true_spectrum=None,
     true_spectrum : optional array of S(l * delta_omega) for error reporting.
     weights : optional per-row nonnegative weights applied to rows and
         measurements before the (otherwise unweighted) regression.
+
+    Raises
+    ------
+    ParameterError
+        If a measurement or weight is not finite, or a shape disagrees.
     """
     y = np.asarray(measurements, dtype=float)
     a = matrix.matrix
     if y.shape != (a.shape[0],):
         raise ParameterError("need exactly one measurement per matrix row")
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("measurements must be finite")
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != y.shape or np.any(weights < 0):
-            raise ParameterError("weights must be one nonnegative value per row")
+        if weights.shape != y.shape or not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ParameterError("weights must be one finite nonnegative value per row")
         a = a * weights[:, None]
         y = y * weights
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qnspect.cli import main
 
@@ -214,6 +215,38 @@ class TestErrorPaths:
         out = tmp_path / "sim"
         assert run_cli("simulate", "--config", path, "--out", out) == 2
         assert not (out / "survival.csv").exists()
+
+    @staticmethod
+    def _reconstruct_config(tmp_path, estimators):
+        n, dt_ns = 500, 40.0
+        delta_mhz = 1e3 / (n * dt_ns)  # one linewidth per band
+        rows = [f"{(i + 1) * delta_mhz!r},{v}" for i, v in enumerate(estimators)]
+        table = tmp_path / "survival.csv"
+        table.write_text("\n".join(["lambda_mhz,estimator", *rows]) + "\n")
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps({
+            "measurements_csv": str(table),
+            "num_bands": len(estimators),
+            "delta_omega_mhz": delta_mhz,
+            "waveform": {"family": "dr", "n": n, "dt_ns": dt_ns, "amp_mhz": 5.0},
+        }))
+        return path
+
+    def test_nan_measurement_is_exit_2_without_artifacts(self, tmp_path):
+        path = self._reconstruct_config(tmp_path, [1e-12, "nan", 1e-12])
+        out = tmp_path / "rec"
+        assert run_cli("reconstruct", "--config", path, "--out", out) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_nnls_cap_is_exit_3_without_spectrum(self, tmp_path, monkeypatch):
+        def capped(a, b, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        path = self._reconstruct_config(tmp_path, [1e-12, 2e-12, 1e-12])
+        out = tmp_path / "rec"
+        assert run_cli("reconstruct", "--config", path, "--out", out) == 3
+        assert not (out / "spectrum.csv").exists()
 
     def test_unmeetable_amplitude_bound_is_exit_3_without_coefficients(self, tmp_path):
         # Omega_max = 2 MHz cannot hold a DC-null design at omega0/2pi = 1 MHz

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.optimize
 
-from qnspect import dephasing_robust, nnls, overlap_matrix, reconstruct
+from qnspect import amplitude_ff, dephasing_robust, nnls, overlap_matrix, reconstruct, spectro
 from qnspect.errors import GridError, NonConvergenceError, ParameterError
 from qnspect.spectro import OverlapMatrix
 
@@ -63,6 +64,37 @@ class TestOverlapMatrix:
         with pytest.raises(ParameterError):
             overlap_matrix([wf], 10**6, 2 * np.pi / (n * dt))
 
+    @pytest.mark.parametrize("linewidths, tol", [(1.0, 1e-2), (1.3, 1e-2), (4.0, 1e-5)])
+    def test_bands_match_adaptive_quadrature(self, linewidths, tol):
+        # each entry against scipy.integrate.quad of F_Omega over its band,
+        # relative to the largest entry
+        n, dt = 400, 50e-9
+        t = n * dt
+        delta = linewidths * 2 * np.pi / t
+        bands = 5
+        waveforms = [dephasing_robust(t, r, 1, n) for r in (1, 3, 5)]
+        mat = overlap_matrix(waveforms, bands, delta).matrix
+        edges = [(0.0, 1.5 * delta)] + [((l - 0.5) * delta, (l + 0.5) * delta)
+                                         for l in range(2, bands + 1)]
+        ref = np.array([[scipy.integrate.quad(lambda w: amplitude_ff(wf, w).values[0],
+                                              lo, hi, limit=200, epsabs=0.0,
+                                              epsrel=1e-10)[0] / np.pi
+                         for lo, hi in edges] for wf in waveforms])
+        assert np.abs(mat - ref).max() <= tol * np.abs(mat).max()
+
+    def test_one_transform_per_waveform(self, monkeypatch):
+        calls = []
+
+        def counting(wf, omegas):
+            calls.append(wf)
+            return amplitude_ff(wf, omegas)
+
+        monkeypatch.setattr(spectro, "amplitude_ff", counting)
+        n, dt = 500, 10e-9
+        waveforms = [dephasing_robust(n * dt, r, 1, n) for r in (1, 2, 3)]
+        overlap_matrix(waveforms, 6, 2 * np.pi / (n * dt))
+        assert calls == waveforms
+
 
 class TestNnls:
     def test_identity_clipping(self):
@@ -102,11 +134,13 @@ class TestNnls:
             ref, _ = scipy.optimize.nnls(a, y)
             assert np.abs(ours - ref).max() < 1e-8
 
-    def test_iteration_cap(self):
-        a = np.eye(3)
-        with pytest.raises(NonConvergenceError) as err:
-            nnls(a, np.ones(3), max_iter=1)
-        assert err.value.best is not None
+    def test_solver_cap_is_nonconvergence(self, monkeypatch):
+        def capped(a, b, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        with pytest.raises(NonConvergenceError):
+            nnls(np.eye(3), np.ones(3))
 
 
 class TestReconstruct:
@@ -155,3 +189,15 @@ class TestReconstruct:
     def test_measurement_count_mismatch(self, dr_matrix):
         with pytest.raises(ParameterError):
             reconstruct(np.ones(5), dr_matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input(self, dr_matrix, bad):
+        y = dr_matrix.matrix @ np.full(12, 1e-11)
+        y_bad = y.copy()
+        y_bad[4] = bad
+        with pytest.raises(ParameterError):
+            reconstruct(y_bad, dr_matrix)
+        weights = np.ones(12)
+        weights[4] = bad
+        with pytest.raises(ParameterError):
+            reconstruct(y, dr_matrix, weights=weights)
