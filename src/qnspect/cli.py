@@ -95,12 +95,19 @@ def _sweep_waveform(family: str, lam: float, n: int, dt: float, amp: float,
     """One probe waveform at modulation frequency lam (rad/s)."""
     total_time = n * dt
     if family == "dr":
+        root = root_index_for_peak_rate(lam, amp)  # rejects a non-finite lam
         periods = int(round(lam * total_time / (2.0 * np.pi)))
-        root = root_index_for_peak_rate(lam, amp)
         return dephasing_robust(total_time, periods, root, n)
     if family == "dpss":
         return modulated_dpss_waveform(n, time_bandwidth / n, amp, lam, dt)
     raise ParameterError(f"unknown waveform family {family!r} (use 'dr' or 'dpss')")
+
+
+def _segment_length(t_us: float, n: int) -> float:
+    """dt = T/n in seconds for a duration T given in microseconds."""
+    if n < 1 or not 0.0 < t_us < np.inf:
+        raise ParameterError(f"need n >= 1 and a positive finite T, got n = {n}, T = {t_us} us")
+    return t_us * 1e-6 / n
 
 
 def _waveform_from_config(cfg: dict, lam: float) -> PiecewiseConstantWaveform:
@@ -144,7 +151,7 @@ def _cmd_dpss(args):
 def _cmd_waveform(args):
     out = _outdir(args)
     lam = args.lambda_mhz * MHZ
-    wf = _sweep_waveform(args.family, lam, args.n, args.t_us * 1e-6 / args.n,
+    wf = _sweep_waveform(args.family, lam, args.n, _segment_length(args.t_us, args.n),
                          args.amp_mhz * MHZ, args.nw)
     params = {"family": args.family, "lambda_mhz": args.lambda_mhz,
               "amp_mhz": args.amp_mhz, "nw": args.nw}
@@ -156,7 +163,7 @@ def _cmd_waveform(args):
 def _cmd_ff(args):
     out = _outdir(args)
     lam = args.lambda_mhz * MHZ
-    dt = args.t_us * 1e-6 / args.n
+    dt = _segment_length(args.t_us, args.n)
     wf = _sweep_waveform(args.waveform, lam, args.n, dt, args.amp_mhz * MHZ, args.nw)
     omegas = np.linspace(0.0, args.max_mhz * MHZ, args.points)
     ff_to_csv(amplitude_ff(wf, omegas), out / "amplitude_ff.csv")
@@ -172,11 +179,14 @@ def _cmd_ff(args):
 def _cmd_gz(args):
     out = _outdir(args)
     lam = args.lambda_mhz * MHZ
-    dt = args.t_us * 1e-6 / args.n
+    dt = _segment_length(args.t_us, args.n)
     wf = _sweep_waveform(args.waveform, lam, args.n, dt, args.amp_mhz * MHZ, args.nw)
     base = 2.0 * np.pi / wf.total_time
-    top = int(round(args.max_mhz * MHZ / base))
-    omegas = np.arange(0, top + 1, args.stride) * base
+    top = args.max_mhz * MHZ / base
+    if not np.isfinite(top) or args.stride < 1:
+        raise ParameterError(f"need a finite --max-mhz and --stride >= 1, got "
+                             f"{args.max_mhz} and {args.stride}")
+    omegas = np.arange(0, int(round(top)) + 1, args.stride) * base
     grid = higher_order_ff(wf, omegas, omegas)
     higher_order_ff_to_csv(grid, out / "gz.csv")
     config = {"waveform": args.waveform, "lambda_mhz": args.lambda_mhz,
@@ -279,8 +289,7 @@ def _cmd_reconstruct(args):
     delta_omega = float(config["delta_omega_mhz"]) * MHZ
     num_bands = int(config["num_bands"])
     waveforms = [_waveform_from_config(config["waveform"], lam) for lam in lambdas]
-    matrix = overlap_matrix(waveforms, num_bands, delta_omega,
-                            row_labels=np.round(lambdas / delta_omega).astype(int))
+    matrix = overlap_matrix(waveforms, num_bands, delta_omega)
     truth = None
     if "true_spectrum" in config:
         model = spectrum_model_from_json(config["true_spectrum"])
@@ -354,10 +363,8 @@ def _figure_gz_map(out: Path, scale: dict, seed: int):
     base = 2.0 * np.pi / total_time
     omegas = np.arange(0, 61, 2) * base
     artifacts = []
-    for name, wf in [
-        ("dr", dephasing_robust(total_time, 20, root_index_for_peak_rate(lam, 5 * MHZ), n)),
-        ("dpss", modulated_dpss_waveform(n, 1.0 / n, 5.0 * MHZ, lam, dt)),
-    ]:
+    for name in ("dr", "dpss"):
+        wf = _sweep_waveform(name, lam, n, dt, 5.0 * MHZ, 1.0)
         higher_order_ff_to_csv(higher_order_ff(wf, omegas, omegas), out / f"gz_{name}.csv")
         artifacts.append(f"gz_{name}.csv")
     return artifacts
@@ -367,20 +374,14 @@ def _figure_bias_vs_detuning(out: Path, scale: dict, seed: int):
     """Estimator discrepancy and its fourth-order pieces versus detuning."""
     n = scale["n"]
     dt = scale["dt_ns"] * 1e-9
-    total_time = n * dt
     lam = 2.0 * np.pi * 1e6  # 1 MHz modulation as in the bias study
-    periods = int(round(lam * total_time / (2.0 * np.pi)))
     amp_model = spectrum_model_from_json(_AMP_NOISE)
     # detuning values are not rescaled with the shorter desk-scale duration:
     # the robustness mechanism depends on Delta/lambda, which these preserve
     detunings_mhz = [0.0, 0.05, 0.10, 0.19]
     rows = []
     for family in ("dr", "dpss"):
-        if family == "dr":
-            wf = dephasing_robust(total_time, periods,
-                                  root_index_for_peak_rate(lam, 5 * MHZ), n)
-        else:
-            wf = modulated_dpss_waveform(n, 1.0 / n, 5.0 * MHZ, lam, dt)
+        wf = _sweep_waveform(family, lam, n, dt, 5.0 * MHZ, 1.0)
         for delta_mhz in detunings_mhz:
             deph = SpectrumModel.dc_delta(delta_mhz * MHZ)
             triple = survival_probabilities(wf, amp_model, deph,

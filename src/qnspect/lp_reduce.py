@@ -84,11 +84,6 @@ class AffineConstraintSet:
     def dimension(self) -> int:
         return self.rows.shape[1]
 
-    def contains(self, points: np.ndarray, slack: float = 1e-12) -> np.ndarray:
-        """Vectorized membership test for an (R, d) array of points."""
-        points = np.atleast_2d(points)
-        return np.all(points @ self.rows.T <= 1.0 + slack, axis=1)
-
 
 @dataclass(frozen=True)
 class LpOutcome:

@@ -29,7 +29,10 @@ pieces: 2*pi/(8T) spacing up to Nyquist, a fine patch near DC (spacing well
 below delta_omega) and a patch over the first filter lobes; the refinement
 is required for the quadrature to track adaptive integration of the smooth
 closed forms to 0.1%.  Each piece is one chirp-z transform of the
-filterfn kernel, planned once per problem.
+filterfn kernel, planned once per problem (``DesignProblem.objective``) and
+shared by solve_design and objective_Iz.  The solve always starts from the
+projection of the first-root dephasing-robust sinusoid; one modulation
+frequency is one problem, so a sweep is a loop of solve_design calls.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ __all__ = [
     "objective_Iz",
     "project_dephasing_robust",
     "solve_design",
-    "solve_many",
     "design_waveform",
 ]
 
@@ -80,7 +82,9 @@ class DesignProblem:
     delta_omega: float
 
     def __post_init__(self):
-        for name in ("max_rate", "eps", "delta_omega"):
+        if not np.isfinite(self.omega0):
+            raise ParameterError(f"omega0 must be finite, got {self.omega0}")
+        for name in ("dt", "max_rate", "eps", "delta_omega"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ParameterError(f"{name} must be positive and finite, got {value}")
@@ -89,13 +93,39 @@ class DesignProblem:
     def total_time(self) -> float:
         return self.n * self.dt
 
-    @property
+    @cached_property
     def objective_grid(self) -> np.ndarray:
         return default_objective_grid(self.n, self.dt, self.delta_omega)
 
     @cached_property
     def basis(self) -> np.ndarray:
         return modulation_basis(self.dpss_set, self.omega0, self.dt, self.num_orders)
+
+    @cached_property
+    def objective(self):
+        """I_Z as a function of the rotation-angle trajectory Theta.
+
+        F_Z is evaluated in the left-endpoint Riemann convention,
+        dt^2 (|S[cos Theta]|^2 + |S[sin Theta]|^2), by one chirp-z plan per
+        evenly spaced piece of the grid, scattered into union order.  (The
+        Riemann and segment-exact conventions differ only by O((w dt)^2),
+        invisible under the 1/(w + dw) weight.)  The plans are built on first
+        use and shared by every later evaluation on this problem.
+        """
+        n, dt = self.n, self.dt
+        grid = self.objective_grid
+        plans = [(np.searchsorted(grid, piece), _fourier_plan(n, dt, piece))
+                 for piece in _objective_pieces(n, dt, self.delta_omega)]
+        weight = 1.0 / (grid + self.delta_omega)
+
+        def evaluate(theta: np.ndarray) -> float:
+            trig = np.stack([np.cos(theta), np.sin(theta)])
+            fz = np.empty(grid.size)
+            for index, plan in plans:
+                fz[index] = dt * dt * np.sum(np.abs(plan(trig)) ** 2, axis=0)
+            return float(np.trapezoid(fz * weight, grid) / np.pi)
+
+        return evaluate
 
 
 def amplitude_constraints(dpss_set: DpssSet, omega0: float, dt: float,
@@ -159,31 +189,6 @@ def build_design_problem(omega0: float, n: int, dt: float, max_rate: float,
 # ---------------------------------------------------------------------------
 
 
-def _make_objective(problem: DesignProblem):
-    """Closure evaluating I_Z from a rotation-angle trajectory.
-
-    F_Z is evaluated in the left-endpoint Riemann convention,
-    dt^2 (|S[cos Theta]|^2 + |S[sin Theta]|^2), by one chirp-z plan per
-    evenly spaced piece of the grid, scattered into union order.  (The
-    Riemann and segment-exact conventions differ only by O((w dt)^2),
-    invisible under the 1/(w + dw) weight.)
-    """
-    n, dt = problem.n, problem.dt
-    grid = problem.objective_grid
-    plans = [(np.searchsorted(grid, piece), _fourier_plan(n, dt, piece))
-             for piece in _objective_pieces(n, dt, problem.delta_omega)]
-    weight = 1.0 / (grid + problem.delta_omega)
-
-    def evaluate(theta: np.ndarray) -> float:
-        trig = np.stack([np.cos(theta), np.sin(theta)])
-        fz = np.empty(grid.size)
-        for index, plan in plans:
-            fz[index] = dt * dt * np.sum(np.abs(plan(trig)) ** 2, axis=0)
-        return float(np.trapezoid(fz * weight, grid) / np.pi)
-
-    return evaluate
-
-
 def _theta(samples: np.ndarray, dt: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(samples * dt)))[:-1]
 
@@ -196,7 +201,7 @@ def objective_Iz(coeffs: WaveformCoefficients, problem: DesignProblem) -> float:
     """(1/pi) int F_Z(w)/(w + delta_omega) dw on the problem's grid."""
     if coeffs.num_orders != problem.num_orders:
         raise ParameterError("coefficient order count does not match the problem")
-    return _make_objective(problem)(_theta_of(coeffs.as_vector(), problem))
+    return problem.objective(_theta_of(coeffs.as_vector(), problem))
 
 
 def _dc_residual(theta: np.ndarray, samples: np.ndarray, dt: float,
@@ -211,37 +216,33 @@ def _dc_residual(theta: np.ndarray, samples: np.ndarray, dt: float,
 # ---------------------------------------------------------------------------
 
 
-def project_dephasing_robust(problem: DesignProblem,
-                             root_index: int = 1) -> WaveformCoefficients:
+def project_dephasing_robust(problem: DesignProblem) -> WaveformCoefficients:
     """Least-squares projection of the dephasing-robust sinusoid onto the basis.
 
-    The target is Omega_0 sin(omega0 t) with Omega_0 = omega0 * j_{0,root};
-    the projected coefficients are then shrunk (if necessary) until every
-    sample satisfies |Omega_m| (1 + eps) <= max_rate.
+    The target is Omega_0 sin(omega0 t) with Omega_0 = omega0 * j_{0,1}, the
+    first root of J0; the projected coefficients are then shrunk (if
+    necessary) until every sample satisfies |Omega_m| (1 + eps) <= max_rate.
+    This is the start point of solve_design.
     """
     omega0 = problem.omega0
-    amp = omega0 * bessel_j0_roots(root_index)[-1]
+    amp = omega0 * bessel_j0_roots(1)[0]
     m = np.arange(problem.n)
     target = amp * np.sin(omega0 * m * problem.dt)
     x, *_ = np.linalg.lstsq(problem.basis, target, rcond=None)
-    x = _shrink_into_region(x, problem)
-    return WaveformCoefficients.from_vector(omega0, x)
-
-
-def _shrink_into_region(x: np.ndarray, problem: DesignProblem) -> np.ndarray:
     worst = float(np.max(np.abs(problem.basis @ x))) * (1.0 + problem.eps) / problem.max_rate
     if worst > 1.0:
         x = x / (worst * (1.0 + 1e-9))
-    return x
+    return WaveformCoefficients.from_vector(omega0, x)
 
 
-def solve_design(problem: DesignProblem, init: WaveformCoefficients | None = None,
-                 seed: int = 0, max_outer: int = 14, inner_maxiter: int = 80,
-                 fz_tol: float = 1e-9) -> WaveformCoefficients:
+def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
+                 inner_maxiter: int = 80, fz_tol: float = 1e-9) -> WaveformCoefficients:
     """Minimize the dephasing objective under the amplitude bound.
 
-    The bound is a hinge on the iterate's own samples, |Omega_m| (1 + eps) <=
-    max_rate at all N of them.  Returns coefficients satisfying
+    The descent starts from project_dephasing_robust(problem).  The bound is
+    a hinge on the iterate's own samples, |Omega_m| (1 + eps) <= max_rate at
+    all N of them.  ``seed`` is unused (the solve is deterministic); it stays
+    while existing callers pass it.  Returns coefficients satisfying
     max |Omega_m| <= max_rate (to 1e-9), the identity constraint (exactly,
     by construction) and F_Z(0) <= fz_tol * T^2, locally minimal in the
     objective.
@@ -252,11 +253,6 @@ def solve_design(problem: DesignProblem, init: WaveformCoefficients | None = Non
         When the DC-null residual or the amplitude bound cannot be met;
         ``best`` carries the best iterate.
     """
-    if init is None:
-        init = project_dephasing_robust(problem)
-    if init.num_orders != problem.num_orders:
-        raise ParameterError("init order count does not match the problem")
-
     basis = problem.basis
     e = basis.sum(axis=0)  # net-identity coefficients, as identity_vector
     tightened_rate = problem.max_rate / (1.0 + problem.eps)
@@ -266,11 +262,10 @@ def solve_design(problem: DesignProblem, init: WaveformCoefficients | None = Non
     z = vt[1:].T  # (2K, 2K-1)
     scale = problem.max_rate
 
-    x0 = _shrink_into_region(init.as_vector(), problem)
-    u0 = (z.T @ x0) / scale
+    u0 = (z.T @ project_dephasing_robust(problem).as_vector()) / scale
 
     total_time = problem.total_time
-    objective = _make_objective(problem)
+    objective = problem.objective
     f_scale = max(abs(objective(_theta_of(z @ (u0 * scale), problem))), 1e-300)
 
     def pieces(u):
@@ -351,24 +346,3 @@ def design_waveform(coeffs: WaveformCoefficients,
                     problem: DesignProblem) -> PiecewiseConstantWaveform:
     """Synthesize the waveform a coefficient vector denotes for this problem."""
     return synthesize(coeffs, problem.dpss_set, problem.dt)
-
-
-def _solve_one(job):
-    problem, seed = job
-    return solve_design(problem, seed=seed)
-
-
-def solve_many(problems, seed: int = 0, processes: int | None = None):
-    """Solve independent design problems (one per modulation frequency).
-
-    Each solve is single-threaded and deterministic given the seed; the
-    batch is dispatched to a process pool and collected in input order, so
-    the result list does not depend on scheduling.
-    """
-    jobs = [(problem, seed) for problem in problems]
-    if processes == 1 or len(jobs) == 1:
-        return [_solve_one(job) for job in jobs]
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(_solve_one, jobs))

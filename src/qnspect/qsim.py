@@ -41,14 +41,15 @@ __all__ = [
     "bias_breakdown",
 ]
 
+# overlap quadrature resolution, in trapezoid points per 2*pi/T linewidth
+_POINTS_PER_LINEWIDTH = 8
+
 
 @dataclass(frozen=True)
 class QubitPropagator:
     """Total 2x2 unitary over [0, T] for one noise realization."""
 
     matrix: np.ndarray
-    amp_index: int = -1
-    deph_index: int = -1
 
     def survival(self, axis: int) -> float:
         """|<up_axis| U |up_axis>|^2 for axis in {1, 2, 3}."""
@@ -153,9 +154,7 @@ def propagate(waveform: PiecewiseConstantWaveform, amp_noise: NoiseRealization,
             [-1j * u[1] + u[2], u[0] + 1j * u[3]],
         ]
     )
-    return QubitPropagator(
-        matrix=matrix, amp_index=amp_noise.index, deph_index=deph_noise.index
-    )
+    return QubitPropagator(matrix=matrix)
 
 
 def _survival_from_quaternions(u: np.ndarray) -> np.ndarray:
@@ -265,12 +264,11 @@ def magnus_second_order_a1(waveform: PiecewiseConstantWaveform,
 # ---------------------------------------------------------------------------
 
 
-def _overlap_grid(waveform: PiecewiseConstantWaveform, model: SpectrumModel,
-                  points_per_linewidth: int) -> np.ndarray:
+def _overlap_grid(waveform: PiecewiseConstantWaveform, model: SpectrumModel) -> np.ndarray:
     if model.cutoff <= 0.0:
         return np.array([])
     linewidth = 2.0 * np.pi / waveform.total_time
-    spacing = linewidth / points_per_linewidth
+    spacing = linewidth / _POINTS_PER_LINEWIDTH
     if model.kind == "one_over_f":
         spacing = min(spacing, model.omega_l / 4.0)
     npts = int(np.ceil(model.cutoff / spacing)) + 1
@@ -285,25 +283,23 @@ def _overlap_grid(waveform: PiecewiseConstantWaveform, model: SpectrumModel,
     return grid
 
 
-def overlap_amplitude(waveform: PiecewiseConstantWaveform, model: SpectrumModel,
-                      points_per_linewidth: int = 8) -> float:
+def overlap_amplitude(waveform: PiecewiseConstantWaveform, model: SpectrumModel) -> float:
     """I_Omega = (1/pi) int_0^inf F_Omega(w) S_Omega(w) dw."""
-    grid = _overlap_grid(waveform, model, points_per_linewidth)
+    grid = _overlap_grid(waveform, model)
     if grid.size == 0:
         return 0.0
     ff = amplitude_ff(waveform, grid)
     return float(np.trapezoid(ff.values * psd_eval(model, grid), grid) / np.pi)
 
 
-def overlap_dephasing(waveform: PiecewiseConstantWaveform, model: SpectrumModel,
-                      points_per_linewidth: int = 8) -> float:
+def overlap_dephasing(waveform: PiecewiseConstantWaveform, model: SpectrumModel) -> float:
     """I_Z = (1/pi) int_0^inf F_Z S_z dw + mean^2 * F_Z(0).
 
     The second term is the static (delta-at-DC) part carried by the model
     mean.
     """
     total = model.mean**2 * dephasing_ff_dc(waveform)
-    grid = _overlap_grid(waveform, model, points_per_linewidth)
+    grid = _overlap_grid(waveform, model)
     if grid.size:
         ff = dephasing_ff(waveform, grid)
         total += float(np.trapezoid(ff.values * psd_eval(model, grid), grid) / np.pi)
@@ -312,7 +308,7 @@ def overlap_dephasing(waveform: PiecewiseConstantWaveform, model: SpectrumModel,
 
 def bias_breakdown(waveform: PiecewiseConstantWaveform, amp_model: SpectrumModel,
                    deph_model: SpectrumModel, n_realizations: int = 2000,
-                   seed: int = 0, points_per_linewidth: int = 8) -> BiasBreakdown:
+                   seed: int = 0) -> BiasBreakdown:
     """Fourth-order prediction of the tomographic estimator.
 
     I_Omega and I_Z come from filter-function overlaps.  The second-order
@@ -321,8 +317,8 @@ def bias_breakdown(waveform: PiecewiseConstantWaveform, amp_model: SpectrumModel
     otherwise, which folds the stochastic-by-static cross terms in without a
     two-dimensional overlap quadrature.
     """
-    i_om = overlap_amplitude(waveform, amp_model, points_per_linewidth)
-    i_z = overlap_dephasing(waveform, deph_model, points_per_linewidth)
+    i_om = overlap_amplitude(waveform, amp_model)
+    i_z = overlap_dephasing(waveform, deph_model)
 
     if deph_model.kind == "dc_delta":
         gz00 = higher_order_ff(waveform, [0.0], [0.0]).values[0, 0].real

@@ -24,6 +24,9 @@ from .errors import ParameterError, UndefinedRatioError
 
 __all__ = ["DpssSet", "dpss", "spectral_concentration", "toeplitz_kernel"]
 
+# quadrature resolution of spectral_concentration, in samples per 2*pi/T
+_POINTS_PER_LINEWIDTH = 16
+
 
 @dataclass(frozen=True)
 class DpssSet:
@@ -118,8 +121,7 @@ def toeplitz_kernel(n: int, half_bandwidth: float) -> np.ndarray:
     return a
 
 
-def spectral_concentration(waveform, band_center: float, band_halfwidth: float,
-                           points_per_linewidth: int = 16) -> float:
+def spectral_concentration(waveform, band_center: float, band_halfwidth: float) -> float:
     """Fraction of a waveform's amplitude-filter weight inside a band.
 
     Computes R = integral of F_Omega over the band, divided by the integral
@@ -131,7 +133,8 @@ def spectral_concentration(waveform, band_center: float, band_halfwidth: float,
 
         integral F_Omega d omega = (pi/2) * dt * sum |Omega_m|^2,
 
-    which avoids truncating an infinite frequency integral.
+    which avoids truncating an infinite frequency integral.  The numerator
+    is a trapezoid sum at 16 points per 2*pi/T linewidth (at least 64).
 
     Parameters
     ----------
@@ -139,8 +142,6 @@ def spectral_concentration(waveform, band_center: float, band_halfwidth: float,
     band_center, band_halfwidth : float
         The band [center - halfwidth, center + halfwidth] in rad/s.
         ``band_halfwidth = inf`` denotes the entire real line.
-    points_per_linewidth : int
-        Quadrature resolution of the numerator, in samples per 2*pi/T.
 
     Returns
     -------
@@ -169,7 +170,7 @@ def spectral_concentration(waveform, band_center: float, band_halfwidth: float,
     linewidth = 2.0 * np.pi / waveform.total_time
     numerator = 0.0
     for a, b in intervals:
-        npts = max(64, int(np.ceil((b - a) / linewidth * points_per_linewidth)) + 1)
+        npts = max(64, int(np.ceil((b - a) / linewidth * _POINTS_PER_LINEWIDTH)) + 1)
         grid = np.linspace(a, b, npts)
         ff = amplitude_ff(waveform, grid)
         numerator += 2.0 * np.trapezoid(ff.values, grid)  # both signs of omega

@@ -20,10 +20,13 @@ import numpy as np
 import scipy.optimize
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import GridError, NonConvergenceError, ParameterError
+from .errors import NonConvergenceError, ParameterError
 from .filterfn import amplitude_ff
 
 __all__ = ["OverlapMatrix", "ReconstructionResult", "overlap_matrix", "nnls", "reconstruct"]
+
+# band quadrature resolution, in trapezoid points per 2*pi/T linewidth
+_POINTS_PER_LINEWIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,6 @@ class ReconstructionResult:
 
 
 def overlap_matrix(waveforms, num_bands: int, delta_omega: float,
-                   points_per_linewidth: int = 8,
                    row_labels=None) -> OverlapMatrix:
     """Assemble the band-integral matrix [F]_rl = (1/pi) int_band_l F_Omega_r dw.
 
@@ -56,20 +58,19 @@ def overlap_matrix(waveforms, num_bands: int, delta_omega: float,
     is evaluated once, on the even grid of ``(2L + 1)*per_half + 1`` nodes
     from 0 to (L + 1/2)*delta_omega, with ``per_half`` trapezoid intervals
     per half band; band l > 1 spans nodes [(2l - 1), (2l + 1)]*per_half and
-    band 1 spans [0, 3*per_half].
+    band 1 spans [0, 3*per_half].  The resolution is fixed at 8 points per
+    2*pi/T linewidth, and every band gets at least 8 intervals.
 
     Parameters
     ----------
     waveforms : sequence of PiecewiseConstantWaveform
         All sharing the same total time.
     num_bands : int
-        L, the number of spectral estimation bands.
+        L >= 1, the number of spectral estimation bands.
     delta_omega : float
-        Band width in rad/s; L*delta_omega must not exceed the waveform
-        Nyquist frequency pi/dt.
-    points_per_linewidth : int
-        Trapezoid resolution in points per 2*pi/T; at least 8 is required to
-        resolve the filter peaks.  Every band gets at least 8 intervals.
+        Band width in rad/s, positive and finite; L*delta_omega must not
+        exceed the waveform Nyquist frequency pi/dt.
+    row_labels : optional identifier per probe waveform (default 1..R).
     """
     waveforms = list(waveforms)
     if not waveforms:
@@ -78,13 +79,15 @@ def overlap_matrix(waveforms, num_bands: int, delta_omega: float,
     for wf in waveforms:
         if abs(wf.total_time - total_time) > 1e-12 * total_time:
             raise ParameterError("all probe waveforms must share the total time")
+    if num_bands < 1:
+        raise ParameterError(f"need num_bands >= 1, got {num_bands}")
+    if not 0.0 < delta_omega < np.inf:
+        raise ParameterError(f"delta_omega must be positive and finite, got {delta_omega}")
     if num_bands * delta_omega > np.pi / waveforms[0].dt * (1 + 1e-12):
         raise ParameterError("num_bands * delta_omega exceeds the Nyquist frequency")
-    if points_per_linewidth < 8:
-        raise GridError("points_per_linewidth below 8 under-resolves the filter peaks")
 
     linewidth = 2.0 * np.pi / total_time
-    per_half = max(4, int(np.ceil(0.5 * delta_omega / linewidth * points_per_linewidth)))
+    per_half = max(4, int(np.ceil(0.5 * delta_omega / linewidth * _POINTS_PER_LINEWIDTH)))
     grid = np.linspace(0.0, (num_bands + 0.5) * delta_omega, (2 * num_bands + 1) * per_half + 1)
     hi = (2 * np.arange(1, num_bands + 1) + 1) * per_half
     lo = hi - 2 * per_half

@@ -138,8 +138,8 @@ def root_index_for_peak_rate(modulation_freq: float, target_rate: float) -> int:
     Used to sweep modulation frequency at (approximately) fixed peak Rabi
     rate: larger roots for smaller modulation frequencies.
     """
-    if modulation_freq <= 0 or target_rate <= 0:
-        raise ParameterError("modulation_freq and target_rate must be positive")
+    if not (0.0 < modulation_freq < np.inf and 0.0 < target_rate < np.inf):
+        raise ParameterError("modulation_freq and target_rate must be positive and finite")
     guess = max(1, int(round(target_rate / (np.pi * modulation_freq) + 0.25)))
     candidates = bessel_j0_roots(guess + 1)
     errors = np.abs(candidates * modulation_freq - target_rate)
@@ -189,8 +189,8 @@ def dephasing_robust(total_time: float, periods: int, root_index: int,
         raise ParameterError(
             f"need n_samples >= 2*periods to sample the modulation, got {n_samples} < {2 * periods}"
         )
-    if total_time <= 0:
-        raise ParameterError("total_time must be positive")
+    if not 0.0 < total_time < np.inf:
+        raise ParameterError(f"total_time must be positive and finite, got {total_time}")
     dt = total_time / n_samples
     lam = 2.0 * np.pi * periods / total_time
     x = 0.5 * lam * dt
@@ -217,6 +217,9 @@ def modulated_dpss_waveform(n: int, half_bandwidth: float, peak_rate: float,
     """
     if n * half_bandwidth < 1.0:
         raise ParameterError("need a time-bandwidth product N*W >= 1")
+    if not (np.isfinite(modulation_freq) and 0.0 < dt < np.inf):
+        raise ParameterError(
+            f"need a finite modulation_freq and a positive finite dt, got {modulation_freq}, {dt}")
     total_time = n * dt
     cycles = modulation_freq * total_time / (2.0 * np.pi)
     if abs(cycles - round(cycles)) > 1e-9 * max(1.0, abs(cycles)):
@@ -246,11 +249,10 @@ def synthesize(coeffs: WaveformCoefficients, dpss_set: DpssSet,
 
 
 def modulation_basis(dpss_set: DpssSet, omega0: float, dt: float,
-                     num_orders: int | None = None) -> np.ndarray:
-    """(N, 2K) matrix whose columns are cos- then sin-modulated DPSS."""
-    k = dpss_set.num_sequences if num_orders is None else num_orders
+                     num_orders: int) -> np.ndarray:
+    """(N, 2K) matrix whose columns are cos- then sin-modulated DPSS, K = num_orders."""
     phase = omega0 * np.arange(dpss_set.n) * dt
-    v = dpss_set.sequences[:k]
+    v = dpss_set.sequences[:num_orders]
     cos_cols = v * np.cos(phase)[None, :]
     sin_cols = v * np.sin(phase)[None, :]
     return np.concatenate([cos_cols, sin_cols], axis=0).T

@@ -238,6 +238,72 @@ class TestErrorPaths:
         assert run_cli("reconstruct", "--config", path, "--out", out) == 2
         assert not out.exists() or not any(out.iterdir())
 
+    @staticmethod
+    def _bad_number_configs(tmp_path):
+        """Config files, by the names BAD_NUMBERS uses: a NaN modulation
+        frequency for each family, and reconstructions with bad bands."""
+        n, dt_ns = 500, 40.0
+        delta_mhz = 1e3 / (n * dt_ns)  # one linewidth per band
+        table = tmp_path / "table.csv"
+        table.write_text(f"lambda_mhz,estimator\n{delta_mhz!r},1e-12\n")
+        nan_table = tmp_path / "nan_table.csv"
+        nan_table.write_text("lambda_mhz,estimator\nnan,1e-12\n")
+        configs = {}
+        for family in ("dr", "dpss"):
+            waveform = {"family": family, "n": n, "dt_ns": dt_ns, "amp_mhz": 5.0}
+            configs[f"sim_{family}"] = {
+                "waveform": waveform,
+                "amplitude_noise": {"kind": "flat_cutoff", "a_omega": 1.04e-11,
+                                    "omega_h_mhz": 2.0},
+                "dephasing_noise": {"kind": "dc_delta", "mu_z_mhz": 0.0},
+                "lambdas_mhz": [float("nan")], "realizations": 3,
+            }
+            configs[f"rec_{family}"] = {"measurements_csv": str(nan_table), "num_bands": 1,
+                                        "delta_omega_mhz": delta_mhz, "waveform": waveform}
+        for name, num_bands, delta in (("bands_zero", 0, delta_mhz),
+                                       ("bands_negative", -1, delta_mhz),
+                                       ("delta_nan", 1, float("nan")), ("delta_zero", 1, 0.0)):
+            configs[name] = {**configs["rec_dr"], "measurements_csv": str(table),
+                             "num_bands": num_bands, "delta_omega_mhz": delta}
+        paths = {}
+        for name, payload in configs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(payload))
+        return paths
+
+    BAD_NUMBERS = [
+        pytest.param(["ff", "--waveform", family, "--lambda-mhz", "nan", "--t-us", 40,
+                      "--n", 800], id=f"ff-{family}-nan-lambda") for family in ("dr", "dpss")
+    ] + [
+        pytest.param(["ff", "--waveform", "dr", "--lambda-mhz", 0.25, "--t-us", "nan",
+                      "--n", 800], id="ff-nan-duration"),
+        pytest.param(["gz", "--waveform", "dr", "--lambda-mhz", 0.2, "--t-us", 20, "--n", 500,
+                      "--max-mhz", "nan"], id="gz-nan-max"),
+        pytest.param(["gz", "--waveform", "dr", "--lambda-mhz", 0.2, "--t-us", 20, "--n", 500,
+                      "--stride", 0], id="gz-zero-stride"),
+        pytest.param(["waveform", "--family", "dr", "--lambda-mhz", 0.25, "--t-us", 40,
+                      "--n", 0], id="waveform-zero-n"),
+        pytest.param(["optimize", "--omega0-mhz", "nan", "--n", 400, "--dt-ns", 250],
+                     id="optimize-nan-omega0"),
+        pytest.param(["optimize", "--omega0-mhz", 0.2, "--n", 400, "--dt-ns", "nan"],
+                     id="optimize-nan-dt"),
+    ] + [
+        pytest.param([command, "--config", f"{{{prefix}_{family}}}"],
+                     id=f"{command}-{family}-nan-lambda")
+        for command, prefix in (("simulate", "sim"), ("reconstruct", "rec"))
+        for family in ("dr", "dpss")
+    ] + [
+        pytest.param(["reconstruct", "--config", f"{{{name}}}"], id=f"reconstruct-{name}")
+        for name in ("bands_zero", "bands_negative", "delta_nan", "delta_zero")
+    ]
+
+    @pytest.mark.parametrize("argv", BAD_NUMBERS)
+    def test_bad_number_is_exit_2_without_artifacts(self, tmp_path, argv):
+        paths = self._bad_number_configs(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli(*[str(a).format(**paths) for a in argv], "--out", out) == 2
+        assert not out.exists() or not any(out.iterdir())
+
     def test_nnls_cap_is_exit_3_without_spectrum(self, tmp_path, monkeypatch):
         def capped(a, b, **kwargs):
             raise RuntimeError("Maximum number of iterations reached.")

@@ -58,11 +58,11 @@ class TestObjective:
     def test_time_reversal_invariance(self, small_problem):
         # |Fourier magnitude| of sin/cos(Theta) is unchanged by reversal, so
         # I_Z is; compare a coefficient vector against its reversed waveform
-        from qnspect.optimize import _make_objective, _theta_of
+        from qnspect.optimize import _theta_of
 
         rng = np.random.default_rng(6)
         x = rng.normal(0, 0.3 * MHZ, 6)
-        evaluate = _make_objective(small_problem)
+        evaluate = small_problem.objective
         theta = _theta_of(x, small_problem)
         samples = small_problem.basis @ x
         rev = samples[::-1]
@@ -92,10 +92,10 @@ def dense_riemann_objective(problem, theta):
 
 @pytest.mark.parametrize("n", [400, 401])
 def test_objective_matches_dense_riemann_sum(n):
-    from qnspect.optimize import _make_objective, _theta_of
+    from qnspect.optimize import _theta_of
 
     problem = build_design_problem(0.1 * MHZ, n, 100e-6 / n, 5 * MHZ, eps=0.1, seed=0)
-    evaluate = _make_objective(problem)
+    evaluate = problem.objective
     rng = np.random.default_rng(n)
     for _ in range(3):
         theta = _theta_of(rng.normal(0, 0.5 * MHZ, 6), problem)
@@ -162,25 +162,38 @@ class TestSolve:
 
     def test_descent_from_projected_init(self, small_problem):
         init = project_dephasing_robust(small_problem)
-        solution = solve_design(small_problem, init=init, seed=0)
+        solution = solve_design(small_problem, seed=0)
         assert objective_Iz(solution, small_problem) <= objective_Iz(init, small_problem) * (1 + 1e-9)
 
     def test_batch_of_modulation_frequencies(self):
-        # a coarse sweep in batch mode: every design problem solves, stays
-        # feasible, and the parallel dispatch returns in input order
-        from qnspect.optimize import solve_many
-
+        # a coarse sweep, one solve per modulation frequency: every design
+        # problem solves and stays feasible
         n, dt = 1000, 100e-9
         t = n * dt
-        problems = [build_design_problem(2 * np.pi * k / t, n, dt, 5 * MHZ,
-                                         eps=0.1, seed=1) for k in (5, 10, 20)]
-        solutions = solve_many(problems, seed=1, processes=2)
-        serial = solve_many(problems, seed=1, processes=1)
-        for problem, solution, ref in zip(problems, solutions, serial):
-            assert np.array_equal(solution.as_vector(), ref.as_vector())
-            wf = design_waveform(solution, problem)
+        for k in (5, 10, 20):
+            problem = build_design_problem(2 * np.pi * k / t, n, dt, 5 * MHZ, eps=0.1, seed=1)
+            wf = design_waveform(solve_design(problem, seed=1), problem)
             assert np.abs(wf.samples).max() <= 5 * MHZ * (1 + 1e-9)
             assert dephasing_ff_dc(wf) < 1e-9 * t * t
+
+    def test_objective_plans_built_once_per_problem(self, monkeypatch):
+        # solve_design and objective_Iz share one grid and one set of
+        # chirp-z plans (three pieces) per problem
+        from qnspect import optimize
+
+        plan = optimize._fourier_plan
+        built = []
+
+        def counting_plan(*args):
+            built.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(optimize, "_fourier_plan", counting_plan)
+        problem = build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ, eps=0.1)
+        solution = solve_design(problem)
+        values = [objective_Iz(solution, problem) for _ in range(2)]
+        assert len(built) == 3
+        assert values[0] == values[1]
 
     def test_nonconvergence_carries_best_iterate(self, small_problem):
         from qnspect.errors import NonConvergenceError

@@ -4,7 +4,7 @@ import scipy.integrate
 import scipy.optimize
 
 from qnspect import amplitude_ff, dephasing_robust, nnls, overlap_matrix, reconstruct, spectro
-from qnspect.errors import GridError, NonConvergenceError, ParameterError
+from qnspect.errors import NonConvergenceError, ParameterError
 from qnspect.spectro import OverlapMatrix
 
 MHZ = 2 * np.pi * 1e6
@@ -57,12 +57,17 @@ class TestOverlapMatrix:
     def test_validation(self):
         n, dt = 500, 10e-9
         wf = dephasing_robust(n * dt, 1, 1, n)
+        linewidth = 2 * np.pi / (n * dt)
         with pytest.raises(ParameterError):
             overlap_matrix([], 4, 1.0)
-        with pytest.raises(GridError):
-            overlap_matrix([wf], 4, 2 * np.pi / (n * dt), points_per_linewidth=4)
         with pytest.raises(ParameterError):
-            overlap_matrix([wf], 10**6, 2 * np.pi / (n * dt))
+            overlap_matrix([wf], 10**6, linewidth)
+        for num_bands in (0, -1):
+            with pytest.raises(ParameterError):
+                overlap_matrix([wf], num_bands, linewidth)
+        for delta in (np.nan, np.inf, 0.0, -linewidth):
+            with pytest.raises(ParameterError):
+                overlap_matrix([wf], 4, delta)
 
     @pytest.mark.parametrize("linewidths, tol", [(1.0, 1e-2), (1.3, 1e-2), (4.0, 1e-5)])
     def test_bands_match_adaptive_quadrature(self, linewidths, tol):
