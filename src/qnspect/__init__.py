@@ -17,12 +17,10 @@ from .filterfn import (
 )
 from .lp_reduce import AffineConstraintSet, LpOutcome, lp_max, max_violation, prune_constraints
 from .noisegen import (
-    NoiseRealization,
     SpectrumModel,
     free_induction_chi,
     psd_eval,
     sample_many,
-    sample_process,
     t2_estimate,
 )
 from .optimize import (

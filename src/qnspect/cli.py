@@ -165,6 +165,9 @@ def _cmd_ff(args):
     lam = args.lambda_mhz * MHZ
     dt = _segment_length(args.t_us, args.n)
     wf = _sweep_waveform(args.waveform, lam, args.n, dt, args.amp_mhz * MHZ, args.nw)
+    if args.points < 1 or not 0.0 < args.max_mhz < np.inf:
+        raise ParameterError(f"need --points >= 1 and a positive finite --max-mhz, got "
+                             f"{args.points} and {args.max_mhz}")
     omegas = np.linspace(0.0, args.max_mhz * MHZ, args.points)
     ff_to_csv(amplitude_ff(wf, omegas), out / "amplitude_ff.csv")
     ff_to_csv(dephasing_ff(wf, omegas), out / "dephasing_ff.csv")
@@ -183,8 +186,8 @@ def _cmd_gz(args):
     wf = _sweep_waveform(args.waveform, lam, args.n, dt, args.amp_mhz * MHZ, args.nw)
     base = 2.0 * np.pi / wf.total_time
     top = args.max_mhz * MHZ / base
-    if not np.isfinite(top) or args.stride < 1:
-        raise ParameterError(f"need a finite --max-mhz and --stride >= 1, got "
+    if not 0.0 <= top < np.inf or args.stride < 1:
+        raise ParameterError(f"need a finite --max-mhz >= 0 and --stride >= 1, got "
                              f"{args.max_mhz} and {args.stride}")
     omegas = np.arange(0, int(round(top)) + 1, args.stride) * base
     grid = higher_order_ff(wf, omegas, omegas)

@@ -28,9 +28,7 @@ from .errors import ParameterError
 
 __all__ = [
     "SpectrumModel",
-    "NoiseRealization",
     "psd_eval",
-    "sample_process",
     "sample_many",
     "free_induction_chi",
     "t2_estimate",
@@ -97,20 +95,6 @@ class SpectrumModel:
         return 0.0 if self.kind == DC_DELTA else self.omega_h
 
 
-@dataclass(frozen=True)
-class NoiseRealization:
-    """One synthesized trajectory on the waveform time grid."""
-
-    samples: np.ndarray
-    mean: float
-    seed: int
-    index: int
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-
 def psd_eval(model: SpectrumModel, omega) -> np.ndarray:
     """One-sided PSD S(w) of the stochastic part, for w >= 0."""
     omega = np.asarray(omega, dtype=float)
@@ -144,20 +128,13 @@ def _harmonic_amplitudes(model: SpectrumModel, n: int, dt: float):
     return j[keep], amps[keep]
 
 
-def sample_process(model: SpectrumModel, n: int, dt: float, seed: int,
-                   index: int = 0) -> NoiseRealization:
-    """One realization of the process on the length-``n`` time grid.
-
-    Deterministic in (seed, index); realizations with different indices are
-    independent streams of the same seed.
-    """
-    samples = sample_many(model, n, dt, seed, [index])[0]
-    return NoiseRealization(samples=samples, mean=model.mean, seed=seed, index=index)
-
-
 def sample_many(model: SpectrumModel, n: int, dt: float, seed: int,
                 indices) -> np.ndarray:
-    """Stacked realizations, row r identical to ``sample_process(..., indices[r])``."""
+    """Realizations on the length-``n`` time grid, one row per entry of ``indices``.
+
+    Row r is deterministic in (seed, indices[r]); different indices are
+    independent streams of the same seed.
+    """
     indices = list(indices)
     if n < 1 or dt <= 0:
         raise ParameterError("need n >= 1 and dt > 0")

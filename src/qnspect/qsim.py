@@ -11,7 +11,8 @@ alongside are diagnostics of the perturbative theory, not inputs to the
 dynamics.  Propagation is carried in the SU(2) quaternion representation
 U = u0 I - i (ux sigma_x + uy sigma_y + uz sigma_z), which makes the three
 survival probabilities p_i = u0^2 + u_i^2 and the tomographic estimator of a
-single realization simply ux^2.
+single realization simply ux^2.  Noise trajectories are plain float arrays on
+the waveform grid; the diagnostics take one (N,) trajectory or an (R, N) batch.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import GridError, ParameterError
 from .filterfn import (_segment_integral, amplitude_ff, dephasing_ff, dephasing_ff_dc,
                        higher_order_ff)
-from .noisegen import NoiseRealization, SpectrumModel, psd_eval, sample_many
+from .noisegen import SpectrumModel, psd_eval, sample_many
 from .waveform import PiecewiseConstantWaveform, rotation_angle
 
 __all__ = [
@@ -47,22 +48,19 @@ _POINTS_PER_LINEWIDTH = 8
 
 @dataclass(frozen=True)
 class QubitPropagator:
-    """Total 2x2 unitary over [0, T] for one noise realization."""
+    """Total propagator over [0, T] for one noise realization, as its unit quaternion.
 
-    matrix: np.ndarray
+    ``quaternion`` is (u0, ux, uy, uz) with U = u0 I - i (ux sigma_x + uy sigma_y + uz sigma_z).
+    """
+
+    quaternion: np.ndarray
 
     def survival(self, axis: int) -> float:
-        """|<up_axis| U |up_axis>|^2 for axis in {1, 2, 3}."""
-        u = self.matrix
-        if axis == 1:
-            amp = 0.5 * (u[0, 0] + u[0, 1] + u[1, 0] + u[1, 1])
-        elif axis == 2:
-            amp = 0.5 * (u[0, 0] + 1j * u[0, 1] - 1j * u[1, 0] + u[1, 1])
-        elif axis == 3:
-            amp = u[0, 0]
-        else:
+        """|<up_axis| U |up_axis>|^2 = u0^2 + u_axis^2 for axis in {1, 2, 3}."""
+        if axis not in (1, 2, 3):
             raise ParameterError("axis must be 1, 2 or 3")
-        return float(np.abs(amp) ** 2)
+        u = self.quaternion
+        return float(u[0] ** 2 + u[axis] ** 2)
 
 
 @dataclass(frozen=True)
@@ -135,26 +133,19 @@ def _propagate_quaternions(samples: np.ndarray, dt: float, beta_omega: np.ndarra
     return u
 
 
-def propagate(waveform: PiecewiseConstantWaveform, amp_noise: NoiseRealization,
-              deph_noise: NoiseRealization) -> QubitPropagator:
-    """Exact propagator for one pair of noise trajectories.
+def propagate(waveform: PiecewiseConstantWaveform, amp_noise: np.ndarray,
+              deph_noise: np.ndarray) -> QubitPropagator:
+    """Exact propagator for one pair of (N,) noise trajectories.
 
     The amplitude noise acts multiplicatively on the drive; the dephasing
     trajectory (including its static mean) adds a sigma_z term.  Noise is
     held constant across each segment (zero-order hold).
     """
-    if amp_noise.n != waveform.n or deph_noise.n != waveform.n:
-        raise ParameterError("noise trajectories must match the waveform grid")
-    u = _propagate_quaternions(
-        waveform.samples, waveform.dt, amp_noise.samples[None, :], deph_noise.samples[None, :]
-    )[0]
-    matrix = np.array(
-        [
-            [u[0] - 1j * u[3], -1j * u[1] - u[2]],
-            [-1j * u[1] + u[2], u[0] + 1j * u[3]],
-        ]
-    )
-    return QubitPropagator(matrix=matrix)
+    if np.shape(amp_noise) != (waveform.n,) or np.shape(deph_noise) != (waveform.n,):
+        raise ParameterError("propagate takes one trajectory per channel on the waveform grid")
+    u = _propagate_quaternions(waveform.samples, waveform.dt, np.reshape(amp_noise, (1, -1)),
+                               np.reshape(deph_noise, (1, -1)))[0]
+    return QubitPropagator(quaternion=u)
 
 
 def _survival_from_quaternions(u: np.ndarray) -> np.ndarray:
@@ -163,14 +154,6 @@ def _survival_from_quaternions(u: np.ndarray) -> np.ndarray:
         [u[:, 0] ** 2 + u[:, 1] ** 2, u[:, 0] ** 2 + u[:, 2] ** 2, u[:, 0] ** 2 + u[:, 3] ** 2],
         axis=1,
     )
-
-
-def _noise_batches(waveform, amp_model, deph_model, n_realizations, seed):
-    amp = sample_many(amp_model, waveform.n, waveform.dt, seed=_stream(seed, 0),
-                      indices=range(n_realizations))
-    deph = sample_many(deph_model, waveform.n, waveform.dt, seed=_stream(seed, 1),
-                       indices=range(n_realizations))
-    return amp, deph
 
 
 def _stream(seed: int, channel: int) -> int:
@@ -190,7 +173,10 @@ def survival_probabilities(waveform: PiecewiseConstantWaveform, amp_model: Spect
     """
     if n_realizations < 1:
         raise ParameterError("n_realizations must be >= 1")
-    amp, deph = _noise_batches(waveform, amp_model, deph_model, n_realizations, seed)
+    amp = sample_many(amp_model, waveform.n, waveform.dt, seed=_stream(seed, 0),
+                      indices=range(n_realizations))
+    deph = sample_many(deph_model, waveform.n, waveform.dt, seed=_stream(seed, 1),
+                       indices=range(n_realizations))
     u = _propagate_quaternions(waveform.samples, waveform.dt, amp, deph)
     probs = _survival_from_quaternions(u)
     if shots is not None:
@@ -218,45 +204,50 @@ def tomographic_estimator(triple: SurvivalTriple) -> EstimatorValue:
 # ---------------------------------------------------------------------------
 
 
-def error_vector_first_order(waveform: PiecewiseConstantWaveform,
-                             amp_noise: NoiseRealization,
-                             deph_noise: NoiseRealization) -> np.ndarray:
-    """Leading-order error vector (a1, a2, a3).
+def _check_grid(waveform: PiecewiseConstantWaveform, *trajectories) -> None:
+    if any(np.shape(b)[-1:] != (waveform.n,) for b in trajectories):
+        raise ParameterError("noise trajectories must match the waveform grid")
+
+
+def error_vector_first_order(waveform: PiecewiseConstantWaveform, amp_noise: np.ndarray,
+                             deph_noise: np.ndarray) -> np.ndarray:
+    """Leading-order error vector (a1, a2, a3), along the last axis of the result.
 
     a1 = (1/2) int Omega beta_Omega, a2 = int sin(Theta) beta_z,
     a3 = int cos(Theta) beta_z.  With beta constant per segment and Theta
-    piecewise linear, every segment integral is closed-form.
+    piecewise linear, every segment integral is closed-form.  Each noise
+    argument is one (N,) trajectory or an (R, N) batch; a batch row gives the
+    same bits as a call on that row alone.
     """
-    if amp_noise.n != waveform.n or deph_noise.n != waveform.n:
-        raise ParameterError("noise trajectories must match the waveform grid")
+    _check_grid(waveform, amp_noise, deph_noise)
     dt = waveform.dt
     omega = waveform.samples
-    a1 = 0.5 * dt * float(np.sum(omega * amp_noise.samples))
+    a1 = 0.5 * dt * np.sum(omega * amp_noise, axis=-1)
     # per-segment integrals of e^{i Theta}: Im is int sin(Theta), Re is int cos(Theta)
     seg = np.exp(1j * rotation_angle(waveform)[:-1]) * _segment_integral(omega, dt)
-    a2 = float(np.sum(seg.imag * deph_noise.samples))
-    a3 = float(np.sum(seg.real * deph_noise.samples))
-    return np.array([a1, a2, a3])
+    a2 = np.sum(seg.imag * deph_noise, axis=-1)
+    a3 = np.sum(seg.real * deph_noise, axis=-1)
+    return np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)
 
 
 def magnus_second_order_a1(waveform: PiecewiseConstantWaveform,
-                           deph_noise: NoiseRealization) -> float:
+                           deph_noise: np.ndarray) -> float | np.ndarray:
     """Second-order Magnus x-component from the dephasing channel.
 
     a1^(2) = int_0^T dt1 int_0^t1 dt2 sin[Theta(t1) - Theta(t2)] beta_z(t1) beta_z(t2),
     in the left-endpoint Riemann convention shared with the higher-order
-    filter function, evaluated with prefix sums in O(N).
+    filter function, evaluated with prefix sums in O(N).  A scalar for one
+    (N,) trajectory, shape (R,) for an (R, N) batch.
     """
-    if deph_noise.n != waveform.n:
-        raise ParameterError("noise trajectory must match the waveform grid")
+    _check_grid(waveform, deph_noise)
     dt = waveform.dt
     theta = rotation_angle(waveform)[:-1]
-    b = deph_noise.samples
+    b = deph_noise
     sin_t, cos_t = np.sin(theta), np.cos(theta)
-    prefix_cos = np.cumsum(cos_t * b)
-    prefix_sin = np.cumsum(sin_t * b)
+    prefix_cos = np.cumsum(cos_t * b, axis=-1)
+    prefix_sin = np.cumsum(sin_t * b, axis=-1)
     # diagonal j2 = j1 contributes sin(0) = 0, so the full prefix is safe
-    return float(dt * dt * np.sum(b * (sin_t * prefix_cos - cos_t * prefix_sin)))
+    return dt * dt * np.sum(b * (sin_t * prefix_cos - cos_t * prefix_sin), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +317,7 @@ def bias_breakdown(waveform: PiecewiseConstantWaveform, amp_model: SpectrumModel
     else:
         deph = sample_many(deph_model, waveform.n, waveform.dt,
                            seed=_stream(seed, 1), indices=range(n_realizations))
-        vals = np.empty(n_realizations)
-        for r in range(n_realizations):
-            vals[r] = magnus_second_order_a1(
-                waveform,
-                NoiseRealization(samples=deph[r], mean=deph_model.mean, seed=seed, index=r),
-            )
-        a12_sq = float(np.mean(vals**2))
+        a12_sq = float(np.mean(magnus_second_order_a1(waveform, deph) ** 2))
 
     predicted = i_om - i_om**2 - i_om * i_z / 3.0 + a12_sq
     return BiasBreakdown(i_omega=i_om, i_z=i_z, a12_sq=a12_sq, predicted=predicted)

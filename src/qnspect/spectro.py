@@ -36,7 +36,6 @@ class OverlapMatrix:
     matrix: np.ndarray          # (R, L), units s (rad^2 s^2 integrated over rad/s / pi)
     delta_omega: float
     band_centers: np.ndarray    # (L,) = (1..L) * delta_omega
-    row_labels: np.ndarray      # identifier per probe waveform (its modulation index)
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,7 @@ class ReconstructionResult:
     relative_errors: np.ndarray | None = None
 
 
-def overlap_matrix(waveforms, num_bands: int, delta_omega: float,
-                   row_labels=None) -> OverlapMatrix:
+def overlap_matrix(waveforms, num_bands: int, delta_omega: float) -> OverlapMatrix:
     """Assemble the band-integral matrix [F]_rl = (1/pi) int_band_l F_Omega_r dw.
 
     Bands: l = 1 integrates [0, 1.5*delta_omega]; l > 1 integrates
@@ -70,7 +68,6 @@ def overlap_matrix(waveforms, num_bands: int, delta_omega: float,
     delta_omega : float
         Band width in rad/s, positive and finite; L*delta_omega must not
         exceed the waveform Nyquist frequency pi/dt.
-    row_labels : optional identifier per probe waveform (default 1..R).
     """
     waveforms = list(waveforms)
     if not waveforms:
@@ -93,14 +90,12 @@ def overlap_matrix(waveforms, num_bands: int, delta_omega: float,
     lo = hi - 2 * per_half
     lo[0] = 0
 
-    labels = np.arange(1, len(waveforms) + 1) if row_labels is None else np.asarray(row_labels)
     values = np.array([amplitude_ff(wf, grid).values for wf in waveforms])
     cumulative = cumulative_trapezoid(values, grid, initial=0.0)
     return OverlapMatrix(
         matrix=(cumulative[:, hi] - cumulative[:, lo]) / np.pi,
         delta_omega=delta_omega,
         band_centers=np.arange(1, num_bands + 1) * delta_omega,
-        row_labels=labels,
     )
 
 

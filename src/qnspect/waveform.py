@@ -215,8 +215,9 @@ def modulated_dpss_waveform(n: int, half_bandwidth: float, peak_rate: float,
     this cancels the sum pairwise, so the net rotation is zero to roundoff
     and the control is a strict identity gate.
     """
-    if n * half_bandwidth < 1.0:
-        raise ParameterError("need a time-bandwidth product N*W >= 1")
+    if not 1.0 <= n * half_bandwidth < n / 2:
+        raise ParameterError(
+            f"need a time-bandwidth product 1 <= N*W < N/2, got N*W = {n * half_bandwidth}")
     if not (np.isfinite(modulation_freq) and 0.0 < dt < np.inf):
         raise ParameterError(
             f"need a finite modulation_freq and a positive finite dt, got {modulation_freq}, {dt}")

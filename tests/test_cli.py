@@ -283,6 +283,23 @@ class TestErrorPaths:
                       "--stride", 0], id="gz-zero-stride"),
         pytest.param(["waveform", "--family", "dr", "--lambda-mhz", 0.25, "--t-us", 40,
                       "--n", 0], id="waveform-zero-n"),
+    ] + [
+        pytest.param(["waveform", "--family", "dpss", "--lambda-mhz", 0.25, "--t-us", 40,
+                      "--n", 800, "--nw", nw], id=f"waveform-dpss-{nw}-nw")
+        for nw in ("nan", "inf", 400)
+    ] + [
+        pytest.param(["ff", "--waveform", "dr", "--lambda-mhz", 0.25, "--t-us", 40,
+                      "--n", 800, "--points", points], id=f"ff-{points}-points")
+        for points in (-1, 0)
+    ] + [
+        pytest.param(["ff", "--waveform", "dr", "--lambda-mhz", 0.25, "--t-us", 40,
+                      "--n", 800, "--max-mhz", top], id=f"ff-{top}-max")
+        for top in ("nan", "inf", 0, -1)
+    ] + [
+        pytest.param(["gz", "--waveform", "dr", "--lambda-mhz", 0.2, "--t-us", 20, "--n", 500,
+                      "--max-mhz", top], id=f"gz-{top}-max")
+        for top in ("inf", -1)
+    ] + [
         pytest.param(["optimize", "--omega0-mhz", "nan", "--n", 400, "--dt-ns", 250],
                      id="optimize-nan-omega0"),
         pytest.param(["optimize", "--omega0-mhz", 0.2, "--n", 400, "--dt-ns", "nan"],

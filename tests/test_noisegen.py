@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qnspect import SpectrumModel, free_induction_chi, psd_eval, sample_many, sample_process, t2_estimate
+from qnspect import SpectrumModel, free_induction_chi, psd_eval, sample_many, t2_estimate
 from qnspect.errors import ParameterError
 from qnspect.noisegen import spectrum_model_from_json
 
@@ -40,22 +40,22 @@ class TestPsdEval:
 class TestSampleProcess:
     def test_dc_delta_constant(self):
         mu = 0.1 * MHZ
-        real = sample_process(SpectrumModel.dc_delta(mu), 256, 1e-8, seed=1)
-        assert np.all(real.samples == mu)
+        real = sample_many(SpectrumModel.dc_delta(mu), 256, 1e-8, seed=1, indices=[0])[0]
+        assert np.all(real == mu)
 
     def test_zero_spectrum_zero_samples(self):
         model = SpectrumModel.flat_cutoff(0.0, 1 * MHZ)
-        real = sample_process(model, 128, 1e-8, seed=2)
-        assert np.all(real.samples == 0.0)
+        real = sample_many(model, 128, 1e-8, seed=2, indices=[0])[0]
+        assert np.all(real == 0.0)
 
     def test_deterministic_and_batch_consistent(self):
-        a = sample_process(FLAT, 512, 1e-8, seed=5, index=3)
-        b = sample_process(FLAT, 512, 1e-8, seed=5, index=3)
-        assert np.array_equal(a.samples, b.samples)
+        a = sample_many(FLAT, 512, 1e-8, seed=5, indices=[3])[0]
+        b = sample_many(FLAT, 512, 1e-8, seed=5, indices=[3])[0]
+        assert np.array_equal(a, b)
         batch = sample_many(FLAT, 512, 1e-8, seed=5, indices=[0, 3, 7])
-        assert np.array_equal(batch[1], a.samples)
-        c = sample_process(FLAT, 512, 1e-8, seed=5, index=4)
-        assert not np.array_equal(a.samples, c.samples)
+        assert np.array_equal(batch[1], a)
+        c = sample_many(FLAT, 512, 1e-8, seed=5, indices=[4])[0]
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("n", [512, 511])
     def test_matches_dense_harmonic_sum(self, n):
@@ -77,7 +77,7 @@ class TestSampleProcess:
 
     def test_nyquist_guard(self):
         with pytest.raises(ParameterError):
-            sample_process(FLAT, 64, 1e-6, seed=0)  # Nyquist 0.5 MHz < cutoff
+            sample_many(FLAT, 64, 1e-6, seed=0, indices=[0])  # Nyquist 0.5 MHz < cutoff
 
     def test_periodogram_matches_flat_level(self):
         # averaged periodogram oracle: <|DFT_j|^2> = N S(w_j)/dt for the

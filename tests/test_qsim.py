@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qnspect import (
-    NoiseRealization,
     PiecewiseConstantWaveform,
     SpectrumModel,
     bias_breakdown,
@@ -26,34 +25,26 @@ FLAT_AMP = SpectrumModel.flat_cutoff(1.04e-11, 2 * MHZ)
 NO_NOISE = SpectrumModel.dc_delta(0.0)
 
 
-def zero_noise(n):
-    return NoiseRealization(samples=np.zeros(n), mean=0.0, seed=0, index=0)
-
-
-def const_noise(n, value):
-    return NoiseRealization(samples=np.full(n, value), mean=value, seed=0, index=0)
-
-
 class TestPropagate:
     def test_identity_gate_without_noise(self):
         wf = dephasing_robust(20e-6, 4, 1, 1000)
-        u = propagate(wf, zero_noise(1000), zero_noise(1000))
+        u = propagate(wf, np.zeros(1000), np.zeros(1000))
         for axis in (1, 2, 3):
             assert abs(u.survival(axis) - 1.0) < 1e-12
 
     def test_unitarity(self):
         rng = np.random.default_rng(2)
         wf = PiecewiseConstantWaveform(rng.normal(0, 1e6, 300), 1e-8)
-        amp = NoiseRealization(rng.normal(0, 0.01, 300), 0.0, 0, 0)
-        deph = NoiseRealization(rng.normal(0, 1e5, 300), 0.0, 0, 1)
-        u = propagate(wf, amp, deph).matrix
-        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-10
+        amp = rng.normal(0, 0.01, 300)
+        deph = rng.normal(0, 1e5, 300)
+        u = propagate(wf, amp, deph).quaternion
+        assert abs(np.sum(u**2) - 1.0) < 1e-10
 
     def test_pure_detuning_rotation(self):
         n = 200
         wf = PiecewiseConstantWaveform(np.zeros(n), 1e-8)
         delta = 0.05 * MHZ
-        u = propagate(wf, zero_noise(n), const_noise(n, delta))
+        u = propagate(wf, np.zeros(n), np.full(n, delta))
         t = wf.total_time
         assert abs(u.survival(3) - 1.0) < 1e-12
         assert abs(u.survival(1) - np.cos(delta * t) ** 2) < 1e-10
@@ -61,7 +52,9 @@ class TestPropagate:
     def test_length_mismatch(self):
         wf = PiecewiseConstantWaveform(np.zeros(10), 1e-8)
         with pytest.raises(ParameterError):
-            propagate(wf, zero_noise(9), zero_noise(10))
+            propagate(wf, np.zeros(9), np.zeros(10))
+        with pytest.raises(ParameterError):
+            propagate(wf, np.zeros((2, 10)), np.zeros((2, 10)))
 
 
 class TestSurvival:
@@ -111,26 +104,21 @@ class TestSurvival:
 class TestErrorVector:
     def test_zero_noise(self):
         wf = dephasing_robust(10e-6, 2, 1, 400)
-        a = error_vector_first_order(wf, zero_noise(400), zero_noise(400))
+        a = error_vector_first_order(wf, np.zeros(400), np.zeros(400))
         assert np.all(a == 0.0)
 
     def test_static_detuning_free_evolution(self):
         n = 300
         wf = PiecewiseConstantWaveform(np.zeros(n), 1e-8)
         delta = 0.1 * MHZ
-        a = error_vector_first_order(wf, zero_noise(n), const_noise(n, delta))
+        a = error_vector_first_order(wf, np.zeros(n), np.full(n, delta))
         assert abs(a[2] - delta * wf.total_time) < 1e-9
         assert a[1] == 0.0
 
     def test_first_component_variance_matches_overlap(self):
         wf = dephasing_robust(20e-6, 10, 2, 2000)
         reals = sample_many(FLAT_AMP, 2000, wf.dt, seed=3, indices=range(2000))
-        zeros = zero_noise(2000)
-        a1 = np.array([
-            error_vector_first_order(
-                wf, NoiseRealization(r, 0.0, 3, i), zeros)[0]
-            for i, r in enumerate(reals)
-        ])
+        a1 = error_vector_first_order(wf, reals, np.zeros(2000))[:, 0]
         i_om = overlap_amplitude(wf, FLAT_AMP)
         assert abs(a1.var() / i_om - 1) < 0.05
 
@@ -140,7 +128,7 @@ class TestErrorVector:
         n = 40
         wf = PiecewiseConstantWaveform(rng.normal(0, 5e5, n), 1e-7)
         bz = rng.normal(0, 1e5, n)
-        a = error_vector_first_order(wf, zero_noise(n), NoiseRealization(bz, 0.0, 0, 0))
+        a = error_vector_first_order(wf, np.zeros(n), bz)
         over = 100
         fine_omega = np.repeat(wf.samples, over)
         theta_fine = np.concatenate(([0.0], np.cumsum(fine_omega) * wf.dt / over))[:-1]
@@ -162,7 +150,7 @@ class TestErrorVector:
             samples[0] = 1.0 / dt
             wf = PiecewiseConstantWaveform(samples, dt)
             bz = np.linspace(1e5, 2e5, n)
-            a = error_vector_first_order(wf, zero_noise(n), NoiseRealization(bz, 0.0, 0, 0))
+            a = error_vector_first_order(wf, np.zeros(n), bz)
             th0 = np.concatenate(([0.0], np.cumsum(samples * dt)[:-1]))
             sin_half = np.sin(samples * dt) / samples
             cos_half = 2.0 * np.sin(samples * dt / 2.0) ** 2 / samples
@@ -176,7 +164,7 @@ class TestMagnusSecondOrder:
     def test_zero_for_free_evolution(self):
         n = 100
         wf = PiecewiseConstantWaveform(np.zeros(n), 1e-8)
-        noise = NoiseRealization(np.random.default_rng(0).normal(0, 1e5, n), 0.0, 0, 0)
+        noise = np.random.default_rng(0).normal(0, 1e5, n)
         assert magnus_second_order_a1(wf, noise) == 0.0
 
     def test_matches_double_loop(self):
@@ -185,22 +173,39 @@ class TestMagnusSecondOrder:
             n = int(rng.integers(16, 65))
             wf = PiecewiseConstantWaveform(rng.normal(0, 4e5, n), 1e-8)
             bz = rng.normal(0, 2e5, n)
-            noise = NoiseRealization(bz, 0.0, 0, 0)
             theta = np.concatenate(([0.0], np.cumsum(wf.samples) * wf.dt))[:-1]
             brute = sum(
                 np.sin(theta[i] - theta[j]) * bz[i] * bz[j]
                 for i in range(n) for j in range(i + 1)
             ) * wf.dt**2
-            got = magnus_second_order_a1(wf, noise)
+            got = magnus_second_order_a1(wf, bz)
             assert abs(got - brute) < 1e-12 * max(abs(brute), 1e-12)
 
     def test_detuning_square_matches_gz(self):
         # <a1^(2)^2> for static detuning mu equals mu^4/3 * G_Z(0, 0)
         wf = dephasing_robust(20e-6, 4, 1, 600)
         mu = 0.07 * MHZ
-        a12 = magnus_second_order_a1(wf, const_noise(600, mu))
+        a12 = magnus_second_order_a1(wf, np.full(600, mu))
         gz00 = higher_order_ff(wf, [0.0], [0.0]).values[0, 0].real
         assert abs(a12**2 - mu**4 * gz00 / 3.0) < 1e-9 * max(a12**2, 1e-30)
+
+
+class TestBatchedDiagnostics:
+    def test_batch_rows_match_single_calls(self):
+        wf = dephasing_robust(20e-6, 4, 2, 500)
+        deph = SpectrumModel.one_over_f(3.18, 1e8, 0.01 * MHZ, 2 * MHZ)
+        amp = sample_many(FLAT_AMP, wf.n, wf.dt, seed=5, indices=range(40))
+        bz = sample_many(deph, wf.n, wf.dt, seed=6, indices=range(40))
+        vectors = error_vector_first_order(wf, amp, bz)
+        a12 = magnus_second_order_a1(wf, bz)
+        assert vectors.shape == (40, 3) and a12.shape == (40,)
+        for r in range(40):
+            assert np.array_equal(vectors[r], error_vector_first_order(wf, amp[r], bz[r]))
+            assert a12[r] == magnus_second_order_a1(wf, bz[r])
+        with pytest.raises(ParameterError):
+            magnus_second_order_a1(wf, bz[:, :-1])
+        with pytest.raises(ParameterError):
+            error_vector_first_order(wf, amp, bz.T)
 
 
 class TestBiasBreakdown:
@@ -246,11 +251,7 @@ class TestBiasBreakdown:
         # <a1^4> = 3 I_Omega^2 for zero-mean Gaussian amplitude noise
         wf = dephasing_robust(20e-6, 10, 2, 1000)
         reals = sample_many(FLAT_AMP, 1000, wf.dt, seed=4, indices=range(2500))
-        zeros = zero_noise(1000)
-        a1 = np.array([
-            error_vector_first_order(wf, NoiseRealization(r, 0.0, 4, i), zeros)[0]
-            for i, r in enumerate(reals)
-        ])
+        a1 = error_vector_first_order(wf, reals, np.zeros(1000))[:, 0]
         i_om = overlap_amplitude(wf, FLAT_AMP)
         fourth = np.mean(a1**4)
         se = np.std(a1**4) / np.sqrt(a1.size)

@@ -170,7 +170,6 @@ class TestReconstruct:
             matrix=dr_matrix.matrix[perm],
             delta_omega=dr_matrix.delta_omega,
             band_centers=dr_matrix.band_centers,
-            row_labels=dr_matrix.row_labels[perm],
         )
         a = reconstruct(y, dr_matrix)
         b = reconstruct(y[perm], shuffled)
