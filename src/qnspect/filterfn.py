@@ -160,6 +160,22 @@ def _fourier_plan(n: int, dt: float, omegas: np.ndarray):
     return direct
 
 
+def _fourier_transpose_plan(n: int, dt: float, omegas: np.ndarray):
+    """a -> sum_k a[..., k] e^{i omegas[k] m dt} for m < n: _fourier_plan transposed.
+
+    Back-propagates the Fourier sums of a gradient.  On the evenly spaced
+    grid omegas[k] = omegas[0] + k step it is a chirp-z transform over k at
+    the n points m, times e^{i omegas[0] m dt}; other grids are refused.
+    """
+    if not _is_even_grid(omegas, n * dt):
+        raise GridError("the transposed Fourier sum needs an evenly spaced grid")
+    step = (omegas[-1] - omegas[0]) / (omegas.size - 1)
+    zoom = ZoomFFT(omegas.size, [0.0, -n * step * dt / (2.0 * np.pi)], n,
+                   fs=1.0, endpoint=False)
+    phase = np.exp(1j * omegas[0] * np.arange(n) * dt)
+    return lambda a: zoom(a) * phase
+
+
 def _fourier_sums(x: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
     """S[..., k] = sum_m x[..., m] e^{i omegas[k] m dt}, over the last axis of x."""
     return _fourier_plan(x.shape[-1], dt, omegas)(x)

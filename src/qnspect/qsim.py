@@ -44,6 +44,9 @@ __all__ = [
 
 # overlap quadrature resolution, in trapezoid points per 2*pi/T linewidth
 _POINTS_PER_LINEWIDTH = 8
+# bias_breakdown draws and reduces its Monte-Carlo rows in chunks of about
+# this many samples (2 MiB of float64 per temporary)
+_CHUNK_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -315,9 +318,19 @@ def bias_breakdown(waveform: PiecewiseConstantWaveform, amp_model: SpectrumModel
         gz00 = higher_order_ff(waveform, [0.0], [0.0]).values[0, 0].real
         a12_sq = deph_model.mean**4 / 3.0 * gz00
     else:
-        deph = sample_many(deph_model, waveform.n, waveform.dt,
-                           seed=_stream(seed, 1), indices=range(n_realizations))
-        a12_sq = float(np.mean(magnus_second_order_a1(waveform, deph) ** 2))
+        if n_realizations < 1:
+            raise ParameterError("n_realizations must be >= 1")
+        # a row's value does not depend on its chunk, so chunking only bounds
+        # the (rows, N) temporaries
+        rows = max(1, _CHUNK_SAMPLES // waveform.n)
+        indices = range(n_realizations)
+        a12 = np.concatenate([
+            magnus_second_order_a1(waveform, sample_many(
+                deph_model, waveform.n, waveform.dt, seed=_stream(seed, 1),
+                indices=indices[start:start + rows]))
+            for start in range(0, n_realizations, rows)
+        ])
+        a12_sq = float(np.mean(a12 ** 2))
 
     predicted = i_om - i_om**2 - i_om * i_z / 3.0 + a12_sq
     return BiasBreakdown(i_omega=i_om, i_z=i_z, a12_sq=a12_sq, predicted=predicted)

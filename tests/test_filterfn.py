@@ -299,6 +299,25 @@ class TestKernelPaths:
         assert np.array_equal(plan(x), _fourier_sums(x, 1e-8, omegas))
         assert np.array_equal(plan(x[1]), _fourier_sums(x[1], 1e-8, omegas))
 
+    @pytest.mark.parametrize("grid_name", ["ascending", "negative", "u_max >= 1"])
+    def test_transpose_plan_matches_dense_sum(self, grid_name):
+        from qnspect.filterfn import _fourier_transpose_plan
+
+        rng = np.random.default_rng(19)
+        n, dt = 300, 1e-8
+        omegas = FIRST_ORDER_GRIDS[grid_name](dt)
+        a = rng.normal(size=(2, omegas.size)) + 1j * rng.normal(size=(2, omegas.size))
+        want = a @ np.exp(1j * np.outer(omegas, np.arange(n) * dt))
+        got = _fourier_transpose_plan(n, dt, omegas)(a)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("grid_name", ["single point", "non-uniform"])
+    def test_transpose_plan_refuses_uneven_grids(self, grid_name):
+        from qnspect.filterfn import _fourier_transpose_plan
+
+        with pytest.raises(GridError):
+            _fourier_transpose_plan(300, 1e-8, FIRST_ORDER_GRIDS[grid_name](1e-8))
+
     def test_gz_matches_direct_sum_on_near_dft_grid(self):
         rng = np.random.default_rng(5)
         for trial in range(3):

@@ -250,6 +250,74 @@ class TestAmplitudeBound:
             build_design_problem(0.1 * MHZ, 400, 250e-9, max_rate, eps=eps)
 
 
+def captured_lagrangians(problem, monkeypatch):
+    """Solve the problem and return every (Lagrangian, start point) that
+    solve_design handed to L-BFGS-B, one per outer iteration."""
+    from qnspect import optimize
+
+    minimize = optimize.minimize
+    calls = []
+
+    def recording(fun, x0, **kwargs):
+        calls.append((fun, np.array(x0)))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    solve_design(problem)
+    return calls
+
+
+def central_difference(fun, u, step):
+    grad = np.empty(u.size)
+    for j in range(u.size):
+        up, um = u.copy(), u.copy()
+        up[j] += step
+        um[j] -= step
+        grad[j] = (fun(up)[0] - fun(um)[0]) / (2.0 * step)
+    return grad
+
+
+class TestGradient:
+    @pytest.mark.parametrize("case", ["design", "binding"])
+    def test_lagrangian_gradient_matches_central_differences(self, case, monkeypatch):
+        # the design-workload shape, and a short pulse whose hinge is active
+        # at 1.2 times the start point (the start sits on the tightened bound)
+        if case == "design":
+            problem = build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ, eps=0.1)
+        else:
+            problem = short_pulse_problem(1.9, 5.0)
+            start = project_dephasing_robust(problem).as_vector()
+            worst = np.abs(problem.basis @ start).max() * (1 + problem.eps) / problem.max_rate
+            assert 1.2 * worst > 1.1
+        calls = captured_lagrangians(problem, monkeypatch)
+        assert len(calls) >= 2
+        rng = np.random.default_rng(11)
+        # the first Lagrangian has no multiplier, the last the largest penalty
+        for fun, u0 in (calls[0], calls[-1]):
+            for _ in range(3):
+                u = 1.2 * u0 + rng.normal(0.0, 0.05, u0.size) * np.abs(u0).max()
+                _, grad = fun(u)
+                want = central_difference(fun, u, 1e-6 * np.abs(u).max())
+                assert np.linalg.norm(grad - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_segment_integral_derivative_matches_mpmath(self):
+        # d/du int_0^dt e^{ius} ds = i int_0^dt s e^{ius} ds by adaptive
+        # quadrature at 30 digits, over the x = u dt the design solves reach
+        import mpmath
+
+        from qnspect.optimize import _segment_integral_derivative
+
+        dt = 250e-9
+        xs = np.concatenate([[0.0, 1e-12, 1e-8, 1e-4, 1e-2], np.linspace(0.05, 8.0, 160),
+                             -np.array([1e-8, 0.3, 2.5, 7.9])])
+        got = _segment_integral_derivative(xs / dt, dt)
+        for x, value in zip(xs, got):
+            with mpmath.workdps(30):
+                u = mpmath.mpf(x) / dt
+                want = complex(1j * mpmath.quad(lambda s: s * mpmath.expj(u * s), [0, dt]))
+            assert abs(value - want) <= 2e-15 * abs(want)
+
+
 def test_default_grid_structure():
     grid = default_objective_grid(1000, 1e-8, 2 * np.pi * 1e3)
     assert grid[0] == 0.0

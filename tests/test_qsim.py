@@ -247,6 +247,20 @@ class TestBiasBreakdown:
         est = tomographic_estimator(triple)
         assert abs(est.value - parts.predicted) < 3 * est.stderr + 0.05 * parts.i_omega
 
+    def test_chunked_monte_carlo_has_the_bits_of_one_batch(self):
+        # bias_breakdown draws and reduces its dephasing rows in chunks; the
+        # mean square must equal one batched call over every row, bit for bit
+        from qnspect.qsim import _CHUNK_SAMPLES, _stream
+
+        wf = dephasing_robust(20e-6, 20, 2, 2000)
+        deph = SpectrumModel.one_over_f(3.18, 1e8, 0.01 * MHZ, 2 * MHZ)
+        assert _CHUNK_SAMPLES // wf.n < 500  # several chunks
+        parts = bias_breakdown(wf, FLAT_AMP, deph, n_realizations=500, seed=2)
+        batch = sample_many(deph, wf.n, wf.dt, seed=_stream(2, 1), indices=range(500))
+        assert parts.a12_sq == float(np.mean(magnus_second_order_a1(wf, batch) ** 2))
+        with pytest.raises(ParameterError):
+            bias_breakdown(wf, FLAT_AMP, deph, n_realizations=0)
+
     def test_gaussian_fourth_moment(self):
         # <a1^4> = 3 I_Omega^2 for zero-mean Gaussian amplitude noise
         wf = dephasing_robust(20e-6, 10, 2, 1000)
