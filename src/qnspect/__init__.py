@@ -10,6 +10,7 @@ from .filterfn import (
     FilterFunctionGrid,
     HigherOrderFFGrid,
     amplitude_ff,
+    amplitude_ff_integral,
     dephasing_ff,
     dephasing_ff_dc,
     dephasing_ff_periodic_oracle,

@@ -484,10 +484,21 @@ def _load_config(path):
 
 
 def _read_csv_dicts(path: Path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    except OSError as exc:
+        raise ParameterError(f"cannot read measurements file {path}: {exc}")
+    if not lines:
+        raise ParameterError(f"measurements file {path} has no lines")
     header = lines[0].split(",")
-    return [dict(zip(header, map(float, ln.split(",")))) for ln in lines[1:]]
+    try:
+        rows = [[float(cell) for cell in ln.split(",")] for ln in lines[1:]]
+    except ValueError as exc:
+        raise ParameterError(f"measurements file {path} has a non-numeric cell: {exc}")
+    if any(len(row) != len(header) for row in rows):
+        raise ParameterError(f"measurements file {path}: a row and the header differ in cell count")
+    return [dict(zip(header, row)) for row in rows]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -67,6 +67,7 @@ __all__ = [
     "FilterFunctionGrid",
     "HigherOrderFFGrid",
     "amplitude_ff",
+    "amplitude_ff_integral",
     "dephasing_ff",
     "dephasing_ff_dc",
     "dephasing_ff_periodic_oracle",
@@ -188,6 +189,33 @@ def amplitude_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionG
                  * _segment_integral(omegas, waveform.dt))
     values = 0.25 * np.abs(transform) ** 2
     return FilterFunctionGrid(omegas=omegas, values=values, total_time=waveform.total_time)
+
+
+def amplitude_ff_integral(samples, dt: float, edges) -> np.ndarray:
+    """int_0^e F_Omega dw, exactly, for each row of ``samples`` and each edge e.
+
+    With the autocorrelation r_k = sum_m Omega_m Omega_{m+k} (one zero-padded
+    rfft/irfft pair), the integral is (1/4) sum_{|k|<N} r_k c_k(e), where
+    c_k(e) = int_{-dt}^{dt} (dt - |s|) sin(e(k dt + s))/(k dt + s) ds.  Pairing s
+    with -s, c_k(e) = sin(tau e) A1 cos(s e) - cos(tau e) A2 sin(s e), tau = k dt:
+    a Gauss-Legendre sum over 0 < s_j < dt (8 nodes per pi of max|e| dt) with
+    tau^2 - s_j^2 > 0 in its weights.  Returns shape samples.shape[:-1] + (E,).
+    """
+    edges = np.atleast_1d(np.asarray(edges, dtype=float))
+    if not np.all(np.isfinite(edges)):
+        raise ParameterError("band edges must be finite")
+    n = np.shape(samples)[-1]
+    lags = np.fft.irfft(np.abs(np.fft.rfft(samples, 2 * n)) ** 2, 2 * n)[..., :n]
+    lags[..., 1:] *= 2.0  # r_{-k} = r_k and c_{-k} = c_k
+    order = 8 * max(1, int(np.ceil(np.max(np.abs(edges), initial=0.0) * dt / np.pi)))
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    s = 0.5 * dt * (nodes + 1.0)
+    tau = np.arange(n)[:, None] * dt
+    scale = dt * weights * (dt - s) / (tau ** 2 - s ** 2)
+    phase = tau * edges
+    kernel = np.sin(phase) * ((tau * scale) @ np.cos(np.outer(s, edges)))
+    kernel -= np.cos(phase, out=phase) * ((s * scale) @ np.sin(np.outer(s, edges)))
+    return 0.25 * lags @ kernel
 
 
 def _segment_exact_sums(waveform: PiecewiseConstantWaveform, omegas: np.ndarray,

@@ -24,9 +24,6 @@ from .errors import ParameterError, UndefinedRatioError
 
 __all__ = ["DpssSet", "dpss", "spectral_concentration", "toeplitz_kernel"]
 
-# quadrature resolution of spectral_concentration, in samples per 2*pi/T
-_POINTS_PER_LINEWIDTH = 16
-
 
 @dataclass(frozen=True)
 class DpssSet:
@@ -134,26 +131,30 @@ def spectral_concentration(waveform, band_center: float, band_halfwidth: float) 
         integral F_Omega d omega = (pi/2) * dt * sum |Omega_m|^2,
 
     which avoids truncating an infinite frequency integral.  The numerator
-    is a trapezoid sum at 16 points per 2*pi/T linewidth (at least 64).
+    is exact: one ``filterfn.amplitude_ff_integral`` call at the two band
+    edges on the positive half line.
 
     Parameters
     ----------
     waveform : PiecewiseConstantWaveform
     band_center, band_halfwidth : float
-        The band [center - halfwidth, center + halfwidth] in rad/s.
-        ``band_halfwidth = inf`` denotes the entire real line.
+        The band [center - halfwidth, center + halfwidth] in rad/s; the
+        center must be finite.  ``band_halfwidth = inf`` denotes the entire
+        real line.
 
     Returns
     -------
     float in [0, 1]
     """
-    from .filterfn import amplitude_ff  # deferred: filterfn imports waveform types
+    from .filterfn import amplitude_ff_integral  # deferred: filterfn imports waveform types
 
     power = float(np.sum(np.square(waveform.samples)))
     if power == 0.0:
         raise UndefinedRatioError("spectral concentration is undefined for a zero waveform")
-    if band_halfwidth <= 0.0:
-        raise ParameterError("band_halfwidth must be positive")
+    if not np.isfinite(band_center):
+        raise ParameterError(f"band_center must be finite, got {band_center}")
+    if not band_halfwidth > 0.0:
+        raise ParameterError(f"band_halfwidth must be positive, got {band_halfwidth}")
     denominator = 0.5 * np.pi * waveform.dt * power
     if np.isinf(band_halfwidth):
         return 1.0
@@ -161,18 +162,7 @@ def spectral_concentration(waveform, band_center: float, band_halfwidth: float) 
     lo = band_center - band_halfwidth
     hi = band_center + band_halfwidth
     # union with the mirror band; reduce to the positive half line (F even)
-    lo_p, hi_p = abs(lo), abs(hi)
-    if lo <= 0.0 <= hi:
-        intervals = [(0.0, max(lo_p, hi_p))]
-    else:
-        intervals = [(min(lo_p, hi_p), max(lo_p, hi_p))]
-
-    linewidth = 2.0 * np.pi / waveform.total_time
-    numerator = 0.0
-    for a, b in intervals:
-        npts = max(64, int(np.ceil((b - a) / linewidth * _POINTS_PER_LINEWIDTH)) + 1)
-        grid = np.linspace(a, b, npts)
-        ff = amplitude_ff(waveform, grid)
-        numerator += 2.0 * np.trapezoid(ff.values, grid)  # both signs of omega
-
-    return min(numerator / denominator, 1.0)
+    edges = [0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)), max(abs(lo), abs(hi))]
+    below, above = amplitude_ff_integral(waveform.samples, waveform.dt, edges)
+    numerator = 2.0 * (above - below)  # both signs of omega
+    return float(np.clip(numerator / denominator, 0.0, 1.0))

@@ -3,10 +3,10 @@
 Discretizing the overlap integral <Delta a1^2> = (1/pi) int F_Omega S dw
 into L bands of width delta_omega turns one tomographic measurement per
 modulation frequency into a row of the linear system F . S = P.  Band
-integrals use the actual filter functions: each probe's F_Omega is evaluated
-once, on one even grid from 0 to (L + 1/2)*delta_omega that resolves the
-2*pi/T linewidth and has every band edge as a node, and each band is a
-difference of one cumulative trapezoid sum.  The first band is widened to
+integrals use the actual filter functions, exactly: one
+``filterfn.amplitude_ff_integral`` call on the stacked probe samples gives
+int_0^e F_Omega dw at every upper band edge e, and each band is a
+difference of two of them.  The first band is widened to
 [0, 1.5*delta_omega] so it encloses the filter peak sitting at
 lambda = delta_omega, and the system is solved by non-negative least squares
 (``scipy.optimize.nnls``, the Lawson-Hanson active-set method).
@@ -18,15 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import NonConvergenceError, ParameterError
-from .filterfn import amplitude_ff
+from .filterfn import amplitude_ff_integral
 
 __all__ = ["OverlapMatrix", "ReconstructionResult", "overlap_matrix", "nnls", "reconstruct"]
-
-# band quadrature resolution, in trapezoid points per 2*pi/T linewidth
-_POINTS_PER_LINEWIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -52,17 +48,15 @@ def overlap_matrix(waveforms, num_bands: int, delta_omega: float) -> OverlapMatr
     """Assemble the band-integral matrix [F]_rl = (1/pi) int_band_l F_Omega_r dw.
 
     Bands: l = 1 integrates [0, 1.5*delta_omega]; l > 1 integrates
-    [(l - 1/2)*delta_omega, (l + 1/2)*delta_omega].  Each waveform's F_Omega
-    is evaluated once, on the even grid of ``(2L + 1)*per_half + 1`` nodes
-    from 0 to (L + 1/2)*delta_omega, with ``per_half`` trapezoid intervals
-    per half band; band l > 1 spans nodes [(2l - 1), (2l + 1)]*per_half and
-    band 1 spans [0, 3*per_half].  The resolution is fixed at 8 points per
-    2*pi/T linewidth, and every band gets at least 8 intervals.
+    [(l - 1/2)*delta_omega, (l + 1/2)*delta_omega].  The integrals from 0 to
+    every upper edge (l + 1/2)*delta_omega come from one exact
+    ``amplitude_ff_integral`` call on the stacked samples, and each band is
+    the difference of two consecutive ones.
 
     Parameters
     ----------
     waveforms : sequence of PiecewiseConstantWaveform
-        All sharing the same total time.
+        All on one grid: the same sample count n and step dt.
     num_bands : int
         L >= 1, the number of spectral estimation bands.
     delta_omega : float
@@ -72,28 +66,21 @@ def overlap_matrix(waveforms, num_bands: int, delta_omega: float) -> OverlapMatr
     waveforms = list(waveforms)
     if not waveforms:
         raise ParameterError("need at least one probe waveform")
-    total_time = waveforms[0].total_time
+    n, dt = waveforms[0].n, waveforms[0].dt
     for wf in waveforms:
-        if abs(wf.total_time - total_time) > 1e-12 * total_time:
-            raise ParameterError("all probe waveforms must share the total time")
+        if wf.n != n or abs(wf.dt - dt) > 1e-12 * dt:
+            raise ParameterError("all probe waveforms must share one grid (n and dt)")
     if num_bands < 1:
         raise ParameterError(f"need num_bands >= 1, got {num_bands}")
     if not 0.0 < delta_omega < np.inf:
         raise ParameterError(f"delta_omega must be positive and finite, got {delta_omega}")
-    if num_bands * delta_omega > np.pi / waveforms[0].dt * (1 + 1e-12):
+    if num_bands * delta_omega > np.pi / dt * (1 + 1e-12):
         raise ParameterError("num_bands * delta_omega exceeds the Nyquist frequency")
 
-    linewidth = 2.0 * np.pi / total_time
-    per_half = max(4, int(np.ceil(0.5 * delta_omega / linewidth * _POINTS_PER_LINEWIDTH)))
-    grid = np.linspace(0.0, (num_bands + 0.5) * delta_omega, (2 * num_bands + 1) * per_half + 1)
-    hi = (2 * np.arange(1, num_bands + 1) + 1) * per_half
-    lo = hi - 2 * per_half
-    lo[0] = 0
-
-    values = np.array([amplitude_ff(wf, grid).values for wf in waveforms])
-    cumulative = cumulative_trapezoid(values, grid, initial=0.0)
+    edges = (np.arange(1, num_bands + 1) + 0.5) * delta_omega
+    cumulative = amplitude_ff_integral(np.stack([wf.samples for wf in waveforms]), dt, edges)
     return OverlapMatrix(
-        matrix=(cumulative[:, hi] - cumulative[:, lo]) / np.pi,
+        matrix=np.diff(cumulative, axis=1, prepend=0.0) / np.pi,
         delta_omega=delta_omega,
         band_centers=np.arange(1, num_bands + 1) * delta_omega,
     )

@@ -238,6 +238,20 @@ class TestErrorPaths:
         assert run_cli("reconstruct", "--config", path, "--out", out) == 2
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("table", [None, "lambda_mhz,estimator\n0.05,abc\n", "",
+                                       "lambda_mhz,estimator\n0.05,1e-12,7\n"],
+                             ids=["missing", "non-numeric", "empty", "long-row"])
+    def test_bad_measurements_file_is_exit_2_without_artifacts(self, tmp_path, table):
+        path = self._reconstruct_config(tmp_path, [1e-12, 2e-12, 1e-12])
+        measurements = tmp_path / "survival.csv"
+        if table is None:
+            measurements.unlink()
+        else:
+            measurements.write_text(table)
+        out = tmp_path / "rec"
+        assert run_cli("reconstruct", "--config", path, "--out", out) == 2
+        assert not out.exists() or not any(out.iterdir())
+
     @staticmethod
     def _bad_number_configs(tmp_path):
         """Config files, by the names BAD_NUMBERS uses: a NaN modulation

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from qnspect import (
     PiecewiseConstantWaveform,
     amplitude_ff,
+    amplitude_ff_integral,
     dephasing_ff,
     dephasing_ff_dc,
     dephasing_ff_periodic_oracle,
@@ -13,7 +14,7 @@ from qnspect import (
     higher_order_ff,
     modulated_dpss_waveform,
 )
-from qnspect.errors import GridError
+from qnspect.errors import GridError, ParameterError
 from qnspect.filterfn import (
     FilterFunctionGrid,
     HigherOrderFFGrid,
@@ -84,6 +85,56 @@ class TestAmplitudeFF:
         lhs = 2 * half / (2 * np.pi)
         rhs = wf.dt / 4 * np.sum(wf.samples**2)
         assert abs(lhs / rhs - 1) < 1e-6
+
+
+def quad_ff_integral(wf, edge, pieces=64):
+    """int_0^edge F_Omega dw by adaptive quadrature over ``pieces`` subintervals."""
+    cuts = np.linspace(0.0, edge, pieces + 1)
+    return sum(quad(lambda w: amplitude_ff(wf, w).values[0], a, b, epsabs=0.0,
+                    epsrel=1e-13, limit=200)[0] for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+class TestAmplitudeFFIntegral:
+    N, DT = 64, 50e-9
+
+    @pytest.fixture(scope="class")
+    def probes(self):
+        rng = np.random.default_rng(11)
+        n, dt = self.N, self.DT
+        return [PiecewiseConstantWaveform(rng.normal(0.0, 1e6, n), dt),
+                modulated_dpss_waveform(n, 2.0 / n, 2 * np.pi * 5e6,
+                                        2 * np.pi * 4 / (n * dt), dt)]
+
+    @pytest.mark.parametrize("probe", [0, 1], ids=["random", "dpss"])
+    def test_matches_adaptive_quadrature(self, probes, probe):
+        wf = probes[probe]
+        nyquist = np.pi / self.DT
+        edges = np.array([1e-4, 0.01, 0.1, 0.37, 0.5, 0.83, 1.0]) * nyquist
+        got = amplitude_ff_integral(wf.samples, wf.dt, edges)
+        ref = np.array([quad_ff_integral(wf, e) for e in edges])
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_edges_beyond_nyquist(self, probes):
+        wf = probes[0]
+        edges = np.array([1.5, 2.2, 3.0]) * np.pi / self.DT
+        got = amplitude_ff_integral(wf.samples, wf.dt, edges)
+        ref = np.array([quad_ff_integral(wf, e, pieces=192) for e in edges])
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_rows_and_zero_edge(self, probes):
+        stack = np.stack([wf.samples for wf in probes])
+        edges = np.array([0.0, 2e6, 2e7])
+        both = amplitude_ff_integral(stack, self.DT, edges)
+        assert both.shape == (2, 3)
+        assert np.all(both[:, 0] == 0.0)
+        for row, wf in zip(both, probes):
+            single = amplitude_ff_integral(wf.samples, wf.dt, edges)
+            assert np.abs(row - single).max() <= 1e-14 * np.abs(single).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_edge_rejected(self, probes, bad):
+        with pytest.raises(ParameterError):
+            amplitude_ff_integral(probes[0].samples, self.DT, [1e6, bad])
 
 
 class TestDephasingFF:

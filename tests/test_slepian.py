@@ -106,3 +106,30 @@ class TestSpectralConcentration:
         slep = modulated_dpss_waveform(n, 1.0 / n, 2 * np.pi * 5e6, lam, dt)
         assert abs(spectral_concentration(dr, lam, halfw) - 0.904) < 0.005
         assert abs(spectral_concentration(slep, lam, halfw) - 0.981) < 0.005
+
+    def test_paper_scale_ratios_match_adaptive_quadrature(self):
+        # the criterion-9 probes, numerator by scipy quad of F_Omega over the
+        # band (and its mirror), denominator by Parseval
+        from scipy.integrate import quad
+
+        from qnspect import amplitude_ff
+
+        n, dt = 10000, 10e-9
+        t = n * dt
+        lam = 2 * np.pi * 0.1e6
+        halfw = 2 * np.pi / t
+        for wf in (dephasing_robust(t, 10, 1, n),
+                   modulated_dpss_waveform(n, 1.0 / n, 2 * np.pi * 5e6, lam, dt)):
+            band = quad(lambda w: amplitude_ff(wf, w).values[0], lam - halfw, lam + halfw,
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            ref = 2 * band / (0.5 * np.pi * dt * np.sum(wf.samples**2))
+            assert abs(spectral_concentration(wf, lam, halfw) - ref) < 1e-10
+
+    @pytest.mark.parametrize("center, halfwidth", [
+        (np.nan, 1e5), (np.inf, 1e5), (-np.inf, 1e5), (np.inf, np.inf),
+        (1e6, np.nan), (1e6, 0.0), (1e6, -1e5),
+    ])
+    def test_bad_band_rejected(self, center, halfwidth):
+        wf = dephasing_robust(20e-6, 4, 1, 2000)
+        with pytest.raises(ParameterError):
+            spectral_concentration(wf, center, halfwidth)

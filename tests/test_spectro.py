@@ -3,7 +3,16 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from qnspect import amplitude_ff, dephasing_robust, nnls, overlap_matrix, reconstruct, spectro
+from qnspect import (
+    PiecewiseConstantWaveform,
+    amplitude_ff,
+    amplitude_ff_integral,
+    dephasing_robust,
+    nnls,
+    overlap_matrix,
+    reconstruct,
+    spectro,
+)
 from qnspect.errors import NonConvergenceError, ParameterError
 from qnspect.spectro import OverlapMatrix
 
@@ -69,8 +78,8 @@ class TestOverlapMatrix:
             with pytest.raises(ParameterError):
                 overlap_matrix([wf], 4, delta)
 
-    @pytest.mark.parametrize("linewidths, tol", [(1.0, 1e-2), (1.3, 1e-2), (4.0, 1e-5)])
-    def test_bands_match_adaptive_quadrature(self, linewidths, tol):
+    @pytest.mark.parametrize("linewidths", [1.0, 1.3, 4.0])
+    def test_bands_match_adaptive_quadrature(self, linewidths):
         # each entry against scipy.integrate.quad of F_Omega over its band,
         # relative to the largest entry
         n, dt = 400, 50e-9
@@ -85,20 +94,33 @@ class TestOverlapMatrix:
                                               lo, hi, limit=200, epsabs=0.0,
                                               epsrel=1e-10)[0] / np.pi
                          for lo, hi in edges] for wf in waveforms])
-        assert np.abs(mat - ref).max() <= tol * np.abs(mat).max()
+        assert np.abs(mat - ref).max() <= 1e-12 * np.abs(mat).max()
 
-    def test_one_transform_per_waveform(self, monkeypatch):
+    def test_one_kernel_call_on_stacked_samples(self, monkeypatch):
         calls = []
 
-        def counting(wf, omegas):
-            calls.append(wf)
-            return amplitude_ff(wf, omegas)
+        def counting(samples, dt, edges):
+            calls.append((samples, dt))
+            return amplitude_ff_integral(samples, dt, edges)
 
-        monkeypatch.setattr(spectro, "amplitude_ff", counting)
+        monkeypatch.setattr(spectro, "amplitude_ff_integral", counting)
         n, dt = 500, 10e-9
         waveforms = [dephasing_robust(n * dt, r, 1, n) for r in (1, 2, 3)]
         overlap_matrix(waveforms, 6, 2 * np.pi / (n * dt))
-        assert calls == waveforms
+        assert len(calls) == 1
+        samples, step = calls[0]
+        assert np.array_equal(samples, np.stack([wf.samples for wf in waveforms]))
+        assert step == waveforms[0].dt
+
+    def test_probes_on_different_grids_rejected(self):
+        # same total time, but a different sample count; then a different step
+        t = 5e-6
+        linewidth = 2 * np.pi / t
+        base = dephasing_robust(t, 1, 1, 500)
+        for other in (dephasing_robust(t, 2, 1, 400),
+                      PiecewiseConstantWaveform(base.samples, base.dt * 1.01)):
+            with pytest.raises(ParameterError):
+                overlap_matrix([base, other], 4, linewidth)
 
 
 class TestNnls:
