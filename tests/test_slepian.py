@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from qnspect import dpss, dephasing_robust, modulated_dpss_waveform, spectral_concentration
+from qnspect import (
+    amplitude_ff,
+    dephasing_robust,
+    dpss,
+    modulated_dpss_waveform,
+    spectral_concentration,
+)
 from qnspect.errors import ParameterError, UndefinedRatioError
 from qnspect.slepian import toeplitz_kernel
 from qnspect.waveform import PiecewiseConstantWaveform
@@ -110,10 +117,6 @@ class TestSpectralConcentration:
     def test_paper_scale_ratios_match_adaptive_quadrature(self):
         # the criterion-9 probes, numerator by scipy quad of F_Omega over the
         # band (and its mirror), denominator by Parseval
-        from scipy.integrate import quad
-
-        from qnspect import amplitude_ff
-
         n, dt = 10000, 10e-9
         t = n * dt
         lam = 2 * np.pi * 0.1e6
