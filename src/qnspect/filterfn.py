@@ -82,6 +82,9 @@ __all__ = [
 _GRID_PHASE_TOL = 1e-10
 # truncation of the segment-factor series: u_max^K/(K+1)! below this
 _TAYLOR_TOL = 1e-17
+# amplitude_ff_integral works in blocks of about this many float64 cells
+# (2 MiB per temporary): rows of its autocorrelation, lags of its kernel
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -161,22 +164,6 @@ def _fourier_plan(n: int, dt: float, omegas: np.ndarray):
     return direct
 
 
-def _fourier_transpose_plan(n: int, dt: float, omegas: np.ndarray):
-    """a -> sum_k a[..., k] e^{i omegas[k] m dt} for m < n: _fourier_plan transposed.
-
-    Back-propagates the Fourier sums of a gradient.  On the evenly spaced
-    grid omegas[k] = omegas[0] + k step it is a chirp-z transform over k at
-    the n points m, times e^{i omegas[0] m dt}; other grids are refused.
-    """
-    if not _is_even_grid(omegas, n * dt):
-        raise GridError("the transposed Fourier sum needs an evenly spaced grid")
-    step = (omegas[-1] - omegas[0]) / (omegas.size - 1)
-    zoom = ZoomFFT(omegas.size, [0.0, -n * step * dt / (2.0 * np.pi)], n,
-                   fs=1.0, endpoint=False)
-    phase = np.exp(1j * omegas[0] * np.arange(n) * dt)
-    return lambda a: zoom(a) * phase
-
-
 def _fourier_sums(x: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
     """S[..., k] = sum_m x[..., m] e^{i omegas[k] m dt}, over the last axis of x."""
     return _fourier_plan(x.shape[-1], dt, omegas)(x)
@@ -199,23 +186,42 @@ def amplitude_ff_integral(samples, dt: float, edges) -> np.ndarray:
     c_k(e) = int_{-dt}^{dt} (dt - |s|) sin(e(k dt + s))/(k dt + s) ds.  Pairing s
     with -s, c_k(e) = sin(tau e) A1 cos(s e) - cos(tau e) A2 sin(s e), tau = k dt:
     a Gauss-Legendre sum over 0 < s_j < dt (8 nodes per pi of max|e| dt) with
-    tau^2 - s_j^2 > 0 in its weights.  Returns shape samples.shape[:-1] + (E,).
+    tau^2 - s_j^2 > 0 in its weights.  Rows are autocorrelated, and the kernel
+    built and applied over lags, in blocks of about _BLOCK_CELLS cells, which
+    bounds the temporaries of a large stack.  Returns shape
+    samples.shape[:-1] + (E,).
     """
+    samples = np.asarray(samples, dtype=float)
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ParameterError(f"dt must be positive and finite, got {dt}")
+    if samples.ndim == 0 or samples.shape[-1] == 0 or not np.all(np.isfinite(samples)):
+        raise ParameterError("samples must be finite, at least one along the last axis")
     edges = np.atleast_1d(np.asarray(edges, dtype=float))
     if not np.all(np.isfinite(edges)):
         raise ParameterError("band edges must be finite")
-    n = np.shape(samples)[-1]
-    lags = np.fft.irfft(np.abs(np.fft.rfft(samples, 2 * n)) ** 2, 2 * n)[..., :n]
+    n = samples.shape[-1]
+    rows = samples.reshape(-1, n)
+    lags = np.empty(rows.shape)
+    step = max(1, _BLOCK_CELLS // (2 * n))
+    for start in range(0, len(rows), step):
+        spectra = np.fft.rfft(rows[start:start + step], 2 * n)
+        lags[start:start + step] = np.fft.irfft(np.abs(spectra) ** 2, 2 * n)[:, :n]
+    lags = lags.reshape(samples.shape)
     lags[..., 1:] *= 2.0  # r_{-k} = r_k and c_{-k} = c_k
     order = 8 * max(1, int(np.ceil(np.max(np.abs(edges), initial=0.0) * dt / np.pi)))
     nodes, weights = np.polynomial.legendre.leggauss(order)
     s = 0.5 * dt * (nodes + 1.0)
-    tau = np.arange(n)[:, None] * dt
-    scale = dt * weights * (dt - s) / (tau ** 2 - s ** 2)
-    phase = tau * edges
-    kernel = np.sin(phase) * ((tau * scale) @ np.cos(np.outer(s, edges)))
-    kernel -= np.cos(phase, out=phase) * ((s * scale) @ np.sin(np.outer(s, edges)))
-    return 0.25 * lags @ kernel
+    cos_se, sin_se = np.cos(np.outer(s, edges)), np.sin(np.outer(s, edges))
+    out = np.zeros(samples.shape[:-1] + edges.shape)
+    step = max(1, _BLOCK_CELLS // edges.size)
+    for start in range(0, n, step):
+        tau = np.arange(start, min(start + step, n))[:, None] * dt
+        scale = dt * weights * (dt - s) / (tau ** 2 - s ** 2)
+        phase = tau * edges
+        kernel = np.sin(phase) * ((tau * scale) @ cos_se)
+        kernel -= np.cos(phase, out=phase) * ((s * scale) @ sin_se)
+        out += lags[..., start:start + step] @ kernel
+    return 0.25 * out
 
 
 def _segment_exact_sums(waveform: PiecewiseConstantWaveform, omegas: np.ndarray,

@@ -21,20 +21,20 @@ nonlinear DC null F_Z(0, x) = 0.  Structure of the solver:
   still breaks |Omega_m| <= max_rate is reported as non-convergence;
 * the inner minimizer is quasi-Newton (L-BFGS) on the exact gradient:
   samples and Theta are linear in the coefficients, the objective's
-  gradient in Theta is one transposed chirp-z transform per grid piece, and
-  the DC-null, hinge and proximal terms differentiate in closed form.
+  gradient in Theta is one FFT convolution, and the DC-null, hinge and
+  proximal terms differentiate in closed form.
 
-Objective quadrature runs in the plain Riemann convention for F_Z, which is
+F_Z in the objective is the plain left-endpoint Riemann sum, which is
 indistinguishable from the segment-exact transform everywhere the integrand
-carries weight.  The default grid is the union of three evenly spaced
-pieces: 2*pi/(8T) spacing up to Nyquist, a fine patch near DC (spacing well
-below delta_omega) and a patch over the first filter lobes; the refinement
-is required for the quadrature to track adaptive integration of the smooth
-closed forms to 0.1%.  Each piece is one chirp-z transform of the
-filterfn kernel, planned once per problem (``DesignProblem.objective``) and
-shared by solve_design and objective_Iz.  The solve always starts from the
-projection of the first-root dephasing-robust sinusoid; one modulation
-frequency is one problem, so a sweep is a loop of solve_design calls.
+carries weight.  In that convention F_Z(w) = dt^2 sum_{|k|<N} c_k cos(w k dt)
+with c_k = sum_m cos(Theta_{m+k} - Theta_m), so I_Z = dt^2 sum_k c_k K_|k|
+exactly, where K_k = (1/pi) int_0^{pi/dt} cos(w k dt)/(w + delta_omega) dw
+has a closed form in the sine and cosine integrals.  The kernel is built once
+per problem (``DesignProblem.objective``) and shared by solve_design and
+objective_Iz; each evaluation is one zero-padded FFT convolution.  The solve
+always starts from the projection of the first-root dephasing-robust
+sinusoid; one modulation frequency is one problem, so a sweep is a loop of
+solve_design calls.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import spherical_jn
+from scipy.special import sici, spherical_jn
 
 from .errors import NonConvergenceError, ParameterError
-from .filterfn import _fourier_plan, _fourier_transpose_plan, _segment_integral
+from .filterfn import _segment_integral
 from .lp_reduce import AffineConstraintSet
 from .slepian import DpssSet, dpss
 from .waveform import (
@@ -63,7 +63,6 @@ __all__ = [
     "build_design_problem",
     "amplitude_constraints",
     "identity_vector",
-    "default_objective_grid",
     "objective_Iz",
     "project_dephasing_robust",
     "solve_design",
@@ -97,10 +96,6 @@ class DesignProblem:
         return self.n * self.dt
 
     @cached_property
-    def objective_grid(self) -> np.ndarray:
-        return default_objective_grid(self.n, self.dt, self.delta_omega)
-
-    @cached_property
     def basis(self) -> np.ndarray:
         return modulation_basis(self.dpss_set, self.omega0, self.dt, self.num_orders)
 
@@ -108,47 +103,32 @@ class DesignProblem:
     def objective(self):
         """I_Z as a function of the rotation-angle trajectory Theta.
 
-        F_Z is evaluated in the left-endpoint Riemann convention,
-        dt^2 (|S[cos Theta]|^2 + |S[sin Theta]|^2), by one chirp-z plan per
-        evenly spaced piece of the grid, scattered into union order.  (The
-        Riemann and segment-exact conventions differ only by O((w dt)^2),
-        invisible under the 1/(w + dw) weight.)  The plans are built on first
+        With g_k = K_|k| (module docstring), I_Z = dt^2 sum_{j,m} g_{j-m}
+        cos(Theta_j - Theta_m).  Splitting off g_0 = K_0 leaves the
+        convolutions of h = g with h_0 = 0 against cos Theta and sin Theta,
+        one zero-padded rfft/irfft pair:
+
+            I_Z = dt^2 (N K_0 + sum_j [cos Th_j (h*cos Th)_j + sin Th_j (h*sin Th)_j]).
+
+        The kernel (:func:`_lag_kernel`) and its spectrum are built on first
         use and shared by every later evaluation on this problem.
 
-        With ``gradient=True`` the call returns (I_Z, dI_Z/dTheta): each
-        piece's sums, weighted by the trapezoid sensitivity dI_Z/dF_Z of the
-        points it supplies, go back through the transposed plan.
+        With ``gradient=True`` the call returns (I_Z, dI_Z/dTheta), read from
+        the same convolutions: 2 dt^2 (cos Th_j (h*sin Th)_j - sin Th_j (h*cos Th)_j).
         """
         n, dt = self.n, self.dt
-        grid = self.objective_grid
-        pieces = _objective_pieces(n, dt, self.delta_omega)
-        indices = [np.searchsorted(grid, piece) for piece in pieces]
-        weight = 1.0 / (grid + self.delta_omega)
-        gaps = np.diff(grid, prepend=grid[0], append=grid[-1])
-        sensitivity = 0.5 * (gaps[:-1] + gaps[1:]) * weight / np.pi
-        # a point shared by several pieces takes its value, and so its
-        # sensitivity, from the last piece that writes it
-        owner = np.empty(grid.size, dtype=int)
-        for k, index in enumerate(indices):
-            owner[index] = k
-        plans = [(index, _fourier_plan(n, dt, piece), _fourier_transpose_plan(n, dt, piece),
-                  np.where(owner[index] == k, sensitivity[index], 0.0))
-                 for k, (index, piece) in enumerate(zip(indices, pieces))]
+        kernel = _lag_kernel(n, dt, self.delta_omega)
+        # h circularly on 2n points: h_0 = 0 and h_{-k} = h_k at 2n - k
+        spectrum = np.fft.rfft(np.concatenate(([0.0], kernel[1:], [0.0], kernel[:0:-1]))).real
+        diagonal = n * kernel[0]
 
         def evaluate(theta: np.ndarray, gradient: bool = False):
             trig = np.stack([np.cos(theta), np.sin(theta)])
-            fz = np.empty(grid.size)
-            back = np.zeros(trig.shape)
-            for index, plan, transpose, piece_sensitivity in plans:
-                sums = plan(trig)
-                fz[index] = dt * dt * np.sum(np.abs(sums) ** 2, axis=0)
-                if gradient:
-                    back += transpose(piece_sensitivity * np.conj(sums)).real
-            value = float(np.trapezoid(fz * weight, grid) / np.pi)
+            conv = np.fft.irfft(np.fft.rfft(trig, 2 * n) * spectrum, 2 * n)[:, :n]
+            value = dt * dt * (diagonal + float(np.sum(trig * conv)))
             if not gradient:
                 return value
-            # d(cos Theta)/dTheta = -sin Theta, d(sin Theta)/dTheta = cos Theta
-            return value, 2.0 * dt * dt * (trig[0] * back[1] - trig[1] * back[0])
+            return value, 2.0 * dt * dt * (trig[0] * conv[1] - trig[1] * conv[0])
 
         return evaluate
 
@@ -171,33 +151,25 @@ def identity_vector(dpss_set: DpssSet, omega0: float, dt: float,
     return modulation_basis(dpss_set, omega0, dt, num_orders).sum(axis=0)
 
 
-def _objective_pieces(n: int, dt: float, delta_omega: float) -> tuple[np.ndarray, ...]:
-    """The three evenly spaced grids whose union is the objective grid."""
-    total_time = n * dt
-    base = 2.0 * np.pi / (8.0 * total_time)
-    uniform = np.arange(0, 4 * n + 1) * base  # reaches pi/dt exactly
-    head = np.linspace(0.0, 8.0 * delta_omega, 129)
-    turnover = np.linspace(0.0, 16.0 * np.pi / total_time, 321)
-    return uniform, head, turnover
+def _lag_kernel(n: int, dt: float, delta_omega: float) -> np.ndarray:
+    """K_k = (1/pi) int_0^{pi/dt} cos(w k dt)/(w + delta_omega) dw for 0 <= k < n.
 
-
-def default_objective_grid(n: int, dt: float, delta_omega: float) -> np.ndarray:
-    """Uniform 2*pi/(8T) spacing up to Nyquist plus a fine patch near DC.
-
-    The patch (spacing ~ delta_omega/32 below 8*delta_omega) resolves the
-    1/(w + delta_omega) weight, which the uniform spacing cannot once
-    delta_omega < 2*pi/(8T); eight points per 2*pi/T linewidth keep the
-    trapezoid rule on the oscillatory filter below the 0.1% level.
+    K_0 = ln(1 + pi/(dt delta_omega))/pi.  For k >= 1, with a = k dt (pi/dt +
+    delta_omega) and b = k dt delta_omega, substituting x = k dt (w + delta_omega)
+    gives K_k = [cos b (Ci(a) - Ci(b)) + sin b (Si(a) - Si(b))]/pi.
     """
-    uniform, head, turnover = _objective_pieces(n, dt, delta_omega)
-    return np.union1d(np.union1d(uniform, head), turnover)
+    lag = np.arange(1, n) * dt
+    si, ci = sici(lag * np.array([[np.pi / dt + delta_omega], [delta_omega]]))
+    shift = lag * delta_omega
+    tail = np.cos(shift) * (ci[0] - ci[1]) + np.sin(shift) * (si[0] - si[1])
+    return np.concatenate(([np.log1p(np.pi / (dt * delta_omega))], tail)) / np.pi
 
 
 def build_design_problem(omega0: float, n: int, dt: float, max_rate: float,
                          time_bandwidth: float = 1.0, num_orders: int = 3,
                          eps: float = 0.1, seed: int = 0,
                          delta_omega: float = 2.0 * np.pi * 1e3) -> DesignProblem:
-    """Assemble the DPSS basis (no LP); the grid follows from (n, dt).
+    """Assemble the DPSS basis (no LP); the objective kernel follows from (n, dt).
 
     ``seed`` is unused (nothing here is random); it stays while existing
     callers pass it.
@@ -225,7 +197,7 @@ def _theta_of(x: np.ndarray, problem: DesignProblem) -> np.ndarray:
 
 
 def objective_Iz(coeffs: WaveformCoefficients, problem: DesignProblem) -> float:
-    """(1/pi) int F_Z(w)/(w + delta_omega) dw on the problem's grid."""
+    """(1/pi) int_0^{pi/dt} F_Z(w)/(w + delta_omega) dw, exactly, for the Riemann F_Z."""
     if coeffs.num_orders != problem.num_orders:
         raise ParameterError("coefficient order count does not match the problem")
     return problem.objective(_theta_of(coeffs.as_vector(), problem))

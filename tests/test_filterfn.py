@@ -136,6 +136,29 @@ class TestAmplitudeFFIntegral:
         with pytest.raises(ParameterError):
             amplitude_ff_integral(probes[0].samples, self.DT, [1e6, bad])
 
+    @pytest.mark.parametrize("case", ["dt=0", "dt<0", "dt=inf", "nan sample", "no samples"])
+    def test_bad_samples_or_step_rejected(self, probes, case):
+        samples, dt = probes[0].samples.copy(), self.DT
+        if case == "nan sample":
+            samples[3] = np.nan
+        elif case == "no samples":
+            samples = samples[:0]
+        else:
+            dt = {"dt=0": 0.0, "dt<0": -1e-8, "dt=inf": np.inf}[case]
+        with pytest.raises(ParameterError):
+            amplitude_ff_integral(samples, dt, [1e6, 2e7])
+
+    def test_kernel_blocks_match_one_block(self, probes, monkeypatch):
+        from qnspect import filterfn
+
+        stack = np.stack([wf.samples for wf in probes])
+        edges = np.linspace(0.0, 1.3, 7) * np.pi / self.DT
+        whole = amplitude_ff_integral(stack, self.DT, edges)
+        # one row per autocorrelation block, 13 kernel blocks of 5 lags
+        monkeypatch.setattr(filterfn, "_BLOCK_CELLS", 5 * edges.size)
+        blocked = amplitude_ff_integral(stack, self.DT, edges)
+        assert np.abs(blocked - whole).max() <= 1e-14 * np.abs(whole).max()
+
 
 class TestDephasingFF:
     def test_free_evolution_sinc(self):
@@ -349,25 +372,6 @@ class TestKernelPaths:
         plan = _fourier_plan(300, 1e-8, omegas)
         assert np.array_equal(plan(x), _fourier_sums(x, 1e-8, omegas))
         assert np.array_equal(plan(x[1]), _fourier_sums(x[1], 1e-8, omegas))
-
-    @pytest.mark.parametrize("grid_name", ["ascending", "negative", "u_max >= 1"])
-    def test_transpose_plan_matches_dense_sum(self, grid_name):
-        from qnspect.filterfn import _fourier_transpose_plan
-
-        rng = np.random.default_rng(19)
-        n, dt = 300, 1e-8
-        omegas = FIRST_ORDER_GRIDS[grid_name](dt)
-        a = rng.normal(size=(2, omegas.size)) + 1j * rng.normal(size=(2, omegas.size))
-        want = a @ np.exp(1j * np.outer(omegas, np.arange(n) * dt))
-        got = _fourier_transpose_plan(n, dt, omegas)(a)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-    @pytest.mark.parametrize("grid_name", ["single point", "non-uniform"])
-    def test_transpose_plan_refuses_uneven_grids(self, grid_name):
-        from qnspect.filterfn import _fourier_transpose_plan
-
-        with pytest.raises(GridError):
-            _fourier_transpose_plan(300, 1e-8, FIRST_ORDER_GRIDS[grid_name](1e-8))
 
     def test_gz_matches_direct_sum_on_near_dft_grid(self):
         rng = np.random.default_rng(5)

@@ -7,7 +7,6 @@ from qnspect.errors import ParameterError
 from qnspect.optimize import (
     amplitude_constraints,
     build_design_problem,
-    default_objective_grid,
     design_waveform,
     identity_vector,
     objective_Iz,
@@ -79,47 +78,65 @@ class TestObjective:
             objective_Iz(bad, small_problem)
 
 
-def dense_riemann_objective(problem, theta):
-    """(1/pi) trapz F_Z/(w + delta_omega) on the default grid, with the
-    left-endpoint F_Z = dt^2 (|S[cos Theta]|^2 + |S[sin Theta]|^2) written as
-    a dense (M, N) phase matrix."""
-    grid = default_objective_grid(problem.n, problem.dt, problem.delta_omega)
-    t = np.arange(problem.n) * problem.dt
-    phase = np.exp(1j * np.outer(grid, t))
-    fz = problem.dt**2 * (np.abs(phase @ np.cos(theta)) ** 2 + np.abs(phase @ np.sin(theta)) ** 2)
-    return np.trapezoid(fz / (grid + problem.delta_omega), grid) / np.pi
+def riemann_objective_quadrature(problem, theta):
+    """(1/pi) int_0^{pi/dt} F_Z/(w + delta_omega) dw by adaptive quadrature,
+    one filter oscillation 2*pi/T at a time, of the left-endpoint
+    F_Z = dt^2 (|S[cos Theta]|^2 + |S[sin Theta]|^2) summed densely."""
+    dt, t = problem.dt, np.arange(problem.n) * problem.dt
+    trig = np.stack([np.cos(theta), np.sin(theta)])
+
+    def integrand(w):
+        fz = dt * dt * np.sum(np.abs(trig @ np.exp(1j * w * t)) ** 2)
+        return fz / (w + problem.delta_omega) / np.pi
+
+    nyquist = np.pi / dt
+    edges = np.append(np.arange(0.0, nyquist, 2 * np.pi / problem.total_time), nyquist)
+    return sum(quad(integrand, a, b, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
 
 
-@pytest.mark.parametrize("n", [400, 401])
-def test_objective_matches_dense_riemann_sum(n):
+@pytest.mark.parametrize("n", [16, 33, 64])
+def test_objective_matches_adaptive_quadrature(n):
     from qnspect.optimize import _theta_of
 
-    problem = build_design_problem(0.1 * MHZ, n, 100e-6 / n, 5 * MHZ, eps=0.1, seed=0)
+    problem = build_design_problem(2 * np.pi * 4 / 100e-6, n, 100e-6 / n, 5 * MHZ)
     evaluate = problem.objective
     rng = np.random.default_rng(n)
     for _ in range(3):
         theta = _theta_of(rng.normal(0, 0.5 * MHZ, 6), problem)
-        want = dense_riemann_objective(problem, theta)
+        want = riemann_objective_quadrature(problem, theta)
         assert abs(evaluate(theta) / want - 1) < 1e-12
 
 
-@pytest.mark.parametrize("n, dt", [(400, 250e-9), (2000, 50e-9), (20_000, 5e-9)])
-def test_objective_pieces_are_even_grids(n, dt):
-    from qnspect.filterfn import _is_even_grid
-    from qnspect.optimize import _objective_pieces
+def test_lag_kernel_matches_quadrature():
+    # K_k = (1/pi) int_0^{pi/dt} cos(w k dt)/(w + delta_omega) dw, against
+    # QUADPACK's cosine-weighted rule at the criterion-5 shape
+    from qnspect.optimize import _lag_kernel
 
-    pieces = _objective_pieces(n, dt, 2 * np.pi * 1e3)
-    assert len(pieces) == 3
-    for piece in pieces:
-        assert _is_even_grid(piece, n * dt)
-    grid = default_objective_grid(n, dt, 2 * np.pi * 1e3)
-    assert np.array_equal(np.union1d(np.union1d(*pieces[:2]), pieces[2]), grid)
+    n, dt, delta_omega = 20_000, 5e-9, 2 * np.pi * 1e3
+    kernel = _lag_kernel(n, dt, delta_omega)
+    assert kernel.shape == (n,)
+    for k in (0, 1, n // 2, n - 1):
+        weight = {"weight": "cos", "wvar": k * dt} if k else {}
+        want = quad(lambda w: 1 / (w + delta_omega), 0, np.pi / dt, limit=500,
+                    **weight)[0] / np.pi
+        assert abs(kernel[k] / want - 1) < 1e-12
+
+
+def test_objective_gradient_matches_central_differences():
+    from qnspect.optimize import _theta_of
+
+    problem = build_design_problem(0.2 * MHZ, 64, 100e-6 / 64, 5 * MHZ)
+    theta = _theta_of(np.random.default_rng(3).normal(0, 0.5 * MHZ, 6), problem)
+    _, grad = problem.objective(theta, gradient=True)
+    step = 1e-5
+    want = np.array([(problem.objective(theta + step * unit)
+                      - problem.objective(theta - step * unit)) / (2 * step)
+                     for unit in np.eye(problem.n)])
+    assert np.linalg.norm(grad - want) <= 1e-7 * np.linalg.norm(want)
 
 
 class TestProblemAssembly:
-    def test_grid_reaches_nyquist(self, small_problem):
-        assert small_problem.objective_grid[-1] >= np.pi / small_problem.dt * (1 - 1e-12)
-
     def test_constraint_family_shape(self):
         from qnspect import dpss
 
@@ -176,23 +193,22 @@ class TestSolve:
             assert np.abs(wf.samples).max() <= 5 * MHZ * (1 + 1e-9)
             assert dephasing_ff_dc(wf) < 1e-9 * t * t
 
-    def test_objective_plans_built_once_per_problem(self, monkeypatch):
-        # solve_design and objective_Iz share one grid and one set of
-        # chirp-z plans (three pieces) per problem
+    def test_objective_kernel_built_once_per_problem(self, monkeypatch):
+        # solve_design and objective_Iz share one lag kernel per problem
         from qnspect import optimize
 
-        plan = optimize._fourier_plan
-        built = []
+        sici = optimize.sici
+        calls = []
 
-        def counting_plan(*args):
-            built.append(args)
-            return plan(*args)
+        def counting_sici(x):
+            calls.append(x.shape)
+            return sici(x)
 
-        monkeypatch.setattr(optimize, "_fourier_plan", counting_plan)
+        monkeypatch.setattr(optimize, "sici", counting_sici)
         problem = build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ, eps=0.1)
         solution = solve_design(problem)
         values = [objective_Iz(solution, problem) for _ in range(2)]
-        assert len(built) == 3
+        assert len(calls) == 1
         assert values[0] == values[1]
 
     def test_nonconvergence_carries_best_iterate(self, small_problem):
@@ -317,9 +333,3 @@ class TestGradient:
                 want = complex(1j * mpmath.quad(lambda s: s * mpmath.expj(u * s), [0, dt]))
             assert abs(value - want) <= 2e-15 * abs(want)
 
-
-def test_default_grid_structure():
-    grid = default_objective_grid(1000, 1e-8, 2 * np.pi * 1e3)
-    assert grid[0] == 0.0
-    assert np.all(np.diff(grid) > 0)
-    assert abs(grid[-1] - np.pi / 1e-8) < 1e-3
