@@ -99,7 +99,7 @@ def riemann_objective_quadrature(problem, theta):
 def test_objective_matches_adaptive_quadrature(n):
     from qnspect.optimize import _theta_of
 
-    problem = build_design_problem(2 * np.pi * 4 / 100e-6, n, 100e-6 / n, 5 * MHZ)
+    problem = build_design_problem(0.1 * MHZ, n, 100e-6 / n, 5 * MHZ)
     evaluate = problem.objective
     rng = np.random.default_rng(n)
     for _ in range(3):
@@ -332,4 +332,3 @@ class TestGradient:
                 u = mpmath.mpf(x) / dt
                 want = complex(1j * mpmath.quad(lambda s: s * mpmath.expj(u * s), [0, dt]))
             assert abs(value - want) <= 2e-15 * abs(want)
-
