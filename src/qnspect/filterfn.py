@@ -27,17 +27,17 @@ F_Omega is S of the samples times the segment factor
 phi(w) = int_0^dt e^{iws} ds = (e^{iw dt} - 1)/(iw).
 
 F_Z needs I_pm(w) = sum_m e^{iwt_m} e^{+-i Th_m} phi(w +- Omega_m), whose
-segment factor couples frequency and sample.  With
-u_max = (max|w| + max|Omega|) dt < 1 on an evenly spaced grid, phi is
-expanded as dt sum_{k<=K} (iu dt)^k/(k+1)!, K the smallest order with
-u_max^K/(K+1)! < 1e-17, and (w +- Omega_m)^k binomially:
+segment factor couples frequency and sample.  Written as an integral over
+the position s in the segment,
 
-    I_pm(w) = dt sum_{p+j<=K} i^{p+j} (w dt)^j / (p! j! (p+j+1))
-                  * S[e^{+-i Th} (+-Omega dt)^p](w),
+    I_pm(w) = int_0^dt e^{iws} S[e^{+-i(Th + Omega s)}](w) ds,
 
-so I_pm costs K+1 chirp-z transforms.  For u_max >= 1 or an uneven grid,
-and always for F_Z(0) (:func:`dephasing_ff_dc`), I_pm is the segment-exact
-direct sum.
+it is a Gauss-Legendre sum over s, 8 nodes per pi of
+u_max = (max|w| + max|Omega|) dt, with one Fourier sum per node and sign;
+the integrand is smooth in s and the node count grows with u_max, so the sum
+stays at the rounding level on every grid.
+F_Z(0) (:func:`dephasing_ff_dc`) is the closed form
+|sum_m e^{i Th_m} phi(Omega_m)|^2.
 
 The higher-order dephasing filter G_Z(w, w', T) is a quadruple time integral
 of sin[Theta(t1)-Theta(t2)] sin[Theta(t3)-Theta(t4)] against three exponential
@@ -80,10 +80,9 @@ __all__ = [
 # largest phase (rad) by which a grid point may miss the evenly spaced
 # frequency the chirp-z transform evaluates in its place
 _GRID_PHASE_TOL = 1e-10
-# truncation of the segment-factor series: u_max^K/(K+1)! below this
-_TAYLOR_TOL = 1e-17
-# amplitude_ff_integral works in blocks of about this many float64 cells
-# (2 MiB per temporary): rows of its autocorrelation, lags of its kernel
+# amplitude_ff_integral and _exp_theta_transforms work in blocks of about
+# this many cells: rows of the autocorrelation and lags of the kernel of the
+# one, Gauss-Legendre nodes of the other
 _BLOCK_CELLS = 1 << 18
 
 
@@ -141,37 +140,37 @@ def _is_even_grid(omegas: np.ndarray, total_time: float) -> bool:
     return bool(np.max(np.abs(omegas - line)) * total_time <= _GRID_PHASE_TOL)
 
 
-def _fourier_plan(n: int, dt: float, omegas: np.ndarray):
-    """x -> _fourier_sums(x, dt, omegas) for x of last-axis length n.
+def _fourier_sums(x: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
+    """S[..., k] = sum_m x[..., m] e^{i omegas[k] m dt}, over the last axis of x.
 
-    The path and its precomputed factors are fixed once, for callers that
-    transform many arrays on one grid.
+    A chirp-z transform on an even grid, the direct sum one frequency at a
+    time on any other.
     """
+    n = x.shape[-1]
     if _is_even_grid(omegas, n * dt):
         # ZoomFFT sums x_m e^{-2 pi i f m} on an even grid of f (cycles per
         # sample); f = -w dt/(2 pi) turns that into e^{+i w m dt}
         cycles = -dt / (2.0 * np.pi)
         return ZoomFFT(n, [omegas[0] * cycles, omegas[-1] * cycles], omegas.size,
-                       fs=1.0, endpoint=True)
+                       fs=1.0, endpoint=True)(x)
     t = np.arange(n) * dt
-
-    def direct(x):
-        out = np.empty(x.shape[:-1] + omegas.shape, dtype=complex)
-        for k, w in enumerate(omegas):
-            out[..., k] = x @ np.exp(1j * w * t)
-        return out
-
-    return direct
+    out = np.empty(x.shape[:-1] + omegas.shape, dtype=complex)
+    for k, w in enumerate(omegas):
+        out[..., k] = x @ np.exp(1j * w * t)
+    return out
 
 
-def _fourier_sums(x: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
-    """S[..., k] = sum_m x[..., m] e^{i omegas[k] m dt}, over the last axis of x."""
-    return _fourier_plan(x.shape[-1], dt, omegas)(x)
+def _frequencies(omegas) -> np.ndarray:
+    """Angular frequencies as a float array of at least one dimension, all finite."""
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if not np.all(np.isfinite(omegas)):
+        raise ParameterError("frequencies must be finite")
+    return omegas
 
 
 def amplitude_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionGrid:
     """Amplitude filter function F_Omega on the given angular-frequency grid."""
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    omegas = _frequencies(omegas)
     transform = (_fourier_sums(waveform.samples, waveform.dt, omegas)
                  * _segment_integral(omegas, waveform.dt))
     values = 0.25 * np.abs(transform) ** 2
@@ -224,58 +223,37 @@ def amplitude_ff_integral(samples, dt: float, edges) -> np.ndarray:
     return 0.25 * out
 
 
-def _segment_exact_sums(waveform: PiecewiseConstantWaveform, omegas: np.ndarray,
-                        sign: int) -> np.ndarray:
-    """I_sign(w) = sum_m e^{iwt_m} e^{sign i Th_m} phi(w + sign Omega_m), summed directly."""
-    phase = sign * rotation_angle(waveform)[:-1]
-    rates = sign * waveform.samples
-    t = np.arange(waveform.n) * waveform.dt
-    return np.array([
-        np.sum(np.exp(1j * (w * t + phase)) * _segment_integral(w + rates, waveform.dt))
-        for w in omegas
-    ], dtype=complex)
-
-
-def _taylor_order(u_max: float) -> int:
-    """Smallest K with u_max^K/(K+1)! < _TAYLOR_TOL."""
-    order, term = 0, 1.0
-    while term >= _TAYLOR_TOL:
-        order += 1
-        term *= u_max / (order + 1)
-    return order
-
-
 def _exp_theta_transforms(waveform: PiecewiseConstantWaveform, omegas: np.ndarray):
     """Segment-exact transforms of e^{+i Theta} and e^{-i Theta}.
 
     Returns (I_plus, I_minus) with
-        I_pm(w) = int_0^T e^{iwt} e^{+-i Theta(t)} dt,
-    using Theta linear with slope Omega_m on segment m: a sum of chirp-z
-    transforms on even grids with u_max < 1, the direct sum otherwise.
+        I_pm(w) = int_0^T e^{iwt} e^{+-i Theta(t)} dt
+                = int_0^dt e^{iws} sum_m e^{iwt_m} e^{+-i(Th_m + Omega_m s)} ds,
+    the integral over s a Gauss-Legendre sum with 8 nodes per pi of
+    u_max = (max|w| + max|Omega|) dt.  The Fourier sums of the e^{+i(.)} and
+    e^{-i(.)} rows are taken for blocks of nodes of about _BLOCK_CELLS cells.
     """
-    dt = waveform.dt
+    dt, n = waveform.dt, waveform.n
     u_max = (np.max(np.abs(omegas), initial=0.0) + np.max(np.abs(waveform.samples))) * dt
-    if not (u_max < 1.0 and _is_even_grid(omegas, waveform.total_time)):
-        return (_segment_exact_sums(waveform, omegas, +1),
-                _segment_exact_sums(waveform, omegas, -1))
-    p = np.arange(_taylor_order(u_max) + 1)
-    rot = np.exp(1j * rotation_angle(waveform)[:-1])
-    powers = (waveform.samples * dt)[None, :] ** p[:, None]  # (Omega dt)^p, 0^0 = 1
-    series = np.concatenate([rot * powers, np.conj(rot) * powers * (-1.0) ** p[:, None]])
-    transforms = _fourier_sums(series, dt, omegas).reshape(2, p.size, omegas.size)
-    # weights[p] = sum_j i^{p+j} (w dt)^j / (p! j! (p+j+1)) over p + j <= K
-    degree = p[:, None] + p[None, :]
-    fact = np.cumprod(np.maximum(p, 1)).astype(float)
-    coef = np.array([1, 1j, -1, -1j])[degree % 4] / (fact[:, None] * fact[None, :] * (degree + 1))
-    coef[degree > p[-1]] = 0.0
-    weights = coef @ (omegas * dt)[None, :] ** p[:, None]
-    i_plus, i_minus = dt * np.sum(weights[None] * transforms, axis=1)
+    nodes, weights = np.polynomial.legendre.leggauss(8 * max(1, int(np.ceil(u_max / np.pi))))
+    s = 0.5 * dt * (nodes + 1.0)
+    theta = rotation_angle(waveform)[:-1]
+    i_plus = np.zeros(omegas.shape, dtype=complex)
+    i_minus = np.zeros(omegas.shape, dtype=complex)
+    step = max(1, _BLOCK_CELLS // (2 * n))
+    for start in range(0, s.size, step):
+        block = s[start:start + step, None]
+        rot = np.exp(1j * (theta + waveform.samples * block))
+        sums = _fourier_sums(np.concatenate([rot, np.conj(rot)]), dt, omegas)
+        scale = (0.5 * dt) * weights[start:start + step, None] * np.exp(1j * block * omegas)
+        i_plus += np.sum(scale * sums[:len(block)], axis=0)
+        i_minus += np.sum(scale * sums[len(block):], axis=0)
     return i_plus, i_minus
 
 
 def dephasing_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionGrid:
     """Dephasing filter function F_Z on the given angular-frequency grid."""
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    omegas = _frequencies(omegas)
     i_plus, i_minus = _exp_theta_transforms(waveform, omegas)
     cos_tr = 0.5 * (i_plus + i_minus)
     sin_tr = (i_plus - i_minus) / 2j
@@ -285,7 +263,8 @@ def dephasing_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionG
 
 def dephasing_ff_dc(waveform: PiecewiseConstantWaveform) -> float:
     """F_Z(0, T) = |int_0^T e^{i Theta(t)} dt|^2, segment-exact."""
-    i_plus = _segment_exact_sums(waveform, np.zeros(1), +1)[0]
+    i_plus = np.sum(np.exp(1j * rotation_angle(waveform)[:-1])
+                    * _segment_integral(waveform.samples, waveform.dt))
     return float(np.abs(i_plus) ** 2)
 
 
@@ -395,8 +374,7 @@ def higher_order_ff(waveform: PiecewiseConstantWaveform, omegas,
         G_Z(w, w') = W(w, -w) W(w', -w')
                      + W(w, w') [ W(-w, -w') + W(-w', -w) ].
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    omegas_prime = np.atleast_1d(np.asarray(omegas_prime, dtype=float))
+    omegas, omegas_prime = _frequencies(omegas), _frequencies(omegas_prime)
     idx = _check_dft_grid(omegas, waveform)
     idx_prime = _check_dft_grid(omegas_prime, waveform)
 

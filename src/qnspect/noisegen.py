@@ -136,8 +136,8 @@ def sample_many(model: SpectrumModel, n: int, dt: float, seed: int,
     independent streams of the same seed.
     """
     indices = list(indices)
-    if n < 1 or dt <= 0:
-        raise ParameterError("need n >= 1 and dt > 0")
+    if n < 1 or not (math.isfinite(dt) and dt > 0):
+        raise ParameterError(f"need n >= 1 and a positive finite dt, got {n} and {dt}")
     out = np.full((len(indices), n), float(model.mean))
     if model.kind == DC_DELTA:
         return out

@@ -79,6 +79,11 @@ class TestSampleProcess:
         with pytest.raises(ParameterError):
             sample_many(FLAT, 64, 1e-6, seed=0, indices=[0])  # Nyquist 0.5 MHz < cutoff
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-8])
+    def test_bad_step_rejected(self, dt):
+        with pytest.raises(ParameterError):
+            sample_many(FLAT, 64, dt, seed=0, indices=[0])
+
     def test_periodogram_matches_flat_level(self):
         # averaged periodogram oracle: <|DFT_j|^2> = N S(w_j)/dt for the
         # harmonic synthesis, so S(w_j) = dt <|DFT_j|^2> / N
