@@ -161,8 +161,10 @@ def _fourier_sums(x: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
 
 
 def _frequencies(omegas) -> np.ndarray:
-    """Angular frequencies as a float array of at least one dimension, all finite."""
+    """Angular frequencies as a finite 1-D float array; a scalar becomes one point."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if omegas.ndim > 1:
+        raise ParameterError("frequencies must be a scalar or a 1-D array")
     if not np.all(np.isfinite(omegas)):
         raise ParameterError("frequencies must be finite")
     return omegas

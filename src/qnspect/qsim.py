@@ -11,8 +11,12 @@ alongside are diagnostics of the perturbative theory, not inputs to the
 dynamics.  Propagation is carried in the SU(2) quaternion representation
 U = u0 I - i (ux sigma_x + uy sigma_y + uz sigma_z), which makes the three
 survival probabilities p_i = u0^2 + u_i^2 and the tomographic estimator of a
-single realization simply ux^2.  Noise trajectories are plain float arrays on
-the waveform grid; the diagnostics take one (N,) trajectory or an (R, N) batch.
+single realization simply ux^2.  Only the total propagator is kept, so the
+time-ordered product is a tree reduction: in chunks of about
+_PROPAGATE_CHUNK_SAMPLES samples of rows, every step quaternion is built at
+once and adjacent pairs are multiplied in about log2(N) vectorized levels.
+Noise trajectories are plain float arrays on the waveform grid; the
+diagnostics take one (N,) trajectory or an (R, N) batch.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ _POINTS_PER_LINEWIDTH = 8
 # bias_breakdown draws and reduces its Monte-Carlo rows in chunks of about
 # this many samples (2 MiB of float64 per temporary)
 _CHUNK_SAMPLES = 1 << 18
+# _propagate_quaternions reduces its rows in chunks of about this many
+# samples (8 rows at N = 2000, 128 KiB of float64 per step array)
+_PROPAGATE_CHUNK_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -109,30 +116,52 @@ class BiasBreakdown:
 # ---------------------------------------------------------------------------
 
 
+def _compose(later, earlier):
+    """Quaternion products later * earlier, each given as four equal-shape arrays.
+
+    (a0, a)(b0, b) = (a0 b0 - a.b, a0 b + b0 a + a x b).
+    """
+    a0, ax, ay, az = later
+    b0, bx, by, bz = earlier
+    return (a0 * b0 - ax * bx - ay * by - az * bz,
+            a0 * bx + b0 * ax + ay * bz - az * by,
+            a0 * by + b0 * ay + az * bx - ax * bz,
+            a0 * bz + b0 * az + ax * by - ay * bx)
+
+
+def _step_quaternions(samples: np.ndarray, dt: float, beta_omega: np.ndarray,
+                      beta_z: np.ndarray):
+    """Each segment's step (c, sx, 0, sz) as four (rows, N) arrays; temporaries die here."""
+    ax = 0.5 * samples * (1.0 + beta_omega)
+    norm = np.hypot(ax, beta_z)
+    theta = dt * norm
+    sn = np.where(norm > 0.0, np.sin(theta) / np.where(norm > 0.0, norm, 1.0), dt)
+    return np.cos(theta), sn * ax, np.zeros_like(theta), sn * beta_z
+
+
 def _propagate_quaternions(samples: np.ndarray, dt: float, beta_omega: np.ndarray,
                            beta_z: np.ndarray) -> np.ndarray:
-    """Batched time-ordered product; rows of the (R, 4) result are (u0, ux, uy, uz)."""
-    r = beta_omega.shape[0]
-    u = np.zeros((r, 4))
-    u[:, 0] = 1.0
-    ax = np.empty(r)
-    for m in range(samples.size):
-        ax[:] = 0.5 * samples[m] * (1.0 + beta_omega[:, m])
-        az = beta_z[:, m]
-        norm = np.hypot(ax, az)
-        theta = dt * norm
-        c = np.cos(theta)
-        sn = np.where(norm > 0.0, np.sin(theta) / np.where(norm > 0.0, norm, 1.0), dt)
-        sx = sn * ax
-        sz = sn * az
-        # compose step (c, sx, 0, sz) with the running quaternion:
-        # (a0, a)(b0, b) -> (a0 b0 - a.b, a0 b + b0 a + a x b)
-        u0, ux, uy, uz = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
-        n0 = c * u0 - sx * ux - sz * uz
-        nx = c * ux + sx * u0 - sz * uy
-        ny = c * uy + sz * ux - sx * uz
-        nz = c * uz + sz * u0 + sx * uy
-        u = np.stack([n0, nx, ny, nz], axis=1)
+    """Batched time-ordered product; rows of the (R, 4) result are (u0, ux, uy, uz).
+
+    Adjacent pairs are multiplied later step times earlier, and an odd last
+    factor joins its level's last pair.  Each element sees the same
+    operations in any chunk, so a row's bits do not depend on the other rows.
+    """
+    r, n = beta_omega.shape
+    rows = max(1, _PROPAGATE_CHUNK_SAMPLES // n)
+    u = np.empty((r, 4))
+    for start in range(0, r, rows):
+        q = _step_quaternions(samples, dt, beta_omega[start:start + rows],
+                              beta_z[start:start + rows])
+        while q[0].shape[1] > 1:
+            m = q[0].shape[1]
+            pairs = _compose([x[:, 1::2] for x in q], [x[:, 0:m - 1:2] for x in q])
+            if m % 2:
+                last = _compose([x[:, -1] for x in q], [x[:, -1] for x in pairs])
+                for x, y in zip(pairs, last):
+                    x[:, -1] = y
+            q = pairs
+        u[start:start + rows] = np.hstack(q)
     return u
 
 
@@ -146,6 +175,7 @@ def propagate(waveform: PiecewiseConstantWaveform, amp_noise: np.ndarray,
     """
     if np.shape(amp_noise) != (waveform.n,) or np.shape(deph_noise) != (waveform.n,):
         raise ParameterError("propagate takes one trajectory per channel on the waveform grid")
+    _check_grid(waveform, amp_noise, deph_noise)
     u = _propagate_quaternions(waveform.samples, waveform.dt, np.reshape(amp_noise, (1, -1)),
                                np.reshape(deph_noise, (1, -1)))[0]
     return QubitPropagator(quaternion=u)
@@ -210,6 +240,8 @@ def tomographic_estimator(triple: SurvivalTriple) -> EstimatorValue:
 def _check_grid(waveform: PiecewiseConstantWaveform, *trajectories) -> None:
     if any(np.shape(b)[-1:] != (waveform.n,) for b in trajectories):
         raise ParameterError("noise trajectories must match the waveform grid")
+    if not all(np.all(np.isfinite(b)) for b in trajectories):
+        raise ParameterError("noise trajectories must be finite")
 
 
 def error_vector_first_order(waveform: PiecewiseConstantWaveform, amp_noise: np.ndarray,

@@ -289,6 +289,25 @@ def test_non_finite_frequency_rejected(call, bad):
         NON_FINITE_CALLS[call](wf, bad)
 
 
+TWO_D_CALLS = {
+    "amplitude_ff": lambda wf, grid: amplitude_ff(wf, grid),
+    "dephasing_ff": lambda wf, grid: dephasing_ff(wf, grid),
+    "higher_order_ff omegas": lambda wf, grid: higher_order_ff(wf, grid, [0.0]),
+    "higher_order_ff omegas_prime": lambda wf, grid: higher_order_ff(wf, [0.0], grid),
+}
+
+
+@pytest.mark.parametrize("call", sorted(TWO_D_CALLS))
+def test_two_dimensional_frequencies_rejected(call):
+    wf = PiecewiseConstantWaveform(np.ones(16), 1e-8)
+    # on the DFT grid, so only the shape can be at fault for higher_order_ff
+    grid = np.zeros((2, 3))
+    with pytest.raises(ParameterError):
+        TWO_D_CALLS[call](wf, grid)
+    # a scalar frequency is one grid point
+    assert TWO_D_CALLS[call](wf, 0.0).values.size == 1
+
+
 # ---------------------------------------------------------------------------
 # Transform-kernel paths against direct segment-exact sums
 # ---------------------------------------------------------------------------

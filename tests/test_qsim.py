@@ -18,7 +18,7 @@ from qnspect import (
     tomographic_estimator,
 )
 from qnspect.errors import ParameterError
-from qnspect.qsim import SurvivalTriple
+from qnspect.qsim import _PROPAGATE_CHUNK_SAMPLES, SurvivalTriple, _propagate_quaternions
 
 MHZ = 2 * np.pi * 1e6
 FLAT_AMP = SpectrumModel.flat_cutoff(1.04e-11, 2 * MHZ)
@@ -55,6 +55,93 @@ class TestPropagate:
             propagate(wf, np.zeros(9), np.zeros(10))
         with pytest.raises(ParameterError):
             propagate(wf, np.zeros((2, 10)), np.zeros((2, 10)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_rejected(self, bad):
+        wf = PiecewiseConstantWaveform(np.full(10, 1e6), 1e-8)
+        noisy = np.zeros(10)
+        noisy[4] = bad
+        batch = np.zeros((3, 10))
+        batch[1, 4] = bad
+        calls = [
+            lambda: propagate(wf, noisy, np.zeros(10)),
+            lambda: propagate(wf, np.zeros(10), noisy),
+            lambda: error_vector_first_order(wf, noisy, np.zeros(10)),
+            lambda: error_vector_first_order(wf, np.zeros((3, 10)), batch),
+            lambda: magnus_second_order_a1(wf, noisy),
+            lambda: magnus_second_order_a1(wf, batch),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError):
+                call()
+
+
+def sequential_product(samples, dt, amp, deph):
+    """Quaternion (u0, ux, uy, uz) of the step unitaries multiplied one at a time.
+
+    Each step is cos(theta) I - i sin(theta) n.sigma as a 2x2 matrix, applied
+    on the left of the running product; U = u0 I - i (u . sigma) is read off
+    at the end.
+    """
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    u = np.eye(2, dtype=complex)
+    for omega, b_omega, b_z in zip(samples, amp, deph):
+        hx, hz = 0.5 * omega * (1.0 + b_omega), b_z
+        norm = np.hypot(hx, hz)
+        step = np.eye(2, dtype=complex)
+        if norm > 0.0:
+            step = (np.cos(dt * norm) * step
+                    - 1j * np.sin(dt * norm) * (hx * sx + hz * sz) / norm)
+        u = step @ u
+    return np.array([u[0, 0].real, -u[0, 1].imag, -u[0, 1].real, -u[0, 0].imag])
+
+
+class TestTreeProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 2000, 2001])
+    def test_matches_sequential_product(self, n):
+        rng = np.random.default_rng(n)
+        dt = 1e-8
+        samples = rng.normal(0.0, 2e7, n)
+        amp = rng.normal(0.0, 0.3, (3, n))
+        deph = rng.normal(0.0, 2e7, (3, n))
+        u = _propagate_quaternions(samples, dt, amp, deph)
+        for row in range(3):
+            ref = sequential_product(samples, dt, amp[row], deph[row])
+            assert np.abs(u[row] - ref).max() < 1e-13
+        assert np.abs(np.sum(u**2, axis=1) - 1.0).max() < 1e-13
+
+    def test_zero_drive_and_zero_noise_segments(self):
+        # steps with neither drive nor noise take the sn = dt branch and must
+        # act as the identity, wherever they fall in the tree
+        rng = np.random.default_rng(4)
+        n, dt = 37, 1e-8
+        samples = rng.normal(0.0, 2e7, n)
+        samples[[0, 5, 6, 7, 20, n - 1]] = 0.0
+        deph = rng.normal(0.0, 2e7, (2, n))
+        deph[:, samples == 0.0] = 0.0
+        deph[1] = 0.0
+        amp = rng.normal(0.0, 0.3, (2, n))
+        u = _propagate_quaternions(samples, dt, amp, deph)
+        for row in range(2):
+            ref = sequential_product(samples, dt, amp[row], deph[row])
+            assert np.abs(u[row] - ref).max() < 1e-13
+        # no drive and no noise anywhere: exactly the identity
+        still = _propagate_quaternions(np.zeros(n), dt, amp, np.zeros((2, n)))
+        assert np.array_equal(still, np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
+
+    def test_row_bits_do_not_depend_on_the_batch(self):
+        wf = dephasing_robust(20e-6, 4, 2, 2000)
+        deph = SpectrumModel.one_over_f(29.3, 1e8, 0.01 * MHZ, 2 * MHZ)
+        rows = _PROPAGATE_CHUNK_SAMPLES // wf.n
+        r = 2 * rows + 5
+        assert rows > 1 and r % rows != 0
+        amp = sample_many(FLAT_AMP, wf.n, wf.dt, seed=5, indices=range(r))
+        bz = sample_many(deph, wf.n, wf.dt, seed=6, indices=range(r))
+        batch = _propagate_quaternions(wf.samples, wf.dt, amp, bz)
+        for row in (0, rows - 1, rows, 2 * rows, r - 1):
+            assert np.array_equal(propagate(wf, amp[row], bz[row]).quaternion, batch[row])
+        assert np.abs(np.sum(batch**2, axis=1) - 1.0).max() < 1e-13
 
 
 class TestSurvival:
