@@ -131,7 +131,10 @@ def _compose(later, earlier):
 
 def _step_quaternions(samples: np.ndarray, dt: float, beta_omega: np.ndarray,
                       beta_z: np.ndarray):
-    """Each segment's step (c, sx, 0, sz) as four (rows, N) arrays; temporaries die here."""
+    """Each segment's step (c, sx, 0, sz) as four (rows, N) arrays.
+
+    A function of its own, so that its temporaries are freed before the reduction.
+    """
     ax = 0.5 * samples * (1.0 + beta_omega)
     norm = np.hypot(ax, beta_z)
     theta = dt * norm

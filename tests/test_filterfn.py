@@ -290,8 +290,8 @@ def test_non_finite_frequency_rejected(call, bad):
 
 
 TWO_D_CALLS = {
-    "amplitude_ff": lambda wf, grid: amplitude_ff(wf, grid),
-    "dephasing_ff": lambda wf, grid: dephasing_ff(wf, grid),
+    "amplitude_ff": amplitude_ff,
+    "dephasing_ff": dephasing_ff,
     "higher_order_ff omegas": lambda wf, grid: higher_order_ff(wf, grid, [0.0]),
     "higher_order_ff omegas_prime": lambda wf, grid: higher_order_ff(wf, [0.0], grid),
 }
