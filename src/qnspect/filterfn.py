@@ -49,8 +49,11 @@ double transform
 
 Its frequencies lie on the DFT grid 2*pi*j/(N*dt), so each column b costs
 one set of prefix sums over j2 and one length-N FFT over j1, which yields
-every row a at once.  G_Z deliberately uses the plain left-endpoint Riemann
-convention so that the brute-force quadruple sum reproduces it exactly.
+every row a at once.  The sin and cos factors are real, so
+W(a, -b) = conj W(-a, b): only the columns b >= 0 are transformed, and the
+negative ones are those read with rows and columns reversed.  G_Z
+deliberately uses the plain left-endpoint Riemann convention so that the
+brute-force quadruple sum reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -330,7 +333,11 @@ def dephasing_ff_periodic_oracle(periods: int, modulation_freq: float, peak_rate
 
 
 def _check_dft_grid(omegas: np.ndarray, waveform: PiecewiseConstantWaveform) -> np.ndarray:
-    """Angular frequencies must be integer multiples of 2*pi/(N*dt)."""
+    """Angular frequencies must be integer multiples of 2*pi/(N*dt), below 2^53 bins.
+
+    From 2^53 on a float index no longer names one integer, and from 2^63 it
+    overflows the integer conversion.
+    """
     base = 2.0 * np.pi / (waveform.n * waveform.dt)
     idx = omegas / base
     rounded = np.round(idx)
@@ -338,6 +345,8 @@ def _check_dft_grid(omegas: np.ndarray, waveform: PiecewiseConstantWaveform) -> 
         raise GridError(
             "higher-order FF frequencies must be integer multiples of 2*pi/(N*dt)"
         )
+    if np.any(np.abs(rounded) >= 2.0 ** 53):
+        raise GridError("higher-order FF frequencies must lie below 2^53 DFT bins")
     return rounded.astype(int)
 
 
@@ -350,6 +359,7 @@ def _ordered_double_transforms(theta: np.ndarray, alphas: np.ndarray,
 
     The inner sums over j2 are running prefix sums, built once per column b;
     the outer sum over j1 is one inverse FFT per column, read at every row a.
+    :func:`higher_order_ff` passes only the columns b >= 0 and reflects them.
     """
     n = theta.size
     sin_t, cos_t = np.sin(theta), np.cos(theta)
@@ -358,7 +368,8 @@ def _ordered_double_transforms(theta: np.ndarray, alphas: np.ndarray,
     rows = np.mod(alphas, n)
     w = np.empty((alphas.size, betas.size), dtype=complex)
     for col, beta in enumerate(betas):
-        inner_phase = roots[np.mod(beta * j, n)]
+        # reduced first, so that beta * j cannot overflow for large beta
+        inner_phase = roots[np.mod(beta % n * j, n)]
         prefix_cos = np.cumsum(cos_t * inner_phase)
         prefix_sin = np.cumsum(sin_t * inner_phase)
         w[:, col] = np.fft.ifft(sin_t * prefix_cos - cos_t * prefix_sin)[rows]
@@ -380,8 +391,13 @@ def higher_order_ff(waveform: PiecewiseConstantWaveform, omegas,
     idx = _check_dft_grid(omegas, waveform)
     idx_prime = _check_dft_grid(omegas_prime, waveform)
 
+    # sorted and symmetric under negation: W(a, -b) = conj W(-a, b) gives the
+    # columns b < 0 from the columns b >= 0 with rows and columns reversed
     needed = np.unique(np.concatenate([idx, -idx, idx_prime, -idx_prime]))
-    w_all = _ordered_double_transforms(rotation_angle(waveform)[:-1], needed, needed)
+    w_half = _ordered_double_transforms(rotation_angle(waveform)[:-1], needed,
+                                        needed[needed >= 0])
+    negative = np.count_nonzero(needed < 0)
+    w_all = np.concatenate([np.conj(w_half[::-1, ::-1][:, :negative]), w_half], axis=1)
     w_all *= waveform.dt ** 2
     a, neg_a, b, neg_b = (np.searchsorted(needed, k)
                           for k in (idx, -idx, idx_prime, -idx_prime))
@@ -436,8 +452,17 @@ def ff_to_csv(grid: FilterFunctionGrid, path):
 
 
 def higher_order_ff_to_csv(grid: HigherOrderFFGrid, path):
-    """CSV columns ``omega, omega_prime, re, im`` (rad/s and s^4)."""
-    w, wp = np.meshgrid(grid.omegas, grid.omegas_prime, indexing="ij")
-    z = grid.values.ravel()
-    np.savetxt(path, np.column_stack([w.ravel(), wp.ravel(), z.real, z.imag]), fmt="%.17g",
-               delimiter=",", header="omega,omega_prime,re,im", comments="")
+    """CSV columns ``omega, omega_prime, re, im`` (rad/s and s^4).
+
+    Each omega' is formatted once into a line template; one ``%`` format per
+    row of ``omegas`` then fills in that row's re/im pairs.  The bytes equal
+    ``f"{x:.17g}"`` of every field.
+    """
+    omegas_prime = np.asarray(grid.omegas_prime, dtype=float).tolist()
+    lines = ["%.17g," % wp + "%.17g,%.17g\n" for wp in omegas_prime]
+    pairs = np.ascontiguousarray(grid.values, dtype=complex).view(float)
+    with open(path, "w") as fh:
+        fh.write("omega,omega_prime,re,im\n")
+        for w, row in zip(np.asarray(grid.omegas, dtype=float).tolist(), pairs):
+            # the omega prefix goes before every line of the row
+            fh.write(("%.17g," % w).join(["", *lines]) % tuple(row.tolist()))

@@ -41,6 +41,8 @@ __all__ = [
 
 # net rotation below this fraction of the absolute-integral scale counts as zero
 IDENTITY_RTOL = 1e-9
+# waveform_to_csv formats its sample rows in blocks of this many, one % each
+_CSV_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -287,8 +289,10 @@ def waveform_to_csv(waveform: PiecewiseConstantWaveform, path, parameters: dict 
     for key, value in (parameters or {}).items():
         buf.write(f"# {key} = {value!r}\n")
     buf.write("t_start_s,omega_rad_per_s\n")
-    for m, omega in enumerate(waveform.samples):
-        buf.write(f"{m * waveform.dt:.17g},{omega:.17g}\n")
+    table = np.column_stack([np.arange(waveform.n) * waveform.dt, waveform.samples])
+    for start in range(0, waveform.n, _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        buf.write(("%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 

@@ -420,6 +420,53 @@ class TestKernelPaths:
             want = direct_gz(wf, idx * base, idx_prime * base)
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
+    @pytest.mark.parametrize("idx, idx_prime", [([3, 5], [2]), ([-4, -1], [-3, -2])],
+                             ids=["no zero", "negative only"])
+    def test_gz_matches_direct_sum_on_half_grids(self, idx, idx_prime):
+        # the columns b < 0 are reflected from b >= 0, with or without b = 0
+        rng = np.random.default_rng(8)
+        for trial in range(3):
+            wf = random_waveform(rng, n=int(rng.integers(40, 80)), rate=3e6)
+            base = 2 * np.pi / wf.total_time
+            got = higher_order_ff(wf, np.array(idx) * base, np.array(idx_prime) * base).values
+            want = direct_gz(wf, np.array(idx) * base, np.array(idx_prime) * base)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_gz_transforms_only_non_negative_columns(self, monkeypatch):
+        from qnspect import filterfn
+
+        calls = []
+        transforms = filterfn._ordered_double_transforms
+
+        def spy(theta, alphas, betas):
+            calls.append((alphas, betas))
+            return transforms(theta, alphas, betas)
+
+        monkeypatch.setattr(filterfn, "_ordered_double_transforms", spy)
+        wf = random_waveform(np.random.default_rng(9), n=50)
+        base = 2 * np.pi / wf.total_time
+        higher_order_ff(wf, np.arange(-3, 6) * base, np.array([0, 2]) * base)
+        (alphas, betas), = calls
+        assert np.array_equal(alphas, np.arange(-5, 6))
+        assert np.array_equal(betas, np.arange(6))  # 6 columns for indices -3..5, not 9
+
+    @pytest.mark.parametrize("index", [1e19, 2.0 ** 63])
+    def test_gz_index_beyond_exact_integers_rejected(self, index):
+        wf = random_waveform(np.random.default_rng(10), n=15)
+        base = 2 * np.pi / wf.total_time
+        with pytest.raises(GridError):
+            higher_order_ff(wf, [index * base], [base])
+
+    def test_gz_large_index_reads_its_aliased_bin(self):
+        # 2^48 bins times j up to N - 1 = 39 999 would overflow int64 unreduced
+        n = 40000
+        wf = random_waveform(np.random.default_rng(12), n=n)
+        base = 2 * np.pi / wf.total_time
+        index = 2 ** 48 + 5
+        got = higher_order_ff(wf, [index * base], [base]).values
+        want = higher_order_ff(wf, [index % n * base], [base]).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 def test_csv_writers(tmp_path):
     wf = dephasing_robust(10e-6, 2, 1, 200)
@@ -466,12 +513,17 @@ def test_csv_bytes_match_fstring_format(tmp_path):
     assert (tmp_path / "ff.csv").read_bytes() == want.encode()
 
     gz = values[:, None] * (1.0 - 3e-17j) + 1j * values[::-1][None, :]
-    higher_order_ff_to_csv(HigherOrderFFGrid(omegas, omegas[:4], gz[:, :4], 1e-4),
-                           tmp_path / "gz.csv")
-    want = "omega,omega_prime,re,im\n" + "".join(
-        f"{w:.17g},{wp:.17g},{gz[i, j].real:.17g},{gz[i, j].imag:.17g}\n"
-        for i, w in enumerate(omegas) for j, wp in enumerate(omegas[:4]))
-    assert (tmp_path / "gz.csv").read_bytes() == want.encode()
+    gz[1, 2], gz[3, 0], gz[4, 3] = complex(np.nan, 1.0), complex(np.inf, -np.inf), np.nan
+    special_omegas = np.concatenate([omegas, [np.nan, np.inf, -np.inf]])
+    for rows, cols, block in [(omegas, omegas[:4], gz[:, :4]),
+                              (omegas, special_omegas[-4:], gz[:, 2:]),
+                              (special_omegas[-6:], omegas[1:], gz[:, 1:]),
+                              (omegas, omegas[:0], gz[:, :0])]:
+        higher_order_ff_to_csv(HigherOrderFFGrid(rows, cols, block, 1e-4), tmp_path / "gz.csv")
+        want = "omega,omega_prime,re,im\n" + "".join(
+            f"{w:.17g},{wp:.17g},{block[i, j].real:.17g},{block[i, j].imag:.17g}\n"
+            for i, w in enumerate(rows) for j, wp in enumerate(cols))
+        assert (tmp_path / "gz.csv").read_bytes() == want.encode()
 
     rows = np.column_stack([omegas, values, values[::-1]])
     constraints_to_csv(AffineConstraintSet(rows, np.arange(len(rows))), tmp_path / "rows.csv")

@@ -199,3 +199,19 @@ def test_csv_round_trip(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0].startswith("# dt_s")
     assert "t_start_s,omega_rad_per_s" in text
+
+
+@pytest.mark.parametrize("n, block_rows", [(7, 3), ((1 << 14) + 5, None)])
+def test_csv_bytes_match_fstring_format(tmp_path, monkeypatch, n, block_rows):
+    from qnspect import waveform
+
+    if block_rows is not None:  # blocks of 3, 3 and 1 rows
+        monkeypatch.setattr(waveform, "_CSV_BLOCK_ROWS", block_rows)
+    samples = np.random.default_rng(2).normal(0.0, 3e6, n)
+    samples[:4] = [-0.0, 5e-324, -2.5e-310, 1.0 / 3.0]
+    wf = PiecewiseConstantWaveform(samples, 1e-8 / 3.0)
+    waveform_to_csv(wf, tmp_path / "wf.csv", {"family": "dr"})
+    want = (f"# dt_s = {wf.dt!r}\n# n_samples = {n}\n# family = 'dr'\n"
+            "t_start_s,omega_rad_per_s\n"
+            + "".join(f"{m * wf.dt:.17g},{omega:.17g}\n" for m, omega in enumerate(samples)))
+    assert (tmp_path / "wf.csv").read_bytes() == want.encode()
