@@ -42,6 +42,7 @@ from .qsim import bias_breakdown, overlap_amplitude, survival_probabilities, tom
 from .slepian import dpss
 from .spectro import overlap_matrix, reconstruct
 from .waveform import (
+    _CSV_BLOCK_ROWS,
     PiecewiseConstantWaveform,
     dephasing_robust,
     modulated_dpss_waveform,
@@ -74,11 +75,20 @@ def _write_manifest(outdir: Path, command: str, config: dict, seed, artifacts):
 
 
 def _write_csv(path: Path, header: str, rows):
+    """Write ``rows`` (a list of equal-length lists) under ``header``.
+
+    Floats are written as ``%.17g``, everything else (labels, indices) with
+    ``str``; the column kinds are read from the first row, which every row
+    shares.  One ``%`` row template, repeated, formats a block of rows at a time.
+    """
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        if not rows:
+            return
+        line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(v for row in block for v in row))
 
 
 def _outdir(args) -> Path:
@@ -135,15 +145,21 @@ def _lambdas_from_config(cfg) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _dpss_of(args):
+    """The --k DPSS of length --n and time-bandwidth --nw; n is checked before NW/n."""
+    if args.n < 2:
+        raise ParameterError(f"need n >= 2, got {args.n}")
+    return dpss(args.n, args.nw / args.n, args.k)
+
+
 def _cmd_dpss(args):
     out = _outdir(args)
-    ds = dpss(args.n, args.nw / args.n, args.k)
+    ds = _dpss_of(args)
     _write_csv(out / "dpss_sequences.csv",
                "n," + ",".join(f"v{k}" for k in range(args.k)),
-               ([m] + [float(ds.sequences[k, m]) for k in range(args.k)]
-                for m in range(args.n)))
+               [[m] + row for m, row in enumerate(ds.sequences.T.tolist())])
     _write_csv(out / "dpss_eigenvalues.csv", "k,concentration",
-               ([k, float(v)] for k, v in enumerate(ds.eigenvalues)))
+               [[k, v] for k, v in enumerate(ds.eigenvalues.tolist())])
     _write_manifest(out, "dpss", {"n": args.n, "nw": args.nw, "k": args.k}, None,
                     ["dpss_sequences.csv", "dpss_eigenvalues.csv"])
 
@@ -200,7 +216,7 @@ def _cmd_gz(args):
 
 def _cmd_prune(args):
     out = _outdir(args)
-    full = amplitude_constraints(dpss(args.n, args.nw / args.n, args.k), args.omega0_mhz * MHZ,
+    full = amplitude_constraints(_dpss_of(args), args.omega0_mhz * MHZ,
                                  args.dt_ns * 1e-9, args.omega_max_mhz * MHZ, args.k)
     reduced = prune_constraints(full, args.eps, rng_seed=args.seed)
     constraints_to_csv(reduced, out / "constraints.csv")
@@ -277,7 +293,7 @@ def _cmd_simulate(args):
     keys = ["lambda_mhz", "p1", "p2", "p3", "p1_err", "p2_err", "p3_err",
             "estimator", "estimator_err", "i_omega_pred"]
     _write_csv(out / "survival.csv", ",".join(keys),
-               ([float(r[k]) for k in keys] for r in rows))
+               [[float(r[k]) for k in keys] for r in rows])
     _write_manifest(out, "simulate",
                     {**config, "seed": seed, "realizations": realizations},
                     seed, ["survival.csv"])

@@ -58,6 +58,7 @@ brute-force quadruple sum reproduces it exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,39 @@ def _segment_integral(u: np.ndarray, dt: float) -> np.ndarray:
     """
     x = np.asarray(u, dtype=float) * dt
     return dt * (np.sinc(x / np.pi) + 1j * np.sin(x / 2.0) * np.sinc(x / (2.0 * np.pi)))
+
+
+# below this |h| the spherical Bessel j1(h) is summed as its Taylor series
+_J1_SERIES_CUT = 1.0
+# 1/(k! (2k+3)!!) for k = 0..7: j1(h) = h sum_k (-h^2/2)^k / (k! (2k+3)!!)
+_J1_SERIES = tuple(1.0 / (math.factorial(k) * math.prod(range(3, 2 * k + 4, 2)))
+                   for k in range(8))
+
+
+def _segment_integral_and_derivative(u: np.ndarray, dt: float):
+    """(phi, dphi/du) of phi(u) = int_0^dt e^{i u s} ds, from one sin/cos pair.
+
+    With h = u dt/2, phi = dt e^{ih} sinc h (the value of _segment_integral to
+    rounding) and phi' = i int_0^dt s e^{ius} ds = (dt^2/2) e^{ih} (i sinc h - j1(h)),
+    where j1(h) = (sin h - h cos h)/h^2 is the spherical Bessel function of
+    order 1.  That quotient cancels as h -> 0 (both terms approach h, their
+    difference is h^3/3), losing about log10(3/h^2) digits, so below
+    |h| = _J1_SERIES_CUT j1 is its Taylor series through k = 7 by Horner's
+    rule: at the cut the quotient has lost under one digit, and the first
+    omitted term is 5e-16 of j1(1).
+    """
+    h = 0.5 * np.asarray(u, dtype=float) * dt
+    sin, cos = np.sin(h), np.cos(h)
+    sinc = np.divide(sin, h, out=np.ones_like(h), where=h != 0.0)
+    series = _J1_SERIES[-1]
+    square = -0.5 * h * h
+    for coefficient in _J1_SERIES[-2::-1]:
+        series = series * square + coefficient
+    wide = np.abs(h) >= _J1_SERIES_CUT
+    safe = np.where(wide, h, 1.0)
+    j1 = np.where(wide, (sin - safe * cos) / (safe * safe), series * h)
+    rot = cos + 1j * sin
+    return dt * sinc * rot, 0.5 * dt * dt * rot * (1j * sinc - j1)
 
 
 def _is_even_grid(omegas: np.ndarray, total_time: float) -> bool:

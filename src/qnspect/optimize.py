@@ -22,7 +22,11 @@ nonlinear DC null F_Z(0, x) = 0.  Structure of the solver:
 * the inner minimizer is quasi-Newton (L-BFGS) on the exact gradient:
   samples and Theta are linear in the coefficients, the objective's
   gradient in Theta is one FFT convolution, and the DC-null, hinge and
-  proximal terms differentiate in closed form.
+  proximal terms differentiate in closed form;
+* the DC null (``_dc_residual``, read by both the Lagrangian and the exit
+  check) takes each segment's phi(Omega_m) = int_0^dt e^{i Omega_m s} ds and
+  its derivative in Omega_m from one sin/cos pair, with the spherical Bessel
+  j1 written out elementarily (filterfn._segment_integral_and_derivative).
 
 F_Z in the objective is the plain left-endpoint Riemann sum, which is
 indistinguishable from the segment-exact transform everywhere the integrand
@@ -44,10 +48,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import sici, spherical_jn
+from scipy.special import sici
 
 from .errors import NonConvergenceError, ParameterError
-from .filterfn import _segment_integral
+from .filterfn import _segment_integral_and_derivative
 from .lp_reduce import AffineConstraintSet
 from .slepian import DpssSet, dpss
 from .waveform import (
@@ -174,6 +178,8 @@ def build_design_problem(omega0: float, n: int, dt: float, max_rate: float,
     ``seed`` is unused (nothing here is random); it stays while existing
     callers pass it.
     """
+    if n < 2:
+        raise ParameterError(f"need n >= 2, got {n}")
     dpss_set = dpss(n, time_bandwidth / n, num_orders)
     return DesignProblem(
         dpss_set=dpss_set, omega0=omega0, dt=dt, n=n, num_orders=num_orders,
@@ -203,22 +209,28 @@ def objective_Iz(coeffs: WaveformCoefficients, problem: DesignProblem) -> float:
     return problem.objective(_theta_of(coeffs.as_vector(), problem))
 
 
-def _dc_residual(theta: np.ndarray, samples: np.ndarray, dt: float,
-                 total_time: float) -> np.ndarray:
-    """(Re, Im) of int_0^T e^{i Theta(t)} dt / T with segment-exact integrals."""
-    integral = np.sum(np.exp(1j * theta) * _segment_integral(samples, dt)) / total_time
-    return np.array([integral.real, integral.imag])
+def _dc_residual(theta: np.ndarray, samples: np.ndarray, dt: float, total_time: float,
+                 gradient: bool = False):
+    """(Re, Im) of int_0^T e^{i Theta(t)} dt / T with segment-exact integrals.
+
+    With ``gradient=True`` the call returns (residual, d/dTheta_m, d/dOmega_m),
+    the two derivatives as complex arrays of the integral.  The Lagrangian and
+    the exit check of solve_design both call it, so they see the same phi.
+    """
+    rot = np.exp(1j * theta)
+    phi, dphi = _segment_integral_and_derivative(samples, dt)
+    terms = rot * phi
+    integral = np.sum(terms) / total_time
+    residual = np.array([integral.real, integral.imag])
+    if not gradient:
+        return residual
+    return residual, 1j * terms / total_time, rot * dphi / total_time
 
 
 def _segment_integral_derivative(u: np.ndarray, dt: float) -> np.ndarray:
-    """d/du of _segment_integral: i int_0^dt s e^{i u s} ds.
-
-    Written as (dt^2/2) e^{i x/2} (i sinc(x/2) - j1(x/2)), x = u dt, with j1
-    the spherical Bessel function, so that nothing cancels near x = 0.
-    """
-    half = 0.5 * np.asarray(u, dtype=float) * dt
-    return 0.5 * dt * dt * np.exp(1j * half) * (1j * np.sinc(half / np.pi)
-                                                 - spherical_jn(1, half))
+    """d/du of filterfn._segment_integral, i int_0^dt s e^{i u s} ds: the second
+    value of _segment_integral_and_derivative."""
+    return _segment_integral_and_derivative(u, dt)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +313,8 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
             """The Lagrangian and its gradient in u."""
             samples, theta = trajectory(u)
             f, df_dtheta = objective(theta, gradient=True)
-            rot = np.exp(1j * theta)
-            seg = _segment_integral(samples, dt)
-            dc = np.sum(rot * seg) / total_time
-            d_dc = ((1j * rot * seg) @ d_theta
-                    + (rot * _segment_integral_derivative(samples, dt)) @ d_samples) / total_time
-            h = np.array([dc.real, dc.imag])
+            h, dc_theta, dc_samples = _dc_residual(theta, samples, dt, total_time, gradient=True)
+            d_dc = dc_theta @ d_theta + dc_samples @ d_samples
             pen = np.maximum(np.abs(samples) / tightened_rate - 1.0, 0.0)
             du = u - u_ref
             value = (f / f_scale + lam @ h + 0.5 * rho * (h @ h) + rho_in * (pen @ pen)

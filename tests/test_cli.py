@@ -318,6 +318,9 @@ class TestErrorPaths:
                      id="optimize-nan-omega0"),
         pytest.param(["optimize", "--omega0-mhz", 0.2, "--n", 400, "--dt-ns", "nan"],
                      id="optimize-nan-dt"),
+        pytest.param(["dpss", "--n", 0], id="dpss-zero-n"),
+        pytest.param(["prune", "--omega0-mhz", 0.2, "--n", 0], id="prune-zero-n"),
+        pytest.param(["optimize", "--omega0-mhz", 0.2, "--n", 0], id="optimize-zero-n"),
     ] + [
         pytest.param([command, "--config", f"{{{prefix}_{family}}}"],
                      id=f"{command}-{family}-nan-lambda")

@@ -504,6 +504,57 @@ def test_segment_integral_against_mpmath():
         assert float(abs(mpmath.mpc(value) - want)) <= 1e-15 * dt, ui * dt
 
 
+def segment_integral_pair_mpmath(u, dt):
+    """phi = int_0^dt e^{ius} ds and phi' = i int_0^dt s e^{ius} ds at 50 digits,
+    from their closed forms (e^{iu dt} - 1)/(iu) and (dt e^{iu dt} - phi)/u."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        dt = mpmath.mpf(dt)
+        if u == 0.0:
+            return complex(dt), complex(0.5j * dt * dt)
+        mu = mpmath.mpf(float(u))
+        turn = mpmath.expj(mu * dt)
+        phi = (turn - 1) / (1j * mu)
+        return complex(phi), complex((dt * turn - phi) / mu)
+
+
+def test_segment_integral_derivative_across_the_series_cut():
+    # j1 switches from its Taylor series to (sin h - h cos h)/h^2 at |h| = cut;
+    # dt is a power of two, so h = u dt/2 lands exactly on the cut and on its
+    # neighbouring floats
+    from qnspect.filterfn import _J1_SERIES_CUT, _segment_integral_and_derivative
+
+    dt = 2.0 ** -22
+    cut = _J1_SERIES_CUT
+    hs = np.concatenate([[np.nextafter(cut, 0.0), cut, np.nextafter(cut, 2.0 * cut)],
+                         np.linspace(0.5 * cut, 1.5 * cut, 201)])
+    hs = np.concatenate([hs, -hs])
+    u = 2.0 * hs / dt
+    assert np.array_equal(0.5 * u * dt, hs)
+    _, got = _segment_integral_and_derivative(u, dt)
+    for ui, value in zip(u, got):
+        _, want = segment_integral_pair_mpmath(ui, dt)
+        assert abs(value - want) <= 2e-15 * abs(want), ui * dt / 2
+
+
+def test_segment_integral_pair_matches_segment_integral():
+    # the pair's phi is filterfn's phi to rounding, and both halves agree with
+    # mpmath from x = u dt = 0 to past the series cut at x = 2
+    from qnspect.filterfn import _segment_integral, _segment_integral_and_derivative
+
+    dt = 1e-8
+    mags = [1e-10, 1e-8, 1e-7, 1e-5, 1e-3, 0.1, 0.5, 1.0, 1.99, 1.999999, 2.0, 2.000001,
+            3.0, 8.0, 40.0]
+    u = np.array([0.0] + mags + [-m for m in mags]) / dt
+    phi, dphi = _segment_integral_and_derivative(u, dt)
+    reference = _segment_integral(u, dt)
+    assert np.all(np.abs(phi - reference) <= 4e-16 * dt)
+    for ui, value, slope in zip(u, phi, dphi):
+        want, want_slope = segment_integral_pair_mpmath(ui, dt)
+        assert abs(value - want) <= 1e-15 * dt, ui * dt
+        assert abs(slope - want_slope) <= 2e-15 * abs(want_slope), ui * dt
+
+
 def test_csv_bytes_match_fstring_format(tmp_path):
     omegas = np.array([-3.5e7, -1e-300, 0.0, 5e-324, 1.0 / 3.0, 2.0 ** 60])
     values = np.array([0.0, -0.0, -1.2345678901234567e-20, 5e-324, -2.5e-310, 7.0e22])
@@ -529,3 +580,17 @@ def test_csv_bytes_match_fstring_format(tmp_path):
     constraints_to_csv(AffineConstraintSet(rows, np.arange(len(rows))), tmp_path / "rows.csv")
     want = "a_0,a_1,a_2\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
     assert (tmp_path / "rows.csv").read_bytes() == want.encode()
+
+    # the CLI's mixed tables: labels and int indices with str, floats with %.17g
+    from qnspect.cli import _write_csv
+
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    table = [["dr", m, float(v), float(w)] for m, (v, w) in
+             enumerate(zip(np.concatenate([values, specials]), np.concatenate([specials, omegas])))]
+    table.append(["dpss", -(10 ** 20), np.float64(1.0 / 3.0), 2.0 ** 60])
+    for rows in (table, table[:1], []):
+        _write_csv(tmp_path / "table.csv", "family,m,x,y", rows)
+        want = "family,m,x,y\n" + "".join(
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows)
+        assert (tmp_path / "table.csv").read_bytes() == want.encode()

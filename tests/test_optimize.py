@@ -265,6 +265,12 @@ class TestAmplitudeBound:
         with pytest.raises(ParameterError):
             build_design_problem(0.1 * MHZ, 400, 250e-9, max_rate, eps=eps)
 
+    @pytest.mark.parametrize("n", [0, 1, -3])
+    def test_too_few_samples_is_a_parameter_error(self, n):
+        # checked before the half-bandwidth NW/n is formed
+        with pytest.raises(ParameterError, match="n >= 2"):
+            build_design_problem(0.1 * MHZ, n, 250e-9, 5 * MHZ)
+
 
 def captured_lagrangians(problem, monkeypatch):
     """Solve the problem and return every (Lagrangian, start point) that
@@ -315,6 +321,41 @@ class TestGradient:
                 _, grad = fun(u)
                 want = central_difference(fun, u, 1e-6 * np.abs(u).max())
                 assert np.linalg.norm(grad - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_dc_residual_is_the_lagrangians_dc_term(self, monkeypatch):
+        # the exit check and the Lagrangian read the DC null through one call:
+        # at every point where a solve checks the residual, the Lagrangian saw
+        # the same (Re, Im) bits, and the derivative it used in Omega_m is the
+        # partial derivative of that residual
+        from qnspect import optimize
+
+        real = optimize._dc_residual
+        calls = []
+
+        def recording(theta, samples, dt, total_time, gradient=False):
+            out = real(theta, samples, dt, total_time, gradient)
+            calls.append((theta.copy(), samples.copy(), gradient, out))
+            return out
+
+        monkeypatch.setattr(optimize, "_dc_residual", recording)
+        problem = build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ, eps=0.1)
+        solve_design(problem)
+        dt, total_time = problem.dt, problem.total_time
+        seen = [(theta, samples, out) for theta, samples, gradient, out in calls if gradient]
+        checks = [(theta, samples, out) for theta, samples, gradient, out in calls if not gradient]
+        assert len(seen) > len(checks) >= 2
+        for theta, samples, residual in checks:
+            matches = [out for th, om, out in seen
+                       if np.array_equal(th, theta) and np.array_equal(om, samples)]
+            assert matches and all(np.array_equal(out[0], residual) for out in matches)
+        theta, samples, (residual, _, d_samples) = seen[-1]
+        for m in (0, 137, 399):
+            step = 1e-6 * np.abs(samples).max()
+            up, down = samples.copy(), samples.copy()
+            up[m] += step
+            down[m] -= step
+            want = (real(theta, up, dt, total_time) - real(theta, down, dt, total_time)) / (2 * step)
+            assert abs(complex(*want) - d_samples[m]) <= 1e-6 * abs(d_samples[m])
 
     def test_segment_integral_derivative_matches_mpmath(self):
         # d/du int_0^dt e^{ius} ds = i int_0^dt s e^{ius} ds by adaptive
