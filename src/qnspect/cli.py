@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -91,8 +92,12 @@ def _write_csv(path: Path, header: str, rows):
             fh.write((line * len(block)) % tuple(v for row in block for v in row))
 
 
+def _out_target(args) -> str | None:
+    return args.out or os.environ.get("QNSPECT_OUTDIR")
+
+
 def _outdir(args) -> Path:
-    target = args.out or os.environ.get("QNSPECT_OUTDIR")
+    target = _out_target(args)
     if not target:
         raise ParameterError("no output directory: pass --out or set QNSPECT_OUTDIR")
     out = Path(target)
@@ -615,10 +620,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    target = _out_target(args)
+    created = bool(target) and not Path(target).exists()
     try:
         args.func(args)
     except (ParameterError, GridError, UndefinedRatioError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        if created:
+            # a rejected command leaves no output directory it made; rmdir
+            # removes only an empty one
+            with contextlib.suppress(OSError):
+                Path(target).rmdir()
         return 2
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)

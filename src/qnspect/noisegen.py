@@ -9,9 +9,11 @@ harmonic superposition on the DFT grid w_j = j * 2*pi/(N*dt), j >= 1:
 with A_j, B_j independent standard normals.  The synthesis hits the target
 PSD exactly on the grid (no windowing bias) and keeps the DC component
 deterministic: detuning lives in ``mean`` only, never in the stochastic sum.
-Because every w_j is a DFT frequency, each realization is one inverse real
+Because every w_j is a DFT frequency, each realization is the inverse real
 FFT of the spectrum a_j (A_j - i B_j)/2 at bin j (a_j A_j at the Nyquist bin
-of an even N, whose sine term vanishes on the grid).
+of an even N, whose sine term vanishes on the grid).  Each realization draws
+its A_j, B_j from its own generator, seeded by (seed, index), and a batch of
+realizations is one inverse transform along the last axis.
 The lag-0 autocovariance is (1/pi) * integral_0^inf S(w) dw, which ties the
 amplitude convention to the filter-function overlap integrals round-trip.
 """
@@ -128,32 +130,40 @@ def _harmonic_amplitudes(model: SpectrumModel, n: int, dt: float):
     return j[keep], amps[keep]
 
 
+def _seed_value(value, what: str = "seed") -> int:
+    """``value`` as a Python int, or ParameterError unless it is a non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ParameterError(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def sample_many(model: SpectrumModel, n: int, dt: float, seed: int,
                 indices) -> np.ndarray:
     """Realizations on the length-``n`` time grid, one row per entry of ``indices``.
 
     Row r is deterministic in (seed, indices[r]); different indices are
-    independent streams of the same seed.
+    independent streams of the same seed.  Each row draws its coefficients
+    from its own generator, and the whole batch is one inverse transform, so a
+    row has the same bits whether it is drawn alone or in a batch.  The seed
+    and the indices must be non-negative integers.
     """
-    indices = list(indices)
+    seed = _seed_value(seed)
+    indices = [_seed_value(index, "a realization index") for index in indices]
     if n < 1 or not (math.isfinite(dt) and dt > 0):
         raise ParameterError(f"need n >= 1 and a positive finite dt, got {n} and {dt}")
-    out = np.full((len(indices), n), float(model.mean))
     if model.kind == DC_DELTA:
-        return out
+        return np.full((len(indices), n), float(model.mean))
     bins, amps = _harmonic_amplitudes(model, n, dt)
     # irfft sums X_0 + 2 Re sum_j X_j e^{2 pi i j m/n}, except that the
     # Nyquist bin of an even n enters once
     half = np.where(2 * bins == n, 1.0, 0.5) * amps
-    spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    # one inverse transform per realization: identical results whether a
-    # trajectory is drawn alone or as part of a batch
-    for r, index in enumerate(indices):
-        rng = np.random.default_rng([int(seed), int(index)])
-        coeff_a = rng.standard_normal(bins.size)
-        coeff_b = rng.standard_normal(bins.size)
-        spectrum[bins] = half * (coeff_a - 1j * coeff_b)
-        out[r] += np.fft.irfft(spectrum, n, norm="forward")
+    coeffs = np.empty((len(indices), 2, bins.size))
+    for row, index in zip(coeffs, indices):
+        np.random.default_rng([seed, index]).standard_normal(out=row)
+    spectrum = np.zeros((len(indices), n // 2 + 1), dtype=complex)
+    spectrum[:, bins] = half * (coeffs[:, 0] - 1j * coeffs[:, 1])
+    out = np.fft.irfft(spectrum, n, axis=-1, norm="forward")
+    out += model.mean
     return out
 
 

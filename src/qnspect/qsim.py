@@ -8,13 +8,19 @@ Each segment applies the exact 2x2 unitary
 with theta = dt * sqrt(((1+beta_Omega) Omega/2)^2 + beta_z^2), so the noise
 enters non-perturbatively; the Magnus/filter-function quantities computed
 alongside are diagnostics of the perturbative theory, not inputs to the
-dynamics.  Propagation is carried in the SU(2) quaternion representation
-U = u0 I - i (ux sigma_x + uy sigma_y + uz sigma_z), which makes the three
-survival probabilities p_i = u0^2 + u_i^2 and the tomographic estimator of a
-single realization simply ux^2.  Only the total propagator is kept, so the
-time-ordered product is a tree reduction: in chunks of about
-_PROPAGATE_CHUNK_SAMPLES samples of rows, every step quaternion is built at
-once and adjacent pairs are multiplied in about log2(N) vectorized levels.
+dynamics.  The quaternion U = u0 I - i (ux sigma_x + uy sigma_y + uz sigma_z)
+makes the three survival probabilities p_i = u0^2 + u_i^2 and the
+tomographic estimator of a single realization simply ux^2.  Propagation
+carries U as its Cayley-Klein pair a = u0 - i uz, b = uy - i ux, with
+U = [[a, -conj(b)], [b, conj(a)]], so a step is one tan of its half angle and
+a product is four complex multiplications.  Only the total propagator is
+kept, so the time-ordered product is a tree reduction: every step of a chunk
+of rows is built at once and adjacent pairs are multiplied in about log2(N)
+vectorized levels.  One constant, _BLOCK_SAMPLES, sizes every Monte-Carlo
+block: survival_probabilities draws both noise channels for a block of
+realizations, propagates it and keeps only its (rows, 3) probabilities, so
+no (R, N) noise array is ever held; bias_breakdown reduces its dephasing
+rows in the same blocks.
 Noise trajectories are plain float arrays on the waveform grid; the
 diagnostics take one (N,) trajectory or an (R, N) batch.
 """
@@ -28,7 +34,7 @@ import numpy as np
 from .errors import GridError, ParameterError
 from .filterfn import (_segment_integral, amplitude_ff, dephasing_ff, dephasing_ff_dc,
                        higher_order_ff)
-from .noisegen import SpectrumModel, psd_eval, sample_many
+from .noisegen import SpectrumModel, _seed_value, psd_eval, sample_many
 from .waveform import PiecewiseConstantWaveform, rotation_angle
 
 __all__ = [
@@ -48,12 +54,9 @@ __all__ = [
 
 # overlap quadrature resolution, in trapezoid points per 2*pi/T linewidth
 _POINTS_PER_LINEWIDTH = 8
-# bias_breakdown draws and reduces its Monte-Carlo rows in chunks of about
-# this many samples (2 MiB of float64 per temporary)
-_CHUNK_SAMPLES = 1 << 18
-# _propagate_quaternions reduces its rows in chunks of about this many
-# samples (8 rows at N = 2000, 128 KiB of float64 per step array)
-_PROPAGATE_CHUNK_SAMPLES = 1 << 14
+# Monte-Carlo rows are drawn, propagated and reduced in blocks of about this
+# many samples (16 rows at N = 2000, 256 KiB of float64 per (rows, N) array)
+_BLOCK_SAMPLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -117,54 +120,78 @@ class BiasBreakdown:
 
 
 def _compose(later, earlier):
-    """Quaternion products later * earlier, each given as four equal-shape arrays.
+    """Products later * earlier of Cayley-Klein pairs, each given as two equal-shape arrays.
 
-    (a0, a)(b0, b) = (a0 b0 - a.b, a0 b + b0 a + a x b).
+    [[a, -conj(b)], [b, conj(a)]] products give a = a_L a_E - conj(b_L) b_E
+    and b = b_L a_E + conj(a_L) b_E.
     """
-    a0, ax, ay, az = later
-    b0, bx, by, bz = earlier
-    return (a0 * b0 - ax * bx - ay * by - az * bz,
-            a0 * bx + b0 * ax + ay * bz - az * by,
-            a0 * by + b0 * ay + az * bx - ax * bz,
-            a0 * bz + b0 * az + ax * by - ay * bx)
+    a_l, b_l = later
+    a_e, b_e = earlier
+    # the products are fresh arrays: an in-place complex product may take a
+    # loop whose rounding depends on the memory layout, and so on the chunk
+    a = a_l * a_e
+    a -= np.conj(b_l) * b_e
+    b = b_l * a_e
+    b += np.conj(a_l) * b_e
+    return a, b
 
 
-def _step_quaternions(samples: np.ndarray, dt: float, beta_omega: np.ndarray,
-                      beta_z: np.ndarray):
-    """Each segment's step (c, sx, 0, sz) as four (rows, N) arrays.
+def _step_pairs(samples: np.ndarray, dt: float, beta_omega: np.ndarray,
+                beta_z: np.ndarray):
+    """Each segment's step a = cos(theta) - i sn bz, b = -i sn ax as two complex (rows, N) arrays.
 
-    A function of its own, so that its temporaries are freed before the reduction.
+    theta = dt norm with norm = sqrt(ax^2 + bz^2), and sn = sin(theta)/norm,
+    whose limit at norm = 0 is dt.  One tan of the half angle gives both: with
+    t = tan(theta/2), sin(theta) = 2t/(1 + t^2) and cos(theta) = 1 - t sin(theta).
+    The arithmetic is in place, so that few (rows, N) buffers are live at once.
     """
-    ax = 0.5 * samples * (1.0 + beta_omega)
-    norm = np.hypot(ax, beta_z)
-    theta = dt * norm
-    sn = np.where(norm > 0.0, np.sin(theta) / np.where(norm > 0.0, norm, 1.0), dt)
-    return np.cos(theta), sn * ax, np.zeros_like(theta), sn * beta_z
+    ax = 1.0 + beta_omega
+    ax *= 0.5 * samples
+    norm = beta_z * beta_z
+    norm += ax * ax
+    np.sqrt(norm, out=norm)
+    t = np.multiply(norm, 0.5 * dt)
+    np.tan(t, out=t)
+    neg_sin = t * t
+    neg_sin += 1.0
+    np.divide(t, neg_sin, out=neg_sin)
+    neg_sin *= -2.0
+    a = np.empty(norm.shape, dtype=complex)
+    b = np.zeros(norm.shape, dtype=complex)
+    np.multiply(t, neg_sin, out=a.real)
+    np.add(a.real, 1.0, out=a.real)
+    # t becomes -sn
+    np.divide(neg_sin, norm, out=t, where=norm > 0.0)
+    t[norm == 0.0] = -dt
+    np.multiply(t, beta_z, out=a.imag)
+    np.multiply(t, ax, out=b.imag)
+    return a, b
 
 
 def _propagate_quaternions(samples: np.ndarray, dt: float, beta_omega: np.ndarray,
                            beta_z: np.ndarray) -> np.ndarray:
     """Batched time-ordered product; rows of the (R, 4) result are (u0, ux, uy, uz).
 
-    Adjacent pairs are multiplied later step times earlier, and an odd last
-    factor joins its level's last pair.  Each element sees the same
-    operations in any chunk, so a row's bits do not depend on the other rows.
+    Works on Cayley-Klein pairs a = u0 - i uz, b = uy - i ux in chunks of
+    about _BLOCK_SAMPLES samples of rows.  Adjacent pairs are multiplied
+    later step times earlier, and an odd last factor joins its level's last
+    pair.  Each element sees the same operations in any chunk, so a row's
+    bits do not depend on the other rows.
     """
     r, n = beta_omega.shape
-    rows = max(1, _PROPAGATE_CHUNK_SAMPLES // n)
+    rows = max(1, _BLOCK_SAMPLES // n)
     u = np.empty((r, 4))
     for start in range(0, r, rows):
-        q = _step_quaternions(samples, dt, beta_omega[start:start + rows],
-                              beta_z[start:start + rows])
-        while q[0].shape[1] > 1:
-            m = q[0].shape[1]
-            pairs = _compose([x[:, 1::2] for x in q], [x[:, 0:m - 1:2] for x in q])
+        a, b = _step_pairs(samples, dt, beta_omega[start:start + rows],
+                           beta_z[start:start + rows])
+        while a.shape[1] > 1:
+            m = a.shape[1]
+            pa, pb = _compose((a[:, 1::2], b[:, 1::2]), (a[:, 0:m - 1:2], b[:, 0:m - 1:2]))
             if m % 2:
-                last = _compose([x[:, -1] for x in q], [x[:, -1] for x in pairs])
-                for x, y in zip(pairs, last):
-                    x[:, -1] = y
-            q = pairs
-        u[start:start + rows] = np.hstack(q)
+                pa[:, -1], pb[:, -1] = _compose((a[:, -1], b[:, -1]), (pa[:, -1], pb[:, -1]))
+            a, b = pa, pb
+        u[start:start + rows] = np.stack([a[:, 0].real, -b[:, 0].imag, b[:, 0].real,
+                                          -a[:, 0].imag], axis=1)
     return u
 
 
@@ -194,7 +221,7 @@ def _survival_from_quaternions(u: np.ndarray) -> np.ndarray:
 
 def _stream(seed: int, channel: int) -> int:
     # disjoint deterministic seeds for the amplitude / dephasing channels
-    return (int(seed) << 1) ^ channel
+    return (seed << 1) ^ channel
 
 
 def survival_probabilities(waveform: PiecewiseConstantWaveform, amp_model: SpectrumModel,
@@ -209,14 +236,22 @@ def survival_probabilities(waveform: PiecewiseConstantWaveform, amp_model: Spect
     """
     if n_realizations < 1:
         raise ParameterError("n_realizations must be >= 1")
-    amp = sample_many(amp_model, waveform.n, waveform.dt, seed=_stream(seed, 0),
-                      indices=range(n_realizations))
-    deph = sample_many(deph_model, waveform.n, waveform.dt, seed=_stream(seed, 1),
-                       indices=range(n_realizations))
-    u = _propagate_quaternions(waveform.samples, waveform.dt, amp, deph)
-    probs = _survival_from_quaternions(u)
+    seed = _seed_value(seed)
+    if shots is not None and (isinstance(shots, bool) or not isinstance(shots, (int, np.integer))
+                              or shots < 1):
+        raise ParameterError(f"shots must be None or an integer >= 1, got {shots!r}")
+    n, dt = waveform.n, waveform.dt
+    rows = max(1, _BLOCK_SAMPLES // n)
+    indices = range(n_realizations)
+    probs = np.empty((n_realizations, 3))
+    for start in range(0, n_realizations, rows):
+        block = indices[start:start + rows]
+        amp = sample_many(amp_model, n, dt, seed=_stream(seed, 0), indices=block)
+        deph = sample_many(deph_model, n, dt, seed=_stream(seed, 1), indices=block)
+        u = _propagate_quaternions(waveform.samples, dt, amp, deph)
+        probs[start:start + rows] = _survival_from_quaternions(u)
     if shots is not None:
-        rng = np.random.default_rng([int(seed), 0xB10])
+        rng = np.random.default_rng([seed, 0xB10])
         probs = rng.binomial(shots, np.clip(probs, 0.0, 1.0)) / float(shots)
     mean = probs.mean(axis=0)
     err = probs.std(axis=0, ddof=1) / np.sqrt(n_realizations) if n_realizations > 1 \
@@ -355,9 +390,10 @@ def bias_breakdown(waveform: PiecewiseConstantWaveform, amp_model: SpectrumModel
     else:
         if n_realizations < 1:
             raise ParameterError("n_realizations must be >= 1")
+        seed = _seed_value(seed)
         # a row's value does not depend on its chunk, so chunking only bounds
         # the (rows, N) temporaries
-        rows = max(1, _CHUNK_SAMPLES // waveform.n)
+        rows = max(1, _BLOCK_SAMPLES // waveform.n)
         indices = range(n_realizations)
         a12 = np.concatenate([
             magnus_second_order_a1(waveform, sample_many(

@@ -255,7 +255,8 @@ class TestErrorPaths:
     @staticmethod
     def _bad_number_configs(tmp_path):
         """Config files, by the names BAD_NUMBERS uses: a NaN modulation
-        frequency for each family, and reconstructions with bad bands."""
+        frequency for each family, reconstructions with bad bands, and a
+        valid sweep with and without ``"shots": 0``."""
         n, dt_ns = 500, 40.0
         delta_mhz = 1e3 / (n * dt_ns)  # one linewidth per band
         table = tmp_path / "table.csv"
@@ -274,6 +275,8 @@ class TestErrorPaths:
             }
             configs[f"rec_{family}"] = {"measurements_csv": str(nan_table), "num_bands": 1,
                                         "delta_omega_mhz": delta_mhz, "waveform": waveform}
+        configs["sim_ok"] = {**configs["sim_dr"], "lambdas_mhz": [0.1]}
+        configs["sim_zero_shots"] = {**configs["sim_ok"], "shots": 0}
         for name, num_bands, delta in (("bands_zero", 0, delta_mhz),
                                        ("bands_negative", -1, delta_mhz),
                                        ("delta_nan", 1, float("nan")), ("delta_zero", 1, 0.0)):
@@ -329,6 +332,10 @@ class TestErrorPaths:
     ] + [
         pytest.param(["reconstruct", "--config", f"{{{name}}}"], id=f"reconstruct-{name}")
         for name in ("bands_zero", "bands_negative", "delta_nan", "delta_zero")
+    ] + [
+        pytest.param(["simulate", "--config", "{sim_zero_shots}"], id="simulate-zero-shots"),
+        pytest.param(["simulate", "--config", "{sim_ok}", "--seed", -1],
+                     id="simulate-negative-seed"),
     ]
 
     @pytest.mark.parametrize("argv", BAD_NUMBERS)
@@ -336,7 +343,16 @@ class TestErrorPaths:
         paths = self._bad_number_configs(tmp_path)
         out = tmp_path / "out"
         assert run_cli(*[str(a).format(**paths) for a in argv], "--out", out) == 2
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    def test_rejected_command_keeps_a_directory_it_did_not_make(self, tmp_path):
+        out = tmp_path / "kept"
+        out.mkdir()
+        assert run_cli("dpss", "--n", 0, "--out", out) == 2
+        assert out.is_dir()
+        (out / "notes.txt").write_text("keep\n")
+        assert run_cli("dpss", "--n", 0, "--out", out / "deeper") == 2
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
 
     def test_nnls_cap_is_exit_3_without_spectrum(self, tmp_path, monkeypatch):
         def capped(a, b, **kwargs):

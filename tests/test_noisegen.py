@@ -75,6 +75,27 @@ class TestSampleProcess:
             want = coeff_a @ np.cos(phase) + coeff_b @ np.sin(phase)
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("n", [512, 511])
+    @pytest.mark.parametrize("kind", ["flat", "pink"])
+    def test_batch_rows_are_single_draws(self, n, kind):
+        # one batched inverse transform per call; each row keeps the bits of
+        # its index drawn alone, through the Nyquist bin of an even n
+        dt = 1e-8
+        model = {"flat": SpectrumModel.flat_cutoff(1.04e-11, np.pi / dt * (1 + 1e-13)),
+                 "pink": PINK}[kind]
+        indices = [9, 0, 4, 4, 31]
+        batch = sample_many(model, n, dt, seed=3, indices=indices)
+        assert batch.shape == (len(indices), n)
+        for row, index in zip(batch, indices):
+            assert np.array_equal(row, sample_many(model, n, dt, seed=3, indices=[index])[0])
+        assert sample_many(model, n, dt, seed=3, indices=[]).shape == (0, n)
+
+    @pytest.mark.parametrize("seed, indices", [(-1, [0]), (1.5, [0]), (True, [0]),
+                                               ("3", [0]), (3, [-1]), (3, [0.5])])
+    def test_seed_and_indices_must_be_non_negative_integers(self, seed, indices):
+        with pytest.raises(ParameterError):
+            sample_many(FLAT, 64, 1e-8, seed=seed, indices=indices)
+
     def test_nyquist_guard(self):
         with pytest.raises(ParameterError):
             sample_many(FLAT, 64, 1e-6, seed=0, indices=[0])  # Nyquist 0.5 MHz < cutoff

@@ -17,8 +17,9 @@ from qnspect import (
     survival_probabilities,
     tomographic_estimator,
 )
+from qnspect import qsim
 from qnspect.errors import ParameterError
-from qnspect.qsim import _PROPAGATE_CHUNK_SAMPLES, SurvivalTriple, _propagate_quaternions
+from qnspect.qsim import _BLOCK_SAMPLES, SurvivalTriple, _propagate_quaternions
 
 MHZ = 2 * np.pi * 1e6
 FLAT_AMP = SpectrumModel.flat_cutoff(1.04e-11, 2 * MHZ)
@@ -111,6 +112,27 @@ class TestTreeProduct:
             assert np.abs(u[row] - ref).max() < 1e-13
         assert np.abs(np.sum(u**2, axis=1) - 1.0).max() < 1e-13
 
+    @pytest.mark.parametrize("n", [2, 7, 257, 2000])
+    def test_matches_sequential_product_through_large_angles(self, n):
+        # step angles theta = dt * norm run up to about 10 rad, across pi and
+        # 3 pi, where tan(theta/2) passes through its poles; some steps sit
+        # within rounding of an odd multiple of pi
+        rng = np.random.default_rng(100 + n)
+        dt = 1e-8
+        samples = rng.uniform(-1e9, 1e9, n)
+        amp = rng.normal(0.0, 0.3, (3, n))
+        deph = rng.uniform(-5e8, 5e8, (3, n))
+        samples[: n // 2] = 0.0
+        deph[:, : n // 2] = np.resize([1.0, -3.0, 3.0, -1.0], (3, n // 2)) * np.pi / dt
+        theta = dt * np.hypot(0.5 * samples * (1.0 + amp), deph)
+        assert np.any(np.abs(theta - np.pi) < 1e-12)
+        assert np.any(np.abs(theta - 3 * np.pi) < 1e-12)
+        u = _propagate_quaternions(samples, dt, amp, deph)
+        for row in range(3):
+            ref = sequential_product(samples, dt, amp[row], deph[row])
+            assert np.abs(u[row] - ref).max() < 1e-13
+        assert np.abs(np.sum(u**2, axis=1) - 1.0).max() < 1e-13
+
     def test_zero_drive_and_zero_noise_segments(self):
         # steps with neither drive nor noise take the sn = dt branch and must
         # act as the identity, wherever they fall in the tree
@@ -133,7 +155,7 @@ class TestTreeProduct:
     def test_row_bits_do_not_depend_on_the_batch(self):
         wf = dephasing_robust(20e-6, 4, 2, 2000)
         deph = SpectrumModel.one_over_f(29.3, 1e8, 0.01 * MHZ, 2 * MHZ)
-        rows = _PROPAGATE_CHUNK_SAMPLES // wf.n
+        rows = _BLOCK_SAMPLES // wf.n
         r = 2 * rows + 5
         assert rows > 1 and r % rows != 0
         amp = sample_many(FLAT_AMP, wf.n, wf.dt, seed=5, indices=range(r))
@@ -179,6 +201,30 @@ class TestSurvival:
         exact = survival_probabilities(wf, FLAT_AMP, NO_NOISE, 50, seed=2)
         assert shot.p1 != exact.p1  # binomial layer engaged
         assert abs(shot.p1 - exact.p1) < 0.05
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, shots):
+        # survival_probabilities draws and propagates its realizations in
+        # blocks; blocks of three rows must give the default's bits
+        wf = dephasing_robust(20e-6, 4, 2, 500)
+        deph = SpectrumModel.one_over_f(29.3, 1e8, 0.01 * MHZ, 2 * MHZ)
+        r = 2 * (_BLOCK_SAMPLES // wf.n) + 7
+        default = survival_probabilities(wf, FLAT_AMP, deph, r, seed=4, shots=shots)
+        monkeypatch.setattr(qsim, "_BLOCK_SAMPLES", 3 * wf.n)
+        assert survival_probabilities(wf, FLAT_AMP, deph, r, seed=4, shots=shots) == default
+
+    @pytest.mark.parametrize("keyword", [{"shots": 0}, {"shots": -1}, {"shots": 2.5},
+                                         {"shots": True}, {"seed": -1}, {"seed": 1.5},
+                                         {"seed": True}])
+    def test_bad_shots_or_seed_raise(self, keyword):
+        wf = dephasing_robust(10e-6, 2, 1, 100)
+        arguments = {"seed": 0, **keyword}
+        with pytest.raises(ParameterError):
+            survival_probabilities(wf, FLAT_AMP, NO_NOISE, 4, **arguments)
+        if "seed" in keyword:
+            deph = SpectrumModel.one_over_f(3.18, 1e8, 0.01 * MHZ, 2 * MHZ)
+            with pytest.raises(ParameterError):
+                bias_breakdown(wf, FLAT_AMP, deph, n_realizations=4, seed=keyword["seed"])
 
     def test_estimator_matches_amplitude_overlap(self):
         wf = dephasing_robust(20e-6, 20, 2, 2000)
@@ -337,11 +383,11 @@ class TestBiasBreakdown:
     def test_chunked_monte_carlo_has_the_bits_of_one_batch(self):
         # bias_breakdown draws and reduces its dephasing rows in chunks; the
         # mean square must equal one batched call over every row, bit for bit
-        from qnspect.qsim import _CHUNK_SAMPLES, _stream
+        from qnspect.qsim import _BLOCK_SAMPLES, _stream
 
         wf = dephasing_robust(20e-6, 20, 2, 2000)
         deph = SpectrumModel.one_over_f(3.18, 1e8, 0.01 * MHZ, 2 * MHZ)
-        assert _CHUNK_SAMPLES // wf.n < 500  # several chunks
+        assert _BLOCK_SAMPLES // wf.n < 500  # several chunks
         parts = bias_breakdown(wf, FLAT_AMP, deph, n_realizations=500, seed=2)
         batch = sample_many(deph, wf.n, wf.dt, seed=_stream(2, 1), indices=range(500))
         assert parts.a12_sq == float(np.mean(magnus_second_order_a1(wf, batch) ** 2))
