@@ -31,7 +31,7 @@ from .filterfn import (
     higher_order_ff_to_csv,
 )
 from .lp_reduce import constraints_to_csv, prune_constraints
-from .noisegen import SpectrumModel, psd_eval, spectrum_model_from_json
+from .noisegen import SpectrumModel, _seed_value, psd_eval, spectrum_model_from_json
 from .optimize import (
     amplitude_constraints,
     build_design_problem,
@@ -290,9 +290,11 @@ def _sweep_rows(config: dict, lambdas, waveforms, seed: int, realizations: int):
 
 def _cmd_simulate(args):
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    realizations = (args.realizations if args.realizations is not None
-                    else int(config.get("realizations", 2000)))
+    seed = _seed_value(args.seed if args.seed is not None else config.get("seed", 0))
+    realizations = _seed_value(args.realizations if args.realizations is not None
+                               else config.get("realizations", 2000), "realizations")
+    if realizations < 1:
+        raise ParameterError("realizations must be >= 1")
     out = _outdir(args)
     rows = run_sweep(config, seed, realizations)
     keys = ["lambda_mhz", "p1", "p2", "p3", "p1_err", "p2_err", "p3_err",

@@ -227,12 +227,6 @@ def _dc_residual(theta: np.ndarray, samples: np.ndarray, dt: float, total_time: 
     return residual, 1j * terms / total_time, rot * dphi / total_time
 
 
-def _segment_integral_derivative(u: np.ndarray, dt: float) -> np.ndarray:
-    """d/du of filterfn._segment_integral, i int_0^dt s e^{i u s} ds: the second
-    value of _segment_integral_and_derivative."""
-    return _segment_integral_and_derivative(u, dt)[1]
-
-
 # ---------------------------------------------------------------------------
 # Initialization and solve
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ U = [[a, -conj(b)], [b, conj(a)]], so a step is one tan of its half angle and
 a product is four complex multiplications.  Only the total propagator is
 kept, so the time-ordered product is a tree reduction: every step of a chunk
 of rows is built at once and adjacent pairs are multiplied in about log2(N)
-vectorized levels.  One constant, _BLOCK_SAMPLES, sizes every Monte-Carlo
-block: survival_probabilities draws both noise channels for a block of
+vectorized levels.  One constant, _BLOCK_SAMPLES, sizes every block:
+survival_probabilities draws both noise channels for a block of
 realizations, propagates it and keeps only its (rows, 3) probabilities, so
-no (R, N) noise array is ever held; bias_breakdown reduces its dephasing
-rows in the same blocks.
+no (R, N) noise array is ever held.  bias_breakdown draws nothing: its
+overlaps are exact or Gauss-Legendre panel sums, and <a1^(2)^2> is a closed
+form (Isserlis' theorem) over (N, columns) blocks of the same size.
 Noise trajectories are plain float arrays on the waveform grid; the
 diagnostics take one (N,) trajectory or an (R, N) batch.
 """
@@ -31,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, ParameterError
-from .filterfn import (_segment_integral, amplitude_ff, dephasing_ff, dephasing_ff_dc,
-                       higher_order_ff)
-from .noisegen import SpectrumModel, _seed_value, psd_eval, sample_many
+from .errors import ParameterError
+from .filterfn import (_segment_integral, amplitude_ff, amplitude_ff_integral, dephasing_ff,
+                       dephasing_ff_dc)
+from .noisegen import (SpectrumModel, _harmonic_amplitudes, _panel_overlap, _seed_value,
+                       sample_many)
 from .waveform import PiecewiseConstantWaveform, rotation_angle
 
 __all__ = [
@@ -52,10 +54,9 @@ __all__ = [
     "bias_breakdown",
 ]
 
-# overlap quadrature resolution, in trapezoid points per 2*pi/T linewidth
-_POINTS_PER_LINEWIDTH = 8
-# Monte-Carlo rows are drawn, propagated and reduced in blocks of about this
-# many samples (16 rows at N = 2000, 256 KiB of float64 per (rows, N) array)
+# Monte-Carlo rows, and the columns of bias_breakdown's closed form, are
+# handled in blocks of about this many samples (16 at N = 2000, 256 KiB of
+# float64 per (rows, N) array)
 _BLOCK_SAMPLES = 1 << 15
 
 
@@ -219,11 +220,6 @@ def _survival_from_quaternions(u: np.ndarray) -> np.ndarray:
     )
 
 
-def _stream(seed: int, channel: int) -> int:
-    # disjoint deterministic seeds for the amplitude / dephasing channels
-    return (seed << 1) ^ channel
-
-
 def survival_probabilities(waveform: PiecewiseConstantWaveform, amp_model: SpectrumModel,
                            deph_model: SpectrumModel, n_realizations: int, seed: int,
                            shots: int | None = None) -> SurvivalTriple:
@@ -246,8 +242,9 @@ def survival_probabilities(waveform: PiecewiseConstantWaveform, amp_model: Spect
     probs = np.empty((n_realizations, 3))
     for start in range(0, n_realizations, rows):
         block = indices[start:start + rows]
-        amp = sample_many(amp_model, n, dt, seed=_stream(seed, 0), indices=block)
-        deph = sample_many(deph_model, n, dt, seed=_stream(seed, 1), indices=block)
+        # disjoint deterministic seeds for the amplitude / dephasing channels
+        amp = sample_many(amp_model, n, dt, seed=2 * seed, indices=block)
+        deph = sample_many(deph_model, n, dt, seed=2 * seed + 1, indices=block)
         u = _propagate_quaternions(waveform.samples, dt, amp, deph)
         probs[start:start + rows] = _survival_from_quaternions(u)
     if shots is not None:
@@ -328,80 +325,67 @@ def magnus_second_order_a1(waveform: PiecewiseConstantWaveform,
 # ---------------------------------------------------------------------------
 
 
-def _overlap_grid(waveform: PiecewiseConstantWaveform, model: SpectrumModel) -> np.ndarray:
-    if model.cutoff <= 0.0:
-        return np.array([])
-    linewidth = 2.0 * np.pi / waveform.total_time
-    spacing = linewidth / _POINTS_PER_LINEWIDTH
-    if model.kind == "one_over_f":
-        spacing = min(spacing, model.omega_l / 4.0)
-    npts = int(np.ceil(model.cutoff / spacing)) + 1
-    if npts > 4_000_000:
-        raise GridError(
-            "overlap grid would need more than 4e6 points; the spectrum's "
-            "low-frequency structure is too fine for this waveform duration"
-        )
-    grid = np.linspace(0.0, model.cutoff, npts)
-    if model.kind == "one_over_f":
-        grid = np.union1d(grid, [model.omega_l])
-    return grid
-
-
 def overlap_amplitude(waveform: PiecewiseConstantWaveform, model: SpectrumModel) -> float:
-    """I_Omega = (1/pi) int_0^inf F_Omega(w) S_Omega(w) dw."""
-    grid = _overlap_grid(waveform, model)
-    if grid.size == 0:
-        return 0.0
-    ff = amplitude_ff(waveform, grid)
-    return float(np.trapezoid(ff.values * psd_eval(model, grid), grid) / np.pi)
+    """I_Omega = (1/pi) int_0^inf F_Omega(w) S_Omega(w) dw.
+
+    One amplitude_ff_integral for a flat S, noisegen._panel_overlap otherwise.
+    """
+    if model.kind == "flat_cutoff":
+        integral = amplitude_ff_integral(waveform.samples, waveform.dt, model.omega_h)[0]
+        return float(model.a_omega * integral / np.pi)
+    return _panel_overlap(model, lambda w: amplitude_ff(waveform, w).values,
+                          2.0 * np.pi / waveform.total_time)
 
 
 def overlap_dephasing(waveform: PiecewiseConstantWaveform, model: SpectrumModel) -> float:
-    """I_Z = (1/pi) int_0^inf F_Z S_z dw + mean^2 * F_Z(0).
+    """I_Z = (1/pi) int_0^inf F_Z S_z dw + mean^2 * F_Z(0), by noisegen._panel_overlap.
 
-    The second term is the static (delta-at-DC) part carried by the model
-    mean.
+    The second term is the static (delta-at-DC) part carried by the model mean.
     """
-    total = model.mean**2 * dephasing_ff_dc(waveform)
-    grid = _overlap_grid(waveform, model)
-    if grid.size:
-        ff = dephasing_ff(waveform, grid)
-        total += float(np.trapezoid(ff.values * psd_eval(model, grid), grid) / np.pi)
-    return total
+    return model.mean**2 * dephasing_ff_dc(waveform) + _panel_overlap(
+        model, lambda w: dephasing_ff(waveform, w).values, 2.0 * np.pi / waveform.total_time)
+
+
+def _magnus_variance(waveform: PiecewiseConstantWaveform, model: SpectrumModel) -> float:
+    """<a1^(2)^2> over the dephasing beta = mean + F z of sample_many, exactly.
+
+    F holds the scaled cos and sin columns of the harmonics, z is standard
+    normal, and a1^(2) = beta^T M beta with M[i, l] = M[l, i] =
+    (dt^2/2) sin(Th_i - Th_l) for i >= l, the symmetric part of the
+    magnus_second_order_a1 kernel.  With K = B^T M B for B = [mean 1, F],
+    Q = K[1:, 1:] and g = K[0, 1:], Isserlis' theorem gives
+    <a^2> = (K[0, 0] + tr Q)^2 + 2 tr(Q^2) + 4 |g|^2.  M B is prefix and suffix
+    sums over blocks of columns of about _BLOCK_SAMPLES cells.
+    """
+    n, dt = waveform.n, waveform.dt
+    bins, amps = _harmonic_amplitudes(model, n, dt)
+    phase = (2.0 * np.pi / n) * (np.outer(np.arange(n), bins) % n)
+    basis = np.hstack([np.full((n, 1), model.mean), amps * np.cos(phase), amps * np.sin(phase)])
+    rot = np.exp(1j * rotation_angle(waveform)[:-1, None])
+    k = np.empty((basis.shape[1],) * 2)
+    step = max(1, _BLOCK_SAMPLES // n)
+    for start in range(0, basis.shape[1], step):
+        # Im e^{i Th_i} (sums over l <= i minus l >= i of e^{-i Th_l} B_l) = (M B)_i / (dt^2/2)
+        y = np.conj(rot) * basis[:, start:start + step]
+        y = rot * (np.cumsum(y, axis=0) - np.cumsum(y[::-1], axis=0)[::-1])
+        k[:, start:start + step] = basis.T @ y.imag
+    k *= 0.5 * dt * dt
+    q = k[1:, 1:]
+    return float((k[0, 0] + np.trace(q)) ** 2 + 2.0 * np.sum(q * q.T)
+                 + 4.0 * np.sum(k[0, 1:] ** 2))
 
 
 def bias_breakdown(waveform: PiecewiseConstantWaveform, amp_model: SpectrumModel,
-                   deph_model: SpectrumModel, n_realizations: int = 2000,
-                   seed: int = 0) -> BiasBreakdown:
+                   deph_model: SpectrumModel) -> BiasBreakdown:
     """Fourth-order prediction of the tomographic estimator.
 
-    I_Omega and I_Z come from filter-function overlaps.  The second-order
-    Magnus variance <a1^(2)^2> is exact (mean^4/3 * G_Z(0,0)) for a purely
-    static dephasing model and Monte Carlo over dephasing realizations
-    otherwise, which folds the stochastic-by-static cross terms in without a
-    two-dimensional overlap quadrature.
+    I_Omega and I_Z come from filter-function overlaps, and the second-order
+    Magnus variance <a1^(2)^2> is exact over the synthesized dephasing
+    (mean^4/3 * G_Z(0,0) for a static model), so every call gives the same
+    bits.
     """
     i_om = overlap_amplitude(waveform, amp_model)
     i_z = overlap_dephasing(waveform, deph_model)
-
-    if deph_model.kind == "dc_delta":
-        gz00 = higher_order_ff(waveform, [0.0], [0.0]).values[0, 0].real
-        a12_sq = deph_model.mean**4 / 3.0 * gz00
-    else:
-        if n_realizations < 1:
-            raise ParameterError("n_realizations must be >= 1")
-        seed = _seed_value(seed)
-        # a row's value does not depend on its chunk, so chunking only bounds
-        # the (rows, N) temporaries
-        rows = max(1, _BLOCK_SAMPLES // waveform.n)
-        indices = range(n_realizations)
-        a12 = np.concatenate([
-            magnus_second_order_a1(waveform, sample_many(
-                deph_model, waveform.n, waveform.dt, seed=_stream(seed, 1),
-                indices=indices[start:start + rows]))
-            for start in range(0, n_realizations, rows)
-        ])
-        a12_sq = float(np.mean(a12 ** 2))
-
+    a12_sq = _magnus_variance(waveform, deph_model)
     predicted = i_om - i_om**2 - i_om * i_z / 3.0 + a12_sq
     return BiasBreakdown(i_omega=i_om, i_z=i_z, a12_sq=a12_sq, predicted=predicted)

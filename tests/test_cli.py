@@ -176,6 +176,10 @@ class TestArtifactHygiene:
         assert run_cli("dpss", "--n", 32, "--nw", 1.0, "--k", 1) == 2
 
 
+# simulate config seeds and realization counts that are not integers in range
+BAD_CONFIG_COUNTS = {"seed": (3.7, 3.0, True, -1), "realizations": (40.9, 40.0, False, 0, -2)}
+
+
 class TestErrorPaths:
     def test_missing_config_is_exit_2(self, tmp_path):
         assert run_cli("simulate", "--config", tmp_path / "nope.json",
@@ -277,6 +281,9 @@ class TestErrorPaths:
                                         "delta_omega_mhz": delta_mhz, "waveform": waveform}
         configs["sim_ok"] = {**configs["sim_dr"], "lambdas_mhz": [0.1]}
         configs["sim_zero_shots"] = {**configs["sim_ok"], "shots": 0}
+        for key, values in BAD_CONFIG_COUNTS.items():
+            for i, value in enumerate(values):
+                configs[f"sim_{key}_{i}"] = {**configs["sim_ok"], key: value}
         for name, num_bands, delta in (("bands_zero", 0, delta_mhz),
                                        ("bands_negative", -1, delta_mhz),
                                        ("delta_nan", 1, float("nan")), ("delta_zero", 1, 0.0)):
@@ -336,6 +343,10 @@ class TestErrorPaths:
         pytest.param(["simulate", "--config", "{sim_zero_shots}"], id="simulate-zero-shots"),
         pytest.param(["simulate", "--config", "{sim_ok}", "--seed", -1],
                      id="simulate-negative-seed"),
+    ] + [
+        pytest.param(["simulate", "--config", f"{{sim_{key}_{i}}}"],
+                     id=f"simulate-config-{key}-{value}")
+        for key, values in BAD_CONFIG_COUNTS.items() for i, value in enumerate(values)
     ]
 
     @pytest.mark.parametrize("argv", BAD_NUMBERS)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
 from qnspect import SpectrumModel, free_induction_chi, psd_eval, sample_many, t2_estimate
-from qnspect.errors import ParameterError
+from qnspect.errors import GridError, ParameterError
 from qnspect.noisegen import spectrum_model_from_json
 
 MHZ = 2 * np.pi * 1e6
@@ -157,6 +158,18 @@ class TestT2:
 
     def test_chi_increasing(self):
         assert free_induction_chi(PINK, 2e-6) < free_induction_chi(PINK, 8e-6)
+
+    @pytest.mark.parametrize("t", [1e-7, 1e-6, 4e-6, 1e-4, 1e-2])
+    def test_flat_chi_matches_closed_form(self, t):
+        # (1/pi) int_0^wh a 4 sin^2(wt/2)/w^2 dw = (2a/pi)[t Si(wh t) - (1 - cos wh t)/wh]
+        a, wh = FLAT.a_omega, FLAT.omega_h
+        want = 2 * a / np.pi * (t * sici(wh * t)[0] - (1 - np.cos(wh * t)) / wh)
+        assert abs(free_induction_chi(FLAT, t) - want) <= 1e-11 * want
+
+    def test_over_fine_chi_is_refused(self):
+        # panels no wider than 2*pi/t: t = 1 s would need 1.6e7 nodes
+        with pytest.raises(GridError):
+            free_induction_chi(FLAT, 1.0)
 
     def test_dc_delta_rejected(self):
         with pytest.raises(TypeError):

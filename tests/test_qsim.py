@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qnspect import (
     PiecewiseConstantWaveform,
     SpectrumModel,
+    amplitude_ff,
     bias_breakdown,
+    dephasing_ff,
     dephasing_robust,
     error_vector_first_order,
     higher_order_ff,
@@ -13,12 +16,13 @@ from qnspect import (
     overlap_amplitude,
     overlap_dephasing,
     propagate,
+    psd_eval,
     sample_many,
     survival_probabilities,
     tomographic_estimator,
 )
 from qnspect import qsim
-from qnspect.errors import ParameterError
+from qnspect.errors import GridError, ParameterError
 from qnspect.qsim import _BLOCK_SAMPLES, SurvivalTriple, _propagate_quaternions
 
 MHZ = 2 * np.pi * 1e6
@@ -221,10 +225,6 @@ class TestSurvival:
         arguments = {"seed": 0, **keyword}
         with pytest.raises(ParameterError):
             survival_probabilities(wf, FLAT_AMP, NO_NOISE, 4, **arguments)
-        if "seed" in keyword:
-            deph = SpectrumModel.one_over_f(3.18, 1e8, 0.01 * MHZ, 2 * MHZ)
-            with pytest.raises(ParameterError):
-                bias_breakdown(wf, FLAT_AMP, deph, n_realizations=4, seed=keyword["seed"])
 
     def test_estimator_matches_amplitude_overlap(self):
         wf = dephasing_robust(20e-6, 20, 2, 2000)
@@ -371,28 +371,43 @@ class TestBiasBreakdown:
         assert abs(est.value - parts.predicted) < 3 * est.stderr
 
     def test_prediction_with_stochastic_dephasing(self):
-        # exercises the Monte-Carlo a1^(2) path (non-static spectrum)
+        # exercises the closed-form <a1^(2)^2> of a non-static spectrum
         wf = dephasing_robust(20e-6, 20, 2, 2000)
         deph = SpectrumModel.one_over_f(3.18, 1e8, 0.01 * MHZ, 2 * MHZ)
-        parts = bias_breakdown(wf, FLAT_AMP, deph, n_realizations=500, seed=2)
+        parts = bias_breakdown(wf, FLAT_AMP, deph)
         assert parts.i_z > 0 and parts.a12_sq >= 0
         triple = survival_probabilities(wf, FLAT_AMP, deph, 2000, seed=12)
         est = tomographic_estimator(triple)
         assert abs(est.value - parts.predicted) < 3 * est.stderr + 0.05 * parts.i_omega
 
-    def test_chunked_monte_carlo_has_the_bits_of_one_batch(self):
-        # bias_breakdown draws and reduces its dephasing rows in chunks; the
-        # mean square must equal one batched call over every row, bit for bit
-        from qnspect.qsim import _BLOCK_SAMPLES, _stream
+    @pytest.mark.parametrize("family, deph", [
+        ("dr", SpectrumModel.one_over_f(29.3, 1e8, 0.01 * MHZ, 2 * MHZ, mean=0.1 * MHZ)),
+        ("dpss", SpectrumModel.flat_cutoff(2e3, 2 * MHZ)),
+    ], ids=["dr-one-over-f-detuned", "dpss-flat"])
+    def test_magnus_variance_matches_monte_carlo(self, family, deph):
+        # the closed form against 20 000 synthesized dephasing trajectories
+        wf = (dephasing_robust(20e-6, 20, 2, 500) if family == "dr"
+              else modulated_dpss_waveform(500, 1.0 / 500, 5 * MHZ, 1 * MHZ, 40e-9))
+        parts = bias_breakdown(wf, FLAT_AMP, deph)
+        assert bias_breakdown(wf, FLAT_AMP, deph) == parts
+        squares = np.concatenate([
+            magnus_second_order_a1(wf, sample_many(deph, wf.n, wf.dt, seed=9,
+                                                   indices=range(start, start + 2000))) ** 2
+            for start in range(0, 20_000, 2000)
+        ])
+        se = squares.std(ddof=1) / np.sqrt(squares.size)
+        assert abs(squares.mean() - parts.a12_sq) < 3 * se
 
-        wf = dephasing_robust(20e-6, 20, 2, 2000)
-        deph = SpectrumModel.one_over_f(3.18, 1e8, 0.01 * MHZ, 2 * MHZ)
-        assert _BLOCK_SAMPLES // wf.n < 500  # several chunks
-        parts = bias_breakdown(wf, FLAT_AMP, deph, n_realizations=500, seed=2)
-        batch = sample_many(deph, wf.n, wf.dt, seed=_stream(2, 1), indices=range(500))
-        assert parts.a12_sq == float(np.mean(magnus_second_order_a1(wf, batch) ** 2))
-        with pytest.raises(ParameterError):
-            bias_breakdown(wf, FLAT_AMP, deph, n_realizations=0)
+    @pytest.mark.parametrize("family", ["dr", "dpss"])
+    def test_static_magnus_variance_matches_gz(self, family):
+        # <a1^(2)^2> = mu^4/3 * G_Z(0, 0) for static detuning mu
+        wf = (dephasing_robust(20e-6, 20, 2, 2000) if family == "dr"
+              else modulated_dpss_waveform(2000, 1.0 / 2000, 5 * MHZ, 1 * MHZ, 10e-9))
+        mu = 0.19 * MHZ
+        gz00 = higher_order_ff(wf, [0.0], [0.0]).values[0, 0].real
+        want = mu**4 / 3.0 * gz00
+        got = bias_breakdown(wf, FLAT_AMP, SpectrumModel.dc_delta(mu)).a12_sq
+        assert abs(got - want) <= 1e-11 * want
 
     def test_gaussian_fourth_moment(self):
         # <a1^4> = 3 I_Omega^2 for zero-mean Gaussian amplitude noise
@@ -410,3 +425,34 @@ class TestBiasBreakdown:
         t2 = survival_probabilities(wf, FLAT_AMP, NO_NOISE, 600, seed=22)
         err = np.hypot(t1.err1, t2.err1)
         assert abs(t1.p1 - t2.p1) < 4 * err
+
+
+class TestOverlaps:
+    WF = dephasing_robust(20e-6, 20, 2, 500)
+    PINK = SpectrumModel.one_over_f(29.3, 1e8, 0.01 * MHZ, 2 * MHZ)
+
+    @staticmethod
+    def quad_overlap(ff, model, cuts):
+        """(1/pi) int F S dw by adaptive quadrature between consecutive ``cuts``."""
+        return sum(quad(lambda w: ff(w) * psd_eval(model, w), a, b, epsabs=0.0,
+                        epsrel=1e-12, limit=400)[0]
+                   for a, b in zip(cuts[:-1], cuts[1:])) / np.pi
+
+    def test_flat_amplitude_overlap_matches_quadrature(self):
+        want = self.quad_overlap(lambda w: amplitude_ff(self.WF, w).values[0], FLAT_AMP,
+                                 np.linspace(0.0, FLAT_AMP.omega_h, 41))
+        assert abs(overlap_amplitude(self.WF, FLAT_AMP) - want) <= 1e-11 * want
+
+    def test_one_over_f_dephasing_overlap_matches_quadrature(self):
+        model = self.PINK
+        cuts = np.concatenate([[0.0], np.linspace(model.omega_l, model.omega_h, 41)])
+        want = self.quad_overlap(lambda w: dephasing_ff(self.WF, w).values[0], model, cuts)
+        assert abs(overlap_dephasing(self.WF, model) - want) <= 1e-10 * want
+
+    def test_over_fine_spectrum_is_refused(self):
+        # omega_l = 1e-7 omega_h asks for 8e7 panel nodes on a 20 us waveform
+        fine = SpectrumModel.one_over_f(29.3, 1e8, 2e-7 * MHZ, 2 * MHZ)
+        with pytest.raises(GridError):
+            overlap_amplitude(self.WF, fine)
+        with pytest.raises(GridError):
+            bias_breakdown(self.WF, FLAT_AMP, fine)
