@@ -140,7 +140,9 @@ def _lambdas_from_config(cfg) -> np.ndarray:
     if isinstance(cfg, dict):
         start = float(cfg["start_mhz"])
         step = float(cfg["step_mhz"])
-        count = int(cfg["count"])
+        count = _seed_value(cfg["count"], "lambdas_mhz count")
+        if count < 1:
+            raise ParameterError("lambdas_mhz count must be >= 1")
         return (start + step * np.arange(count)) * MHZ
     return np.asarray([float(v) for v in cfg]) * MHZ
 

@@ -12,8 +12,12 @@ deterministic: detuning lives in ``mean`` only, never in the stochastic sum.
 Because every w_j is a DFT frequency, each realization is the inverse real
 FFT of the spectrum a_j (A_j - i B_j)/2 at bin j (a_j A_j at the Nyquist bin
 of an even N, whose sine term vanishes on the grid).  Each realization draws
-its A_j, B_j from its own generator, seeded by (seed, index), and a batch of
-realizations is one inverse transform along the last axis.
+its A_j, B_j from its own PCG64 stream, the stream of
+``default_rng([seed, index])``: the four state words that
+``SeedSequence([seed, index])`` would hash are computed for all indices at
+once in uint32 array arithmetic (``_seed_words``), and each row's generator
+starts from its words.  A batch of realizations is one inverse transform
+along the last axis, so a row has the same bits alone or in any batch.
 The lag-0 autocovariance is (1/pi) * integral_0^inf S(w) dw, which ties the
 amplitude convention to the filter-function overlap integrals round-trip.
 """
@@ -138,6 +142,128 @@ def _seed_value(value, what: str = "seed") -> int:
     return int(value)
 
 
+# numpy's SeedSequence hash (pool of 4 uint32 words) and its constants
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int):
+    """SeedSequence's hashmix of a uint32 array; returns it and the next hash constant."""
+    value = value ^ np.uint32(const)
+    const = const * mult & _MASK32
+    value = value * np.uint32(const)
+    return value ^ (value >> 16), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> 16)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence makes of a non-negative int."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(seed: int, indices) -> np.ndarray:
+    """``SeedSequence([seed, index]).generate_state(4, np.uint64)`` for a sequence of indices, as (R, 4).
+
+    The entropy of an index below 2^32 is the seed's words and one index
+    word, so the hash runs on columns of a (words, R) uint32 array; its
+    constants do not depend on the data.  A larger index falls back to
+    numpy's SeedSequence.
+    """
+    small = np.fromiter((index <= _MASK32 for index in indices), bool, len(indices))
+    entropy = np.empty((len(_uint32_words(seed)) + 1, np.count_nonzero(small)), dtype=np.uint32)
+    entropy[:-1] = np.array(_uint32_words(seed), dtype=np.uint32)[:, None]
+    entropy[-1] = np.fromiter((index for index in indices if index <= _MASK32), np.uint32,
+                              entropy.shape[1])
+    # mix_entropy: hash the first 4 words into the pool, mix every pool word
+    # into every other, then mix in any words beyond the pool
+    const, pool = _INIT_A, []
+    for word in range(4):
+        source = entropy[word] if word < len(entropy) else np.zeros_like(entropy[0])
+        value, const = _hashmix(source, const, _MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for src in range(4, len(entropy)):
+        for dst in range(4):
+            value, const = _hashmix(entropy[src], const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    # generate_state: 8 uint32 words cycling over the pool, read as 4
+    # little-endian uint64 words
+    const, state = _INIT_B, np.empty((entropy.shape[1], 8), dtype=np.uint32)
+    for word in range(8):
+        state[:, word], const = _hashmix(pool[word % 4], const, _MULT_B)
+    state = state.view("<u8").astype(np.uint64, copy=False)
+    if small.all():
+        return state
+    words = np.empty((len(indices), 4), dtype=np.uint64)
+    words[small] = state
+    for row in np.flatnonzero(~small):
+        words[row] = np.random.SeedSequence([seed, indices[row]]).generate_state(4, np.uint64)
+    return words
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Hands a bit generator the state words its SeedSequence would have generated."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+class _Synthesis:
+    """The rows of ``sample_many`` for one (model, n, dt), drawn into buffers the caller owns.
+
+    The harmonic bins and amplitudes are computed once; ``draw`` fills
+    ``out`` with the rows of given seed words and uses a flat complex
+    ``scratch`` of at least ``scratch_size(rows)`` elements for the
+    coefficients and the spectrum.
+    """
+
+    def __init__(self, model: SpectrumModel, n: int, dt: float):
+        if n < 1 or not (math.isfinite(dt) and dt > 0):
+            raise ParameterError(f"need n >= 1 and a positive finite dt, got {n} and {dt}")
+        self.n, self.mean, self.bins = n, float(model.mean), None
+        if model.kind != DC_DELTA:
+            self.bins, amps = _harmonic_amplitudes(model, n, dt)
+            # irfft sums X_0 + 2 Re sum_j X_j e^{2 pi i j m/n}, except that
+            # the Nyquist bin of an even n enters once
+            self.half = np.where(2 * self.bins == n, 1.0, 0.5) * amps
+
+    def scratch_size(self, rows: int) -> int:
+        return 0 if self.bins is None else rows * (self.n // 2 + 1 + self.bins.size)
+
+    def draw(self, words: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        if self.bins is None:
+            out.fill(self.mean)
+            return out
+        rows, width = len(words), self.n // 2 + 1
+        spectrum = scratch[:rows * width].reshape(rows, width)
+        coeffs = scratch[rows * width:rows * (width + self.bins.size)]
+        coeffs = coeffs.view(float).reshape(rows, 2, self.bins.size)
+        for row, state in zip(coeffs, words):
+            np.random.Generator(np.random.PCG64(_StateWords(state))).standard_normal(out=row)
+        spectrum.fill(0.0)
+        spectrum[:, self.bins] = self.half * (coeffs[:, 0] - 1j * coeffs[:, 1])
+        np.fft.irfft(spectrum, self.n, axis=-1, norm="forward", out=out)
+        out += self.mean
+        return out
+
+
 def sample_many(model: SpectrumModel, n: int, dt: float, seed: int,
                 indices) -> np.ndarray:
     """Realizations on the length-``n`` time grid, one row per entry of ``indices``.
@@ -150,22 +276,9 @@ def sample_many(model: SpectrumModel, n: int, dt: float, seed: int,
     """
     seed = _seed_value(seed)
     indices = [_seed_value(index, "a realization index") for index in indices]
-    if n < 1 or not (math.isfinite(dt) and dt > 0):
-        raise ParameterError(f"need n >= 1 and a positive finite dt, got {n} and {dt}")
-    if model.kind == DC_DELTA:
-        return np.full((len(indices), n), float(model.mean))
-    bins, amps = _harmonic_amplitudes(model, n, dt)
-    # irfft sums X_0 + 2 Re sum_j X_j e^{2 pi i j m/n}, except that the
-    # Nyquist bin of an even n enters once
-    half = np.where(2 * bins == n, 1.0, 0.5) * amps
-    coeffs = np.empty((len(indices), 2, bins.size))
-    for row, index in zip(coeffs, indices):
-        np.random.default_rng([seed, index]).standard_normal(out=row)
-    spectrum = np.zeros((len(indices), n // 2 + 1), dtype=complex)
-    spectrum[:, bins] = half * (coeffs[:, 0] - 1j * coeffs[:, 1])
-    out = np.fft.irfft(spectrum, n, axis=-1, norm="forward")
-    out += model.mean
-    return out
+    synthesis = _Synthesis(model, n, dt)
+    return synthesis.draw(_seed_words(seed, indices), np.empty((len(indices), n)),
+                          np.empty(synthesis.scratch_size(len(indices)), dtype=complex))
 
 
 def _panel_overlap(model: SpectrumModel, filt, width: float) -> float:
@@ -198,10 +311,13 @@ def free_induction_chi(model: SpectrumModel, t: float) -> float:
     """Attenuation exponent chi(t) = (1/pi) int_0^inf S(w) 4 sin^2(wt/2)/w^2 dw.
 
     The filter is (t sinc(wt/2 pi))^2, integrated by the panel rule with
-    panels no wider than its 2*pi/t period.
+    panels no wider than its 2*pi/t period.  A non-finite t raises
+    ParameterError.
     """
     if model.kind == DC_DELTA:
         raise TypeError("free-induction decay needs a stochastic dephasing spectrum")
+    if not math.isfinite(t):
+        raise ParameterError(f"free-induction time must be finite, got {t!r}")
     if t <= 0:
         return 0.0
     return _panel_overlap(model, lambda w: (t * np.sinc(w * t / (2.0 * np.pi))) ** 2,
@@ -217,7 +333,8 @@ def t2_estimate(model: SpectrumModel, t_max: float = 1e-2) -> float:
     2*beta_z, so the free-induction coherence decays as exp(-2*chi) and the
     1/e point sits at chi = 1/2.  (This choice reproduces the 4 us and
     100 us decay times quoted for the scale factors 299.1 and 3.18 of the
-    reference one-over-f model to within a few percent.)
+    reference one-over-f model to within a few percent.)  A non-finite
+    t_max raises ParameterError.
     """
     if model.kind == DC_DELTA:
         raise TypeError("t2_estimate needs a stochastic dephasing spectrum")

@@ -14,12 +14,17 @@ tomographic estimator of a single realization simply ux^2.  Propagation
 carries U as its Cayley-Klein pair a = u0 - i uz, b = uy - i ux, with
 U = [[a, -conj(b)], [b, conj(a)]], so a step is one tan of its half angle and
 a product is four complex multiplications.  Only the total propagator is
-kept, so the time-ordered product is a tree reduction: every step of a chunk
+kept, so the time-ordered product is a tree reduction: every step of a block
 of rows is built at once and adjacent pairs are multiplied in about log2(N)
 vectorized levels.  One constant, _BLOCK_SAMPLES, sizes every block:
 survival_probabilities draws both noise channels for a block of
 realizations, propagates it and keeps only its (rows, 3) probabilities, so
-no (R, N) noise array is ever held.  bias_breakdown draws nothing: its
+no (R, N) noise array is ever held.  It hashes the seed words of all its
+realizations once (noisegen._seed_words) and runs every block in one
+_Workspace allocated per call: the noise is synthesized into it and the
+steps and tree levels are views of it, so no block allocates (rows, N)
+arrays.  The bits are those of sample_many and propagate row by row.
+bias_breakdown draws nothing: its
 overlaps are exact or Gauss-Legendre panel sums, and <a1^(2)^2> is a closed
 form (Isserlis' theorem) over (N, columns) blocks of the same size.
 Noise trajectories are plain float arrays on the waveform grid; the
@@ -36,7 +41,7 @@ from .errors import ParameterError
 from .filterfn import (_segment_integral, amplitude_ff, amplitude_ff_integral, dephasing_ff,
                        dephasing_ff_dc)
 from .noisegen import (SpectrumModel, _harmonic_amplitudes, _panel_overlap, _seed_value,
-                       sample_many)
+                       _seed_words, _Synthesis)
 from .waveform import PiecewiseConstantWaveform, rotation_angle
 
 __all__ = [
@@ -120,51 +125,113 @@ class BiasBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _compose(later, earlier):
+def _compose(later, earlier, out, scratch):
     """Products later * earlier of Cayley-Klein pairs, each given as two equal-shape arrays.
 
     [[a, -conj(b)], [b, conj(a)]] products give a = a_L a_E - conj(b_L) b_E
-    and b = b_L a_E + conj(a_L) b_E.
+    and b = b_L a_E + conj(a_L) b_E.  The pair goes to ``out``, and the two
+    arrays of ``scratch`` hold a conjugate and a product; none of them may
+    overlap an input.
     """
     a_l, b_l = later
     a_e, b_e = earlier
-    # the products are fresh arrays: an in-place complex product may take a
-    # loop whose rounding depends on the memory layout, and so on the chunk
-    a = a_l * a_e
-    a -= np.conj(b_l) * b_e
-    b = b_l * a_e
-    b += np.conj(a_l) * b_e
-    return a, b
+    a, b = out
+    conj, product = scratch
+    # every product goes to a separate array: an in-place complex product may
+    # take a loop whose rounding depends on the memory layout, and so on the block
+    np.multiply(a_l, a_e, out=a)
+    np.multiply(np.conjugate(b_l, out=conj), b_e, out=product)
+    a -= product
+    np.multiply(b_l, a_e, out=b)
+    np.multiply(np.conjugate(a_l, out=conj), b_e, out=product)
+    b += product
 
 
-def _step_pairs(samples: np.ndarray, dt: float, beta_omega: np.ndarray,
-                beta_z: np.ndarray):
-    """Each segment's step a = cos(theta) - i sn bz, b = -i sn ax as two complex (rows, N) arrays.
+class _Workspace:
+    """Buffers to propagate blocks of up to ``rows`` realizations on ``n`` segments.
+
+    One workspace serves every block of a call, so no block allocates (rows,
+    n) arrays or touches fresh pages.  One allocation holds two flat buffers
+    of four slots of rows n floats each, viewed as contiguous (block rows, m)
+    arrays:
+
+    - ``even``: the steps a (slots 0-1) and b (slots 2-3), and every even
+      tree level.  b is written last, so until then its slots hold -sin and
+      the mask of _step_pairs.  Between blocks survival_probabilities
+      synthesizes its noise here.
+    - ``odd``: norm, t, the amplitude noise (turned into ax in place) and
+      the dephasing noise; then every odd tree level with its product
+      temporaries.
+    """
+
+    def __init__(self, rows: int, n: int):
+        self.n, self.slot = n, rows * n
+        self.even, self.odd = np.empty((2, 2 * self.slot), dtype=complex)
+        self.carry = np.empty((4, rows), dtype=complex)
+
+    def floats(self, slot: int, rows: int) -> np.ndarray:
+        """Slot ``slot`` of ``odd`` as a (rows, n) float array."""
+        start = slot * self.slot
+        return self.odd.view(float)[start:start + rows * self.n].reshape(rows, self.n)
+
+    def noise(self, rows: int):
+        """The amplitude and dephasing noise of a block, to be filled before ``propagate``."""
+        return self.floats(2, rows), self.floats(3, rows)
+
+    def propagate(self, samples: np.ndarray, dt: float, rows: int) -> np.ndarray:
+        """Time-ordered products of a block's noise; rows of the (rows, 4) result are (u0, ux, uy, uz).
+
+        Adjacent pairs are multiplied later step times earlier, and an odd
+        last factor joins its level's last pair.  Each element sees the same
+        operations in any block, so a row's bits do not depend on the other rows.
+        """
+        a, b = _step_pairs(self, samples, dt, rows)
+        source, target = self.even, self.odd
+        while a.shape[1] > 1:
+            m, half = a.shape[1], a.shape[1] // 2
+            pa, pb, conj, product = target[:4 * rows * half].reshape(4, rows, half)
+            _compose((a[:, 1::2], b[:, 1::2]), (a[:, 0:m - 1:2], b[:, 0:m - 1:2]),
+                     (pa, pb), (conj, product))
+            if m % 2:
+                carry = self.carry[:, :rows]
+                _compose((a[:, -1], b[:, -1]), (pa[:, -1], pb[:, -1]), carry[:2], carry[2:])
+                pa[:, -1], pb[:, -1] = carry[:2]
+            a, b = pa, pb
+            source, target = target, source
+        return np.stack([a[:, 0].real, -b[:, 0].imag, b[:, 0].real, -a[:, 0].imag], axis=1)
+
+
+def _step_pairs(work: _Workspace, samples: np.ndarray, dt: float, rows: int):
+    """Each segment's step a = cos(theta) - i sn bz, b = -i sn ax as two complex (rows, N) views.
 
     theta = dt norm with norm = sqrt(ax^2 + bz^2), and sn = sin(theta)/norm,
     whose limit at norm = 0 is dt.  One tan of the half angle gives both: with
     t = tan(theta/2), sin(theta) = 2t/(1 + t^2) and cos(theta) = 1 - t sin(theta).
-    The arithmetic is in place, so that few (rows, N) buffers are live at once.
+    Every array is a view of ``work`` (see _Workspace).
     """
-    ax = 1.0 + beta_omega
+    norm, t, ax, beta_z = (work.floats(slot, rows) for slot in range(4))
+    a, b = work.even[:2 * norm.size].reshape(2, *norm.shape)
+    scratch = b.reshape(-1).view(float)
+    neg_sin = scratch[:norm.size].reshape(norm.shape)
+    mask = scratch[norm.size:].view(bool)[:norm.size].reshape(norm.shape)
+    np.add(1.0, ax, out=ax)
     ax *= 0.5 * samples
-    norm = beta_z * beta_z
-    norm += ax * ax
+    np.multiply(beta_z, beta_z, out=norm)
+    norm += np.multiply(ax, ax, out=neg_sin)
     np.sqrt(norm, out=norm)
-    t = np.multiply(norm, 0.5 * dt)
+    np.multiply(norm, 0.5 * dt, out=t)
     np.tan(t, out=t)
-    neg_sin = t * t
+    np.multiply(t, t, out=neg_sin)
     neg_sin += 1.0
     np.divide(t, neg_sin, out=neg_sin)
     neg_sin *= -2.0
-    a = np.empty(norm.shape, dtype=complex)
-    b = np.zeros(norm.shape, dtype=complex)
     np.multiply(t, neg_sin, out=a.real)
     np.add(a.real, 1.0, out=a.real)
     # t becomes -sn
-    np.divide(neg_sin, norm, out=t, where=norm > 0.0)
-    t[norm == 0.0] = -dt
+    np.divide(neg_sin, norm, out=t, where=np.greater(norm, 0.0, out=mask))
+    t[np.equal(norm, 0.0, out=mask)] = -dt
     np.multiply(t, beta_z, out=a.imag)
+    b.real = 0.0
     np.multiply(t, ax, out=b.imag)
     return a, b
 
@@ -173,26 +240,18 @@ def _propagate_quaternions(samples: np.ndarray, dt: float, beta_omega: np.ndarra
                            beta_z: np.ndarray) -> np.ndarray:
     """Batched time-ordered product; rows of the (R, 4) result are (u0, ux, uy, uz).
 
-    Works on Cayley-Klein pairs a = u0 - i uz, b = uy - i ux in chunks of
-    about _BLOCK_SAMPLES samples of rows.  Adjacent pairs are multiplied
-    later step times earlier, and an odd last factor joins its level's last
-    pair.  Each element sees the same operations in any chunk, so a row's
-    bits do not depend on the other rows.
+    Works on Cayley-Klein pairs a = u0 - i uz, b = uy - i ux in blocks of
+    about _BLOCK_SAMPLES samples of rows, all in one _Workspace.
     """
     r, n = beta_omega.shape
     rows = max(1, _BLOCK_SAMPLES // n)
+    work = _Workspace(min(r, rows), n)
     u = np.empty((r, 4))
     for start in range(0, r, rows):
-        a, b = _step_pairs(samples, dt, beta_omega[start:start + rows],
-                           beta_z[start:start + rows])
-        while a.shape[1] > 1:
-            m = a.shape[1]
-            pa, pb = _compose((a[:, 1::2], b[:, 1::2]), (a[:, 0:m - 1:2], b[:, 0:m - 1:2]))
-            if m % 2:
-                pa[:, -1], pb[:, -1] = _compose((a[:, -1], b[:, -1]), (pa[:, -1], pb[:, -1]))
-            a, b = pa, pb
-        u[start:start + rows] = np.stack([a[:, 0].real, -b[:, 0].imag, b[:, 0].real,
-                                          -a[:, 0].imag], axis=1)
+        stop = min(start + rows, r)
+        amp, deph = work.noise(stop - start)
+        amp[...], deph[...] = beta_omega[start:stop], beta_z[start:stop]
+        u[start:stop] = work.propagate(samples, dt, stop - start)
     return u
 
 
@@ -230,23 +289,25 @@ def survival_probabilities(waveform: PiecewiseConstantWaveform, amp_model: Spect
     top of each realization's probability; by default the ensemble average of
     the exact probabilities is returned.
     """
-    if n_realizations < 1:
+    if _seed_value(n_realizations, "n_realizations") < 1:
         raise ParameterError("n_realizations must be >= 1")
     seed = _seed_value(seed)
     if shots is not None and (isinstance(shots, bool) or not isinstance(shots, (int, np.integer))
                               or shots < 1):
         raise ParameterError(f"shots must be None or an integer >= 1, got {shots!r}")
     n, dt = waveform.n, waveform.dt
-    rows = max(1, _BLOCK_SAMPLES // n)
-    indices = range(n_realizations)
+    rows = min(n_realizations, max(1, _BLOCK_SAMPLES // n))
+    channels = (_Synthesis(amp_model, n, dt), _Synthesis(deph_model, n, dt))
+    # disjoint deterministic seeds for the amplitude / dephasing channels
+    words = [_seed_words(2 * seed + k, range(n_realizations)) for k in (0, 1)]
+    work = _Workspace(rows, n)
     probs = np.empty((n_realizations, 3))
     for start in range(0, n_realizations, rows):
-        block = indices[start:start + rows]
-        # disjoint deterministic seeds for the amplitude / dephasing channels
-        amp = sample_many(amp_model, n, dt, seed=2 * seed, indices=block)
-        deph = sample_many(deph_model, n, dt, seed=2 * seed + 1, indices=block)
-        u = _propagate_quaternions(waveform.samples, dt, amp, deph)
-        probs[start:start + rows] = _survival_from_quaternions(u)
+        stop = min(start + rows, n_realizations)
+        for channel, w, out in zip(channels, words, work.noise(stop - start)):
+            channel.draw(w[start:stop], out, work.even)
+        probs[start:stop] = _survival_from_quaternions(
+            work.propagate(waveform.samples, dt, stop - start))
     if shots is not None:
         rng = np.random.default_rng([seed, 0xB10])
         probs = rng.binomial(shots, np.clip(probs, 0.0, 1.0)) / float(shots)

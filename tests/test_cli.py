@@ -349,6 +349,20 @@ class TestErrorPaths:
         for key, values in BAD_CONFIG_COUNTS.items() for i, value in enumerate(values)
     ]
 
+    @pytest.mark.parametrize("count", [2.9, True, -1, 0])
+    def test_bad_lambda_count_is_exit_2_without_artifacts(self, tmp_path, count):
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps({
+            "waveform": {"family": "dr", "n": 500, "dt_ns": 40.0, "amp_mhz": 5.0},
+            "amplitude_noise": {"kind": "flat_cutoff", "a_omega": 1.04e-11, "omega_h_mhz": 2.0},
+            "dephasing_noise": {"kind": "dc_delta", "mu_z_mhz": 0.0},
+            "lambdas_mhz": {"start_mhz": 0.1, "step_mhz": 0.1, "count": count},
+            "realizations": 3,
+        }))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", path, "--out", out) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", BAD_NUMBERS)
     def test_bad_number_is_exit_2_without_artifacts(self, tmp_path, argv):
         paths = self._bad_number_configs(tmp_path)

@@ -6,7 +6,7 @@ from scipy.special import sici
 
 from qnspect import SpectrumModel, free_induction_chi, psd_eval, sample_many, t2_estimate
 from qnspect.errors import GridError, ParameterError
-from qnspect.noisegen import spectrum_model_from_json
+from qnspect.noisegen import _seed_words, _StateWords, spectrum_model_from_json
 
 MHZ = 2 * np.pi * 1e6
 
@@ -134,6 +134,36 @@ class TestSampleProcess:
         assert np.all(dev < 4 * sd + 1e-12)
 
 
+class TestSeedWords:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3]
+    INDICES = [0, 1, 2**32 - 1, 2**32, 2**40]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_match_seed_sequence(self, seed):
+        # indices from 2^32 up take numpy's own SeedSequence; the others the
+        # vectorized hash, which must give the same words for every seed size
+        got = _seed_words(seed, self.INDICES)
+        want = [np.random.SeedSequence([seed, index]).generate_state(4, np.uint64)
+                for index in self.INDICES]
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, np.array(want))
+        assert np.array_equal(_seed_words(seed, self.INDICES[:3]), np.array(want[:3]))
+        assert _seed_words(seed, []).shape == (0, 4)
+
+    def test_seed_beyond_the_pool(self):
+        # six entropy words (a five-word seed) run the hash past its 4-word pool
+        seed = 2**130 + 7
+        want = [np.random.SeedSequence([seed, index]).generate_state(4, np.uint64)
+                for index in (0, 9)]
+        assert np.array_equal(_seed_words(seed, [0, 9]), np.array(want))
+
+    @pytest.mark.parametrize("seed, index", [(0, 0), (5, 2**32 - 1), (2**64 + 3, 2**40)])
+    def test_words_start_the_default_rng_stream(self, seed, index):
+        words = _seed_words(seed, [index])[0]
+        row = np.random.Generator(np.random.PCG64(_StateWords(words))).standard_normal(64)
+        assert np.array_equal(row, np.random.default_rng([seed, index]).standard_normal(64))
+
+
 class TestT2:
     def test_zero_spectrum_sentinel(self):
         model = SpectrumModel.flat_cutoff(0.0, 1 * MHZ)
@@ -174,6 +204,13 @@ class TestT2:
     def test_dc_delta_rejected(self):
         with pytest.raises(TypeError):
             t2_estimate(SpectrumModel.dc_delta(1.0), 1e-3)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ParameterError):
+            free_induction_chi(PINK, t)
+        with pytest.raises(ParameterError):
+            t2_estimate(PINK, t)
 
 
 def test_json_schema():

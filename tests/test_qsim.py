@@ -217,6 +217,35 @@ class TestSurvival:
         monkeypatch.setattr(qsim, "_BLOCK_SAMPLES", 3 * wf.n)
         assert survival_probabilities(wf, FLAT_AMP, deph, r, seed=4, shots=shots) == default
 
+    @pytest.mark.parametrize("deph, r, seed", [
+        pytest.param(SpectrumModel.one_over_f(29.3, 1e8, 0.01 * MHZ, 2 * MHZ), r, 4,
+                     id=f"one_over_f-{r}") for r in (7, 65, 137)
+    ] + [
+        pytest.param(SpectrumModel.dc_delta(0.05 * MHZ), 137, 4, id="dc_delta"),
+        pytest.param(SpectrumModel.one_over_f(29.3, 1e8, 0.01 * MHZ, 2 * MHZ), 70, 2**32 + 5,
+                     id="seed-2^32+5"),
+    ])
+    def test_matches_a_loop_over_single_realizations(self, deph, r, seed):
+        # 65 rows per block at N = 500: r = 7 fills part of one block, 65
+        # exactly one, 137 two and a short third; each realization drawn
+        # alone and propagated alone must give the same bits
+        wf = dephasing_robust(20e-6, 4, 2, 500)
+        assert _BLOCK_SAMPLES // wf.n == 65
+        u = np.array([propagate(wf, sample_many(FLAT_AMP, wf.n, wf.dt, 2 * seed, [index])[0],
+                                sample_many(deph, wf.n, wf.dt, 2 * seed + 1, [index])[0]
+                                ).quaternion for index in range(r)])
+        probs = np.stack([u[:, 0] ** 2 + u[:, k] ** 2 for k in (1, 2, 3)], axis=1)
+        mean = probs.mean(axis=0)
+        err = probs.std(axis=0, ddof=1) / np.sqrt(r)
+        assert survival_probabilities(wf, FLAT_AMP, deph, r, seed) == SurvivalTriple(
+            *(float(v) for v in (*mean, *err)), n_realizations=r)
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, True, "4"])
+    def test_bad_realization_count_raises(self, count):
+        wf = dephasing_robust(10e-6, 2, 1, 100)
+        with pytest.raises(ParameterError):
+            survival_probabilities(wf, FLAT_AMP, NO_NOISE, count, seed=0)
+
     @pytest.mark.parametrize("keyword", [{"shots": 0}, {"shots": -1}, {"shots": 2.5},
                                          {"shots": True}, {"seed": -1}, {"seed": 1.5},
                                          {"seed": True}])
