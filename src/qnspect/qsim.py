@@ -24,9 +24,9 @@ realizations once (noisegen._seed_words) and runs every block in one
 _Workspace allocated per call: the noise is synthesized into it and the
 steps and tree levels are views of it, so no block allocates (rows, N)
 arrays.  The bits are those of sample_many and propagate row by row.
-bias_breakdown draws nothing: its
-overlaps are exact or Gauss-Legendre panel sums, and <a1^(2)^2> is a closed
-form (Isserlis' theorem) over (N, columns) blocks of the same size.
+bias_breakdown draws nothing: its overlaps are exact or Gauss-Legendre
+panel sums, and <a1^(2)^2> is a closed form (Isserlis' theorem) over (N,
+columns) blocks of the same size.
 Noise trajectories are plain float arrays on the waveform grid; the
 diagnostics take one (N,) trajectory or an (R, N) batch.
 """
