@@ -172,8 +172,9 @@ def _uint32_words(value: int) -> list[int]:
 
 
 def _seed_words(seed: int, indices) -> np.ndarray:
-    """``SeedSequence([seed, index]).generate_state(4, np.uint64)`` for a sequence of indices, as (R, 4).
+    """``SeedSequence([seed, index]).generate_state(4, np.uint64)`` for each index, as (R, 4).
 
+    ``indices`` is a sequence of non-negative ints, such as a list or a range.
     The entropy of an index below 2^32 is the seed's words and one index
     word, so the hash runs on columns of a (words, R) uint32 array; its
     constants do not depend on the data.  A larger index falls back to

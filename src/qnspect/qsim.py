@@ -179,7 +179,7 @@ class _Workspace:
         return self.floats(2, rows), self.floats(3, rows)
 
     def propagate(self, samples: np.ndarray, dt: float, rows: int) -> np.ndarray:
-        """Time-ordered products of a block's noise; rows of the (rows, 4) result are (u0, ux, uy, uz).
+        """Time-ordered products of a block; rows of the (rows, 4) result are (u0, ux, uy, uz).
 
         Adjacent pairs are multiplied later step times earlier, and an odd
         last factor joins its level's last pair.  Each element sees the same
