@@ -18,8 +18,10 @@ S(w) = sum_m x_m e^{i w m dt}, and one kernel evaluates them.  Its path
 follows from the frequency grid alone:
 
 * a strictly increasing, evenly spaced grid of at least two points: the
-  chirp-z transform on the unit circle (``scipy.signal.ZoomFFT``; Rabiner,
-  Schafer & Rader 1969), O((N + M) log(N + M)) for M points;
+  chirp-z transform on the unit circle (Rabiner, Schafer & Rader 1969) by
+  Bluestein's convolution, O((N + M) log(N + M)) for M points.  The private
+  ``_zoom_fft`` builds it on ``scipy.fft`` and reproduces
+  ``scipy.signal.ZoomFFT(N, [f1, f2], M, fs=1, endpoint=True)`` bit for bit;
 * any other grid (scattered or single points): the direct sum, one
   frequency at a time.
 
@@ -58,11 +60,12 @@ brute-force quadruple sum reproduces it exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import ZoomFFT
+from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import GridError, ParameterError
 from .waveform import PiecewiseConstantWaveform, rotation_angle
@@ -177,6 +180,26 @@ def _is_even_grid(omegas: np.ndarray, total_time: float) -> bool:
     return bool(np.max(np.abs(omegas - line)) * total_time <= _GRID_PHASE_TOL)
 
 
+def _zoom_fft(x: np.ndarray, f1: float, f2: float, m: int) -> np.ndarray:
+    """Y[..., k] = sum_j x[..., j] e^{-2 pi i f_k j}, f_k = f1 + k (f2 - f1)/(m - 1).
+
+    Bluestein's chirp-z transform over the last axis of x for m >= 2 points:
+    with the chirp wk2[k] = e^{-i pi (f2 - f1) m/(m - 1) k^2/m}, it is one
+    circular convolution of x e^{-2 pi i f1 j} wk2[j] with 1/wk2 by FFTs of
+    length next_fast_len(n + m - 1), read at [n - 1, n + m - 1) and times
+    wk2.  The same arithmetic as ``scipy.signal.ZoomFFT(n, [f1, f2], m, fs=1,
+    endpoint=True)(x)``.
+    """
+    n = x.shape[-1]
+    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+    scale = ((f2 - f1) * m) / (m - 1)
+    wk2 = np.exp(-(1j * np.pi * scale * k ** 2) / m)
+    awk2 = np.exp(-2j * np.pi * f1 * k[:n]) * wk2[:n]
+    nfft = next_fast_len(n + m - 1)
+    fwk2 = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    return ifft(fwk2 * fft(x * awk2, nfft))[..., n - 1:n + m - 1] * wk2[:m]
+
+
 def _fourier_sums(x: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
     """S[..., k] = sum_m x[..., m] e^{i omegas[k] m dt}, over the last axis of x.
 
@@ -185,16 +208,23 @@ def _fourier_sums(x: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
     """
     n = x.shape[-1]
     if _is_even_grid(omegas, n * dt):
-        # ZoomFFT sums x_m e^{-2 pi i f m} on an even grid of f (cycles per
-        # sample); f = -w dt/(2 pi) turns that into e^{+i w m dt}
+        # the zoom FFT sums x_m e^{-2 pi i f m} on an even grid of f (cycles
+        # per sample); f = -w dt/(2 pi) turns that into e^{+i w m dt}
         cycles = -dt / (2.0 * np.pi)
-        return ZoomFFT(n, [omegas[0] * cycles, omegas[-1] * cycles], omegas.size,
-                       fs=1.0, endpoint=True)(x)
+        return _zoom_fft(x, omegas[0] * cycles, omegas[-1] * cycles, omegas.size)
     t = np.arange(n) * dt
     out = np.empty(x.shape[:-1] + omegas.shape, dtype=complex)
     for k, w in enumerate(omegas):
         out[..., k] = x @ np.exp(1j * w * t)
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(order: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _frequencies(omegas) -> np.ndarray:
@@ -247,7 +277,7 @@ def amplitude_ff_integral(samples, dt: float, edges) -> np.ndarray:
     lags = lags.reshape(samples.shape)
     lags[..., 1:] *= 2.0  # r_{-k} = r_k and c_{-k} = c_k
     order = 8 * max(1, int(np.ceil(np.max(np.abs(edges), initial=0.0) * dt / np.pi)))
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     s = 0.5 * dt * (nodes + 1.0)
     cos_se, sin_se = np.cos(np.outer(s, edges)), np.sin(np.outer(s, edges))
     out = np.zeros(samples.shape[:-1] + edges.shape)
@@ -274,7 +304,7 @@ def _exp_theta_transforms(waveform: PiecewiseConstantWaveform, omegas: np.ndarra
     """
     dt, n = waveform.dt, waveform.n
     u_max = (np.max(np.abs(omegas), initial=0.0) + np.max(np.abs(waveform.samples))) * dt
-    nodes, weights = np.polynomial.legendre.leggauss(8 * max(1, int(np.ceil(u_max / np.pi))))
+    nodes, weights = _gauss_legendre(8 * max(1, int(np.ceil(u_max / np.pi))))
     s = 0.5 * dt * (nodes + 1.0)
     theta = rotation_angle(waveform)[:-1]
     i_plus = np.zeros(omegas.shape, dtype=complex)

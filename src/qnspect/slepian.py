@@ -8,9 +8,16 @@ of the sinc-kernel Toeplitz matrix
     A[n, m] = sin(2*pi*W*(n - m)) / (pi*(n - m)),   A[n, n] = 2*W.
 
 The sequences are computed through the commuting symmetric tridiagonal
-matrix (the standard trick; the dense N x N eigenproblem is intractable at
-the N ~ 2e4 used for waveform design) and are validated against the dense
-kernel at small N in the test suite.
+matrix of Percival & Walden (1993, ch. 8; the dense N x N eigenproblem is
+intractable at the N ~ 2e4 used for waveform design), solved for its K
+largest eigenpairs by ``scipy.linalg.eigh_tridiagonal``, and validated
+against the dense kernel at small N in the test suite.  The private
+``_tapers`` and ``_concentrations`` reproduce
+``scipy.signal.windows.dpss(N, NW, Kmax=K, sym=True, norm=2,
+return_ratios=True)`` bit for bit: the same tridiagonal, the same sign
+conventions, and the ratios lambda_k from the same zero-padded
+``scipy.fft.rfft``/``irfft`` autocorrelation.  ``waveform`` builds its
+periodic DPSS envelope from ``_tapers`` too.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import windows
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ParameterError, UndefinedRatioError
 
@@ -71,6 +79,8 @@ def dpss(n: int, half_bandwidth: float, num_sequences: int = 1) -> DpssSet:
     -------
     DpssSet
     """
+    n = _count(n, "n")
+    num_sequences = _count(num_sequences, "num_sequences")
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     if not 0.0 < half_bandwidth < 0.5:
@@ -86,10 +96,8 @@ def dpss(n: int, half_bandwidth: float, num_sequences: int = 1) -> DpssSet:
         seqs = evecs[:, order].T.copy()
         ratios = evals[order]
     else:
-        seqs, ratios = windows.dpss(
-            n, half_bandwidth * n, Kmax=num_sequences, sym=True, norm=2, return_ratios=True
-        )
-        seqs = np.atleast_2d(seqs)
+        seqs = _tapers(n, half_bandwidth * n, num_sequences)
+        ratios = _concentrations(seqs, half_bandwidth * n)
 
     # deterministic sign: first element of appreciable magnitude positive
     for row in seqs:
@@ -103,6 +111,56 @@ def dpss(n: int, half_bandwidth: float, num_sequences: int = 1) -> DpssSet:
         sequences=seqs,
         eigenvalues=np.asarray(ratios, dtype=float),
     )
+
+
+def _count(value, what: str) -> int:
+    """``value`` as a Python int, or ParameterError unless it is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _tapers(m: int, nw: float, k: int) -> np.ndarray:
+    """The k most concentrated length-m DPSS for time-bandwidth nw, shape (k, m).
+
+    The eigenvectors of the Percival-Walden tridiagonal with diagonal
+    ((m - 1 - 2t)/2)^2 cos(2 pi W), W = nw/m, and off-diagonal t(m - t)/2,
+    most concentrated first.  Symmetric tapers (k = 0, 2, ...) have a positive
+    sum, antisymmetric ones begin with a positive lobe: the first point with
+    v^2 > max(1e-7, 1/m) is positive.  The same arithmetic as
+    ``scipy.signal.windows.dpss(m, nw, Kmax=k, sym=True, norm=2)``.
+    """
+    w = float(nw) / m
+    t = np.arange(m, dtype=np.float64)
+    diagonal = ((m - 1 - 2 * t) / 2.) ** 2 * np.cos(2 * np.pi * w)
+    off_diagonal = t[1:] * (m - t[1:]) / 2.
+    _, vectors = eigh_tridiagonal(diagonal, off_diagonal, select="i",
+                                  select_range=(m - k, m - 1))
+    tapers = vectors[:, ::-1].T
+    symmetric = tapers[::2]
+    symmetric[symmetric.sum(axis=1) < 0] *= -1
+    threshold = max(1e-7, 1. / m)
+    for taper in tapers[1::2]:
+        if taper[taper * taper > threshold][0] < 0:
+            taper *= -1
+    return tapers
+
+
+def _concentrations(tapers: np.ndarray, nw: float) -> np.ndarray:
+    """In-band energy fractions lambda_k of the rows of ``tapers``, W = nw/m.
+
+    lambda_k = sum_t r_k[t] c[t] with the autocorrelation r_k (one zero-padded
+    rfft/irfft pair), c[0] = 2W and c[t] = 4W sinc(2Wt) (Percival & Walden
+    1993, p. 390), in ``scipy.signal.windows.dpss``'s arithmetic.
+    """
+    m = tapers.shape[-1]
+    w = float(nw) / m
+    size = next_fast_len(2 * m - 1)
+    spectra = rfft(tapers, size, axis=-1)
+    autocorrelation = irfft(spectra * spectra.conj(), n=size)[:, :m]
+    kernel = 4 * w * np.sinc(2 * w * np.arange(m, dtype=np.float64))
+    kernel[0] = 2 * w
+    return autocorrelation @ kernel
 
 
 def toeplitz_kernel(n: int, half_bandwidth: float) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ParameterError
-from .slepian import DpssSet, dpss
+from .slepian import DpssSet, _count, _tapers, dpss
 
 __all__ = [
     "PiecewiseConstantWaveform",
@@ -215,8 +215,12 @@ def modulated_dpss_waveform(n: int, half_bandwidth: float, peak_rate: float,
     index-reversal symmetry v_m = v_{N-m} for m >= 1.  Together with
     sin(lambda*m*dt) = -sin(lambda*(N-m)*dt) and the vanishing m = 0 sample
     this cancels the sum pairwise, so the net rotation is zero to roundoff
-    and the control is a strict identity gate.
+    and the control is a strict identity gate.  Before its own rescaling the
+    envelope takes scipy's max-normalization and, at even M = N + 1, its
+    factor M^2/(M^2 + NW), so the samples are those of
+    ``scipy.signal.windows.dpss(N, N*W, sym=False)``, bit for bit.
     """
+    n = _count(n, "n")
     if not 1.0 <= n * half_bandwidth < n / 2:
         raise ParameterError(
             f"need a time-bandwidth product 1 <= N*W < N/2, got N*W = {n * half_bandwidth}")
@@ -230,10 +234,12 @@ def modulated_dpss_waveform(n: int, half_bandwidth: float, peak_rate: float,
             "modulation_freq must be an integer multiple of 2*pi/total_time "
             f"(got {cycles} cycles)"
         )
-    from scipy.signal import windows
-
-    envelope = windows.dpss(n, half_bandwidth * n, sym=False)
-    envelope = envelope / np.max(np.abs(envelope))
+    nw, size = half_bandwidth * n, n + 1
+    envelope = _tapers(size, nw, 1)[0]
+    envelope /= envelope.max()
+    if size % 2 == 0:
+        envelope *= size ** 2 / float(size ** 2 + nw)
+    envelope = envelope[:-1] / np.max(np.abs(envelope[:-1]))
     m = np.arange(n)
     return PiecewiseConstantWaveform(
         samples=peak_rate * envelope * np.sin(modulation_freq * m * dt), dt=dt

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -416,3 +417,30 @@ def test_optimize_reports_met_amplitude_ratio(tmp_path):
     assert payload["max_amplitude_ratio"] == pytest.approx(np.abs(samples).max() / (5 * MHZ),
                                                            rel=1e-12)
     assert payload["max_amplitude_ratio"] <= 1.0
+
+
+def test_commands_leave_scipy_signal_unimported(tmp_path):
+    # a fresh interpreter: ff, gz, a dpss waveform and a design solve must not
+    # pull scipy.signal (and the scipy.stats it loads) into the process
+    import subprocess
+    import sys
+
+    import qnspect
+
+    script = f"""
+import sys
+from qnspect.cli import main
+out = {str(tmp_path)!r}
+common = ["--lambda-mhz", "0.1", "--t-us", "100", "--n", "400"]
+assert main(["ff", "--waveform", "dpss", *common, "--points", "50", "--out", out + "/ff"]) == 0
+assert main(["gz", "--waveform", "dpss", *common, "--max-mhz", "0.1", "--out", out + "/gz"]) == 0
+assert main(["waveform", "--family", "dpss", *common, "--out", out + "/wf"]) == 0
+assert main(["optimize", "--omega0-mhz", "0.2", "--n", "400", "--dt-ns", "250",
+             "--out", out + "/opt"]) == 0
+print(sorted(name for name in sys.modules if name.startswith(("scipy.signal", "scipy.stats"))))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(qnspect.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -389,6 +389,30 @@ class TestKernelPaths:
         assert not _is_even_grid(np.array([0.0, 1e6, 2.5e6]), 1e-4)
         assert not _is_even_grid(np.array([0.0, np.nan, 2e6]), 1e-4)
 
+    @pytest.mark.parametrize("n, m", [(300, 41), (120, 500), (257, 2)],
+                             ids=["m < n", "m > n", "m = 2"])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["1-D", "2-D"])
+    def test_zoom_fft_matches_scipy_signal_bitwise(self, n, m, shape):
+        from scipy.signal import ZoomFFT
+
+        from qnspect.filterfn import _zoom_fft
+
+        rng = np.random.default_rng(n + m)
+        x = rng.standard_normal(shape + (n,)) + 1j * rng.standard_normal(shape + (n,))
+        for f1, f2 in [(-0.013, 0.021), (0.31, -0.17)]:
+            want = ZoomFFT(n, [f1, f2], m, fs=1, endpoint=True)(x)
+            assert np.array_equal(_zoom_fft(x, f1, f2, m), want)
+
+    def test_gauss_legendre_tables_built_once_and_read_only(self):
+        from qnspect.filterfn import _gauss_legendre
+
+        nodes, weights = _gauss_legendre(24)
+        assert _gauss_legendre(24)[0] is nodes
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(24)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
     def test_dc_grid_point_of_dephasing_robust(self, dr_waveform):
         grid = np.linspace(0.0, 2 * np.pi * 2e6, 1000)
         fz = dephasing_ff(dr_waveform, grid).values

@@ -84,6 +84,32 @@ def test_parameter_validation():
         dpss(16, 0.1, 17)
 
 
+@pytest.mark.parametrize("n, nw, k", [(20, 1.0, 1), (64, 2.0, 4), (400, 1.0, 3),
+                                      (501, 2.5, 4), (2000, 1.0, 5), (33, 1.5, 2)])
+def test_tapers_match_scipy_signal_bitwise(n, nw, k):
+    from scipy.signal import windows
+
+    from qnspect.slepian import _concentrations, _tapers
+
+    want, want_ratios = windows.dpss(n, nw, Kmax=k, sym=True, norm=2, return_ratios=True)
+    tapers = _tapers(n, nw, k)
+    assert np.array_equal(tapers, want)
+    assert np.array_equal(_concentrations(tapers, nw), want_ratios)
+
+
+@pytest.mark.parametrize("args", [(100, 0.01, 2.0), (10, 0.1, 2.0), (100.0, 0.01, 1),
+                                  (100, 0.01, True), (True, 0.2, 1), (np.float64(40), 0.05, 1)])
+def test_non_integer_counts_rejected(args):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        dpss(*args)
+
+
+def test_numpy_integer_counts_accepted():
+    ds = dpss(np.int64(40), 0.05, np.int32(2))
+    assert ds.n == 40 and type(ds.n) is int
+    assert np.array_equal(ds.sequences, dpss(40, 0.05, 2).sequences)
+
+
 class TestSpectralConcentration:
     def test_zero_waveform_rejected(self):
         wf = PiecewiseConstantWaveform(np.zeros(16), 1e-8)

@@ -119,6 +119,23 @@ class TestModulatedDpss:
             modulated_dpss_waveform(1000, 0.5 / 1000, 1e6, 2 * np.pi * 1e5, 10e-9)
 
 
+    @pytest.mark.parametrize("n", [2000, 999])
+    def test_matches_scipy_signal_periodic_dpss_bitwise(self, n):
+        from scipy.signal import windows
+
+        dt, amp = 10e-9, 2 * np.pi * 5e6
+        lam = 2 * np.pi * 3 / (n * dt)
+        envelope = windows.dpss(n, (1.0 / n) * n, sym=False)
+        want = amp * (envelope / np.max(np.abs(envelope))) * np.sin(lam * np.arange(n) * dt)
+        got = modulated_dpss_waveform(n, 1.0 / n, amp, lam, dt).samples
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2000.0, True, "2000"])
+    def test_rejects_non_integer_length(self, n):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            modulated_dpss_waveform(n, 1.0 / 2000, 1e6, 2 * np.pi * 5 / 20e-6, 10e-9)
+
+
 class TestSynthesize:
     def setup_method(self):
         self.n, self.dt = 2000, 10e-9
