@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+import qnspect
 from qnspect.cli import main
 
 MHZ = 2 * np.pi * 1e6
@@ -422,11 +425,6 @@ def test_optimize_reports_met_amplitude_ratio(tmp_path):
 def test_commands_leave_scipy_signal_unimported(tmp_path):
     # a fresh interpreter: ff, gz, a dpss waveform and a design solve must not
     # pull scipy.signal (and the scipy.stats it loads) into the process
-    import subprocess
-    import sys
-
-    import qnspect
-
     script = f"""
 import sys
 from qnspect.cli import main

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad
+from scipy.signal import ZoomFFT
 
 from qnspect import (
     PiecewiseConstantWaveform,
@@ -393,8 +394,6 @@ class TestKernelPaths:
                              ids=["m < n", "m > n", "m = 2"])
     @pytest.mark.parametrize("shape", [(), (3,)], ids=["1-D", "2-D"])
     def test_zoom_fft_matches_scipy_signal_bitwise(self, n, m, shape):
-        from scipy.signal import ZoomFFT
-
         from qnspect.filterfn import _zoom_fft
 
         rng = np.random.default_rng(n + m)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import windows
 
 from qnspect import (
     amplitude_ff,
@@ -87,8 +88,6 @@ def test_parameter_validation():
 @pytest.mark.parametrize("n, nw, k", [(20, 1.0, 1), (64, 2.0, 4), (400, 1.0, 3),
                                       (501, 2.5, 4), (2000, 1.0, 5), (33, 1.5, 2)])
 def test_tapers_match_scipy_signal_bitwise(n, nw, k):
-    from scipy.signal import windows
-
     from qnspect.slepian import _concentrations, _tapers
 
     want, want_ratios = windows.dpss(n, nw, Kmax=k, sym=True, norm=2, return_ratios=True)

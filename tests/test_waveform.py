@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import special
+from scipy.signal import windows
 
 from qnspect import (
     PiecewiseConstantWaveform,
@@ -121,8 +122,6 @@ class TestModulatedDpss:
 
     @pytest.mark.parametrize("n", [2000, 999])
     def test_matches_scipy_signal_periodic_dpss_bitwise(self, n):
-        from scipy.signal import windows
-
         dt, amp = 10e-9, 2 * np.pi * 5e6
         lam = 2 * np.pi * 3 / (n * dt)
         envelope = windows.dpss(n, (1.0 / n) * n, sym=False)
