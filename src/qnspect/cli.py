@@ -129,7 +129,7 @@ def _waveform_from_config(cfg: dict, lam: float) -> PiecewiseConstantWaveform:
     return _sweep_waveform(
         family=cfg.get("family", "dr"),
         lam=lam,
-        n=int(cfg["n"]),
+        n=_seed_value(cfg["n"], "waveform n"),
         dt=float(cfg["dt_ns"]) * 1e-9,
         amp=float(cfg.get("amp_mhz", 5.0)) * MHZ,
         time_bandwidth=float(cfg.get("nw", 1.0)),
@@ -315,7 +315,7 @@ def _cmd_reconstruct(args):
     lambdas = np.array([row["lambda_mhz"] for row in table]) * MHZ
     measurements = np.array([row["estimator"] for row in table])
     delta_omega = float(config["delta_omega_mhz"]) * MHZ
-    num_bands = int(config["num_bands"])
+    num_bands = _seed_value(config["num_bands"], "num_bands")
     waveforms = [_waveform_from_config(config["waveform"], lam) for lam in lambdas]
     matrix = overlap_matrix(waveforms, num_bands, delta_omega)
     truth = None

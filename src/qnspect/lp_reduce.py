@@ -1,4 +1,4 @@
-"""Dense linear programming and approximate-redundancy constraint pruning.
+"""Linear programming and approximate-redundancy constraint pruning.
 
 The waveform amplitude bound |Omega_m| <= Omega_max generates 2N affine
 constraints over the 2K basis coefficients, almost all of which are
@@ -10,11 +10,16 @@ exactly redundant.  The result is a polytope that is a subset of the
 original feasible region yet within a factor (1 + eps) of it.  It serves
 the ``prune`` command; the design solver bounds the samples directly.
 
-The LP itself is a dense primal simplex over free variables (split into
-positive/negative parts plus slacks).  Every instance here has the origin
-feasible (all right-hand sides are 1), so no phase-1 is needed.  Pivoting is
-Dantzig's rule with deterministic tie-breaking, falling back to Bland's rule
-after a long degenerate streak so cycling is impossible.
+Every LP is max c.x subject to A x <= 1 with x free, so the origin is always
+feasible; it is solved by HiGHS (``scipy.optimize.linprog``, Huangfu & Hall,
+Math. Prog. Comp. 2018) on column-scaled rows.  The first pruning pass runs
+few of them: it caches the vertices v = B^-1 1 that the LPs return (B the d
+rows tight there) with B^-T, and decides most rows from that cache.  A cached
+v with a.v - 1 > eps witnesses a violation; a cached vertex with
+lambda = B^-T a >= 0 certifies, by weak duality, that a.v - 1 is the LP value
+itself (a.x = lambda.(B x) <= sum(lambda) = a.v on the whole region).  A row
+gets an LP only when neither check decides it or its value lies within 1e-12
+of eps, so the kept rows are those of the plain one-LP-per-row pass.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
-from .errors import ParameterError
+from .errors import NonConvergenceError, ParameterError
 
 __all__ = [
     "AffineConstraintSet",
@@ -36,9 +42,8 @@ __all__ = [
     "constraints_from_csv",
 ]
 
-_COST_TOL = 1e-9
-_PIVOT_TOL = 1e-11
-_BLAND_AFTER = 300
+_CERT_TOL = 1e-12  # cached decisions this close to eps go to the LP; vertex feasibility slack
+_TIGHT_TOL = 1e-9  # rows this close to a.x = 1 at an LP's argmax are tight there
 
 
 @dataclass(frozen=True)
@@ -92,68 +97,23 @@ class LpOutcome:
     argmax: np.ndarray | None = None
 
 
-def _simplex_max(objective: np.ndarray, rows: np.ndarray) -> LpOutcome:
+def _highs_max(objective: np.ndarray, rows: np.ndarray) -> LpOutcome:
     """Maximize c.x subject to rows.x <= 1 with x free."""
-    m, d = rows.shape if rows.size else (0, objective.size)
-    if m == 0:
-        if np.all(np.abs(objective) == 0.0):
-            return LpOutcome(status="optimal", value=0.0, argmax=np.zeros(d))
+    # decided here: HiGHS would read a tiny unscaled c as zero and call it optimal
+    if rows.shape[0] == 0:
+        if np.all(objective == 0.0):
+            return LpOutcome(status="optimal", value=0.0, argmax=np.zeros(objective.size))
         return LpOutcome(status="unbounded")
-
-    # column equilibration: tolerances below assume O(1) tableau entries,
-    # while raw rows can carry arbitrary physical units
-    col_scale = np.abs(rows).max(axis=0)
-    col_scale[col_scale == 0.0] = 1.0
-    rows = rows / col_scale
-    objective = objective / col_scale
-
-    # columns: x+ (d), x- (d), slacks (m); rhs kept separately
-    tableau = np.hstack([rows, -rows, np.eye(m)])
-    rhs = np.ones(m)
-    cost = np.concatenate([objective, -objective, np.zeros(m)])
-    value = 0.0
-    basis = 2 * d + np.arange(m)
-
-    degenerate_streak = 0
-    for iteration in range(20000):
-        use_bland = degenerate_streak > _BLAND_AFTER
-        eligible = np.flatnonzero(cost > _COST_TOL)
-        if eligible.size == 0:
-            x = np.zeros(d)
-            for i, b in enumerate(basis):
-                if b < d:
-                    x[b] += rhs[i]
-                elif b < 2 * d:
-                    x[b - d] -= rhs[i]
-            return LpOutcome(status="optimal", value=value, argmax=x / col_scale)
-        if use_bland:
-            enter = int(eligible[0])
-        else:
-            enter = int(eligible[np.argmax(cost[eligible])])
-
-        col = tableau[:, enter]
-        positive = col > _PIVOT_TOL
-        if not np.any(positive):
-            return LpOutcome(status="unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[positive] = np.maximum(rhs[positive], 0.0) / col[positive]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))
-        leave = int(ties[np.argmin(basis[ties])])  # Bland-style leaving choice
-
-        degenerate_streak = degenerate_streak + 1 if best < 1e-12 else 0
-
-        pivot = tableau[leave, enter]
-        tableau[leave] /= pivot
-        rhs[leave] /= pivot
-        factors = tableau[:, enter].copy()
-        factors[leave] = 0.0
-        tableau -= np.outer(factors, tableau[leave])
-        rhs -= factors * rhs[leave]
-        value += cost[enter] * rhs[leave]
-        cost = cost - cost[enter] * tableau[leave]
-        basis[leave] = enter
-    raise RuntimeError("simplex did not terminate within the iteration cap")
+    # column equilibration: raw rows can carry arbitrary physical units
+    scale = np.abs(rows).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    result = linprog(-objective / scale, A_ub=rows / scale, b_ub=np.ones(rows.shape[0]),
+                     bounds=(None, None), method="highs")
+    if result.status == 3:
+        return LpOutcome(status="unbounded")
+    if result.status != 0:
+        raise NonConvergenceError(f"HiGHS LP failed (status {result.status}): {result.message}")
+    return LpOutcome(status="optimal", value=-result.fun, argmax=result.x / scale)
 
 
 def lp_max(objective, constraints: AffineConstraintSet) -> LpOutcome:
@@ -165,11 +125,11 @@ def lp_max(objective, constraints: AffineConstraintSet) -> LpOutcome:
     objective = np.asarray(objective, dtype=float)
     if constraints.num_rows and objective.size != constraints.dimension:
         raise ParameterError("objective dimension does not match the constraints")
-    return _simplex_max(objective, constraints.rows)
+    return _highs_max(objective, constraints.rows)
 
 
 def _violation(row: np.ndarray, other_rows: np.ndarray) -> float:
-    outcome = _simplex_max(row, other_rows)
+    outcome = _highs_max(row, other_rows)
     if outcome.status == "unbounded":
         return math.inf
     return outcome.value - 1.0
@@ -189,6 +149,54 @@ def max_violation(row_index: int, constraints: AffineConstraintSet) -> float:
     return _violation(constraints.rows[row_index], constraints.rows[mask])
 
 
+def _vertex_rows(kept: np.ndarray, argmax: np.ndarray) -> np.ndarray:
+    """Cache rows for the vertex at an LP's argmax: v = B^-1 1, then B^-T.
+
+    Empty unless exactly d kept rows B are tight there, B has full rank and
+    v (recomputed from B) meets every kept row.
+    """
+    d = kept.shape[1]
+    basis = kept[np.abs(1.0 - kept @ argmax) <= _TIGHT_TOL]
+    if basis.shape[0] != d or np.linalg.matrix_rank(basis) < d:
+        return np.empty((0, d))
+    inverse = np.linalg.inv(basis)
+    vertex = inverse.sum(axis=1)
+    if np.any(kept @ vertex > 1.0 + _CERT_TOL):
+        return np.empty((0, d))
+    return np.vstack([vertex, inverse.T])
+
+
+def _first_pass(rows: np.ndarray, order: np.ndarray, eps: float) -> list[int]:
+    """Rows, in ``order``, whose violation against the rows kept before them exceeds eps.
+
+    Each row is decided from the vertex cache when it can be (module
+    docstring) and by an LP otherwise; unbounded counts as violated.
+    """
+    d = rows.shape[1]
+    active: list[int] = []
+    cache = np.empty((0, d))  # d + 1 rows per vertex (_vertex_rows), v feasible
+    for idx in order:
+        row = rows[idx]
+        products = (cache @ row).reshape(-1, d + 1)
+        gains = products[:, 0] - 1.0
+        certified = (products[:, 1:] >= 0.0).all(axis=1)
+        if (gains > eps + _CERT_TOL).any():
+            violated = True
+        elif certified.any() and abs(gains[certified.argmax()] - eps) > _CERT_TOL:
+            violated = False
+        else:
+            kept = rows[active]
+            outcome = _highs_max(row, kept)
+            violated = outcome.status == "unbounded" or outcome.value - 1.0 > eps
+            if outcome.status == "optimal":
+                cache = np.vstack([cache, _vertex_rows(kept, outcome.argmax)])
+        if violated:
+            active.append(int(idx))
+            feasible = cache[::d + 1] @ row <= 1.0 + _CERT_TOL
+            cache = cache[np.repeat(feasible, d + 1)]
+    return active
+
+
 def prune_constraints(full: AffineConstraintSet, eps: float,
                       rng_seed: int = 0) -> AffineConstraintSet:
     """Prune approximately redundant rows, then tighten by (1 + eps).
@@ -205,16 +213,7 @@ def prune_constraints(full: AffineConstraintSet, eps: float,
     rng = np.random.default_rng(rng_seed)
     rows = full.rows
 
-    order = rng.permutation(full.num_rows)
-    active: list[int] = []
-    for idx in order:
-        if not active:
-            v = math.inf
-        else:
-            v = _violation(rows[idx], rows[active])
-        if v > eps:
-            active.append(int(idx))
-
+    active = _first_pass(rows, rng.permutation(full.num_rows), eps)
     tightened = rows[active] * (1.0 + eps)
     labels = full.labels[active]
 

@@ -140,6 +140,8 @@ class DesignProblem:
 def amplitude_constraints(dpss_set: DpssSet, omega0: float, dt: float,
                           max_rate: float, num_orders: int) -> AffineConstraintSet:
     """The full 2N-row family |Omega_m(x)| <= max_rate in standard form."""
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ParameterError(f"dt must be positive and finite, got {dt}")
     basis = modulation_basis(dpss_set, omega0, dt, num_orders)
     coeffs = np.vstack([basis, -basis])
     return AffineConstraintSet.from_inequalities(coeffs, np.full(2 * dpss_set.n, max_rate))

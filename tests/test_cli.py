@@ -9,6 +9,7 @@ import pytest
 import scipy.optimize
 
 import qnspect
+from qnspect import lp_reduce
 from qnspect.cli import main
 
 MHZ = 2 * np.pi * 1e6
@@ -285,11 +286,14 @@ class TestErrorPaths:
                                         "delta_omega_mhz": delta_mhz, "waveform": waveform}
         configs["sim_ok"] = {**configs["sim_dr"], "lambdas_mhz": [0.1]}
         configs["sim_zero_shots"] = {**configs["sim_ok"], "shots": 0}
+        configs["sim_fractional_n"] = {**configs["sim_ok"],
+                                       "waveform": {**configs["sim_ok"]["waveform"], "n": 200.9}}
         for key, values in BAD_CONFIG_COUNTS.items():
             for i, value in enumerate(values):
                 configs[f"sim_{key}_{i}"] = {**configs["sim_ok"], key: value}
         for name, num_bands, delta in (("bands_zero", 0, delta_mhz),
                                        ("bands_negative", -1, delta_mhz),
+                                       ("bands_fractional", 1.5, delta_mhz),
                                        ("delta_nan", 1, float("nan")), ("delta_zero", 1, 0.0)):
             configs[name] = {**configs["rec_dr"], "measurements_csv": str(table),
                              "num_bands": num_bands, "delta_omega_mhz": delta}
@@ -336,15 +340,21 @@ class TestErrorPaths:
         pytest.param(["prune", "--omega0-mhz", 0.2, "--n", 0], id="prune-zero-n"),
         pytest.param(["optimize", "--omega0-mhz", 0.2, "--n", 0], id="optimize-zero-n"),
     ] + [
+        pytest.param(["prune", "--omega0-mhz", 0.2, "--n", 400, "--dt-ns", dt],
+                     id=f"prune-{dt}-dt")
+        for dt in (0, -5)
+    ] + [
         pytest.param([command, "--config", f"{{{prefix}_{family}}}"],
                      id=f"{command}-{family}-nan-lambda")
         for command, prefix in (("simulate", "sim"), ("reconstruct", "rec"))
         for family in ("dr", "dpss")
     ] + [
         pytest.param(["reconstruct", "--config", f"{{{name}}}"], id=f"reconstruct-{name}")
-        for name in ("bands_zero", "bands_negative", "delta_nan", "delta_zero")
+        for name in ("bands_zero", "bands_negative", "bands_fractional", "delta_nan",
+                     "delta_zero")
     ] + [
         pytest.param(["simulate", "--config", "{sim_zero_shots}"], id="simulate-zero-shots"),
+        pytest.param(["simulate", "--config", "{sim_fractional_n}"], id="simulate-fractional-n"),
         pytest.param(["simulate", "--config", "{sim_ok}", "--seed", -1],
                      id="simulate-negative-seed"),
     ] + [
@@ -392,6 +402,16 @@ class TestErrorPaths:
         out = tmp_path / "rec"
         assert run_cli("reconstruct", "--config", path, "--out", out) == 3
         assert not (out / "spectrum.csv").exists()
+
+    def test_failed_lp_is_exit_3_without_constraints(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(lp_reduce, "linprog", failing)
+        out = tmp_path / "prune"
+        assert run_cli("prune", "--omega0-mhz", 0.2, "--n", 400, "--dt-ns", 250,
+                       "--out", out) == 3
+        assert not (out / "constraints.csv").exists()
 
     def test_unmeetable_amplitude_bound_is_exit_3_without_coefficients(self, tmp_path):
         # Omega_max = 2 MHz cannot hold a DC-null design at omega0/2pi = 1 MHz

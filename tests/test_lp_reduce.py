@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from qnspect import dpss, lp_max, max_violation, prune_constraints
-from qnspect.errors import ParameterError
+from qnspect import dpss, lp_max, lp_reduce, max_violation, prune_constraints
+from qnspect.errors import NonConvergenceError, ParameterError
 from qnspect.lp_reduce import AffineConstraintSet, constraints_from_csv, constraints_to_csv
 from qnspect.optimize import amplitude_constraints
 
@@ -73,6 +74,14 @@ class TestLpMax:
             assert abs(out.value - oracle) < 1e-8 * max(1.0, abs(oracle))
             checked += 1
         assert checked >= 20
+
+    def test_solver_failure_is_non_convergence(self, monkeypatch):
+        def failing(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(lp_reduce, "linprog", failing)
+        with pytest.raises(NonConvergenceError):
+            lp_max(np.array([1.0, 1.0]), box())
 
     def test_physical_scale_invariance(self):
         # rows in 1/(rad/s): tolerances must not depend on units
@@ -195,3 +204,77 @@ class TestPrune:
         b = prune_constraints(cs, eps=0.05, rng_seed=9)
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.labels, b.labels)
+
+
+def plain_prune(full, eps, rng_seed):
+    """Labels kept by both pruning passes with one LP per row and no vertex cache."""
+
+    def violation(row, others):
+        cs = AffineConstraintSet(rows=others, labels=np.arange(others.shape[0]))
+        out = lp_max(row, cs)
+        return math.inf if out.status == "unbounded" else out.value - 1.0
+
+    rng = np.random.default_rng(rng_seed)
+    active = []
+    for idx in rng.permutation(full.num_rows):
+        if not active or violation(full.rows[idx], full.rows[active]) > eps:
+            active.append(idx)
+    tightened = full.rows[active] * (1.0 + eps)
+    keep = np.ones(len(active), dtype=bool)
+    for j in rng.permutation(len(active)):
+        mask = keep.copy()
+        mask[j] = False
+        if violation(tightened[j], tightened[mask]) <= 0.0:
+            keep[j] = False
+    return full.labels[active][keep]
+
+
+def octagon_with_redundant_rows(eps):
+    """Octagon facets, rows that touch or miss it, and (1 + eps) times a row
+    whose maximum over the octagon is 1 at one vertex: that last row's
+    violation is eps to rounding."""
+    angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+    facets = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    corners = (facets + np.roll(facets, -1, axis=0)) / 2
+    rows = np.vstack([facets, 0.7 * corners, 0.4 * facets, (1.0 + eps) * corners[:1]])
+    return AffineConstraintSet(rows=rows, labels=np.arange(rows.shape[0]))
+
+
+class TestCertifiedPass:
+    """The vertex cache only skips LPs: the kept labels are the plain pass's."""
+
+    def test_waveform_family_matches_plain_pass(self, waveform_family):
+        full, red = waveform_family
+        assert np.array_equal(red.labels, plain_prune(full, 0.1, 0))
+
+    def test_single_order_family_matches_plain_pass(self):
+        n = 800
+        full = amplitude_constraints(dpss(n, 1.0 / n, 1), 2 * np.pi * 0.1e6, 90e-6 / n,
+                                     2 * np.pi * 5e6, 1)
+        red = prune_constraints(full, eps=0.1, rng_seed=4)
+        assert np.array_equal(red.labels, plain_prune(full, 0.1, 4))
+
+    def test_octagon_matches_plain_pass(self):
+        cs = octagon_with_redundant_rows(0.05)
+        for seed in range(4):
+            red = prune_constraints(cs, eps=0.05, rng_seed=seed)
+            assert np.array_equal(red.labels, plain_prune(cs, 0.05, seed))
+
+    def test_violation_at_eps_goes_to_the_lp(self, monkeypatch):
+        eps, seed = 0.1, 3
+        cs = octagon_with_redundant_rows(eps)
+        at_eps = cs.rows[-1]
+        # the row comes last, when a cached vertex certifies it (lambda > 0)
+        assert np.random.default_rng(seed).permutation(cs.num_rows)[-1] == cs.num_rows - 1
+        objectives = []
+        solve = lp_reduce._highs_max
+
+        def spy(objective, rows):
+            objectives.append(objective.copy())
+            return solve(objective, rows)
+
+        monkeypatch.setattr(lp_reduce, "_highs_max", spy)
+        red = prune_constraints(cs, eps=eps, rng_seed=seed)
+        assert any(np.array_equal(obj, at_eps) for obj in objectives)
+        assert len(objectives) < cs.num_rows + red.num_rows
+        assert np.array_equal(red.labels, plain_prune(cs, eps, seed))

@@ -253,7 +253,7 @@ class TestAmplitudeBound:
         def refuse(*args, **kwargs):
             raise AssertionError("LP on the design path")
 
-        monkeypatch.setattr(lp_reduce, "_simplex_max", refuse)
+        monkeypatch.setattr(lp_reduce, "_highs_max", refuse)
         problem = build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ,
                                        eps=0.1, seed=3)
         solution = solve_design(problem, seed=3)
