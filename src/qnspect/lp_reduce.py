@@ -10,16 +10,14 @@ exactly redundant.  The result is a polytope that is a subset of the
 original feasible region yet within a factor (1 + eps) of it.  It serves
 the ``prune`` command; the design solver bounds the samples directly.
 
-Every LP is max c.x subject to A x <= 1 with x free, so the origin is always
-feasible; it is solved by HiGHS (``scipy.optimize.linprog``, Huangfu & Hall,
-Math. Prog. Comp. 2018) on column-scaled rows.  The first pruning pass runs
-few of them: it caches the vertices v = B^-1 1 that the LPs return (B the d
-rows tight there) with B^-T, and decides most rows from that cache.  A cached
-v with a.v - 1 > eps witnesses a violation; a cached vertex with
-lambda = B^-T a >= 0 certifies, by weak duality, that a.v - 1 is the LP value
-itself (a.x = lambda.(B x) <= sum(lambda) = a.v on the whole region).  A row
-gets an LP only when neither check decides it or its value lies within 1e-12
-of eps, so the kept rows are those of the plain one-LP-per-row pass.
+Every LP, max c.x subject to A x <= 1 with x free (the origin is feasible),
+goes to HiGHS (``scipy.optimize.linprog``; Huangfu & Hall, Math. Prog. Comp.
+2018) on column-scaled rows.  The first pruning pass caches each LP's vertex
+v = B^-1 1 (B: the d rows tight there) with B^-T.  A cached v with
+a.v - 1 > eps witnesses a violation; one with lambda = B^-T a >= 0 certifies
+by weak duality that a.v - 1 is the LP value (a.x = lambda.(B x) <= sum(lambda)
+= a.v).  A row gets an LP only when neither decides it or its value lies
+within 1e-12 of eps, so the kept rows are those of the plain one-LP-per-row pass.
 """
 
 from __future__ import annotations
@@ -157,13 +155,12 @@ def _vertex_rows(kept: np.ndarray, argmax: np.ndarray) -> np.ndarray:
     """
     d = kept.shape[1]
     basis = kept[np.abs(1.0 - kept @ argmax) <= _TIGHT_TOL]
-    if basis.shape[0] != d or np.linalg.matrix_rank(basis) < d:
-        return np.empty((0, d))
-    inverse = np.linalg.inv(basis)
-    vertex = inverse.sum(axis=1)
-    if np.any(kept @ vertex > 1.0 + _CERT_TOL):
-        return np.empty((0, d))
-    return np.vstack([vertex, inverse.T])
+    if basis.shape[0] == d and np.linalg.matrix_rank(basis) == d:
+        inverse = np.linalg.inv(basis)
+        vertex = inverse.sum(axis=1)
+        if np.all(kept @ vertex <= 1.0 + _CERT_TOL):
+            return np.vstack([vertex, inverse.T])
+    return np.empty((0, d))
 
 
 def _first_pass(rows: np.ndarray, order: np.ndarray, eps: float) -> list[int]:
@@ -180,20 +177,17 @@ def _first_pass(rows: np.ndarray, order: np.ndarray, eps: float) -> list[int]:
         products = (cache @ row).reshape(-1, d + 1)
         gains = products[:, 0] - 1.0
         certified = (products[:, 1:] >= 0.0).all(axis=1)
-        if (gains > eps + _CERT_TOL).any():
-            violated = True
-        elif certified.any() and abs(gains[certified.argmax()] - eps) > _CERT_TOL:
-            violated = False
-        else:
+        if not (gains > eps + _CERT_TOL).any():  # no cached vertex witnesses a violation
+            if certified.any() and abs(gains[certified.argmax()] - eps) > _CERT_TOL:
+                continue  # certified: the LP value is below eps
             kept = rows[active]
             outcome = _highs_max(row, kept)
-            violated = outcome.status == "unbounded" or outcome.value - 1.0 > eps
-            if outcome.status == "optimal":
+            if outcome.status == "optimal" and outcome.value - 1.0 <= eps:
                 cache = np.vstack([cache, _vertex_rows(kept, outcome.argmax)])
-        if violated:
-            active.append(int(idx))
-            feasible = cache[::d + 1] @ row <= 1.0 + _CERT_TOL
-            cache = cache[np.repeat(feasible, d + 1)]
+                continue
+        active.append(int(idx))
+        feasible = cache[::d + 1] @ row <= 1.0 + _CERT_TOL
+        cache = cache[np.repeat(feasible, d + 1)]
     return active
 
 

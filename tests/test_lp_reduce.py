@@ -240,19 +240,37 @@ def octagon_with_redundant_rows(eps):
     return AffineConstraintSet(rows=rows, labels=np.arange(rows.shape[0]))
 
 
+def spy_on_lps(monkeypatch):
+    """The objective of every LP solved from here on, in order."""
+    objectives = []
+    solve = lp_reduce._highs_max
+
+    def spy(objective, rows):
+        objectives.append(objective.copy())
+        return solve(objective, rows)
+
+    monkeypatch.setattr(lp_reduce, "_highs_max", spy)
+    return objectives
+
+
 class TestCertifiedPass:
     """The vertex cache only skips LPs: the kept labels are the plain pass's."""
 
-    def test_waveform_family_matches_plain_pass(self, waveform_family):
-        full, red = waveform_family
-        assert np.array_equal(red.labels, plain_prune(full, 0.1, 0))
+    def test_waveform_family_matches_plain_pass(self, waveform_family, monkeypatch):
+        full, _ = waveform_family
+        expected = plain_prune(full, 0.1, 0)
+        lps = spy_on_lps(monkeypatch)
+        assert np.array_equal(prune_constraints(full, eps=0.1, rng_seed=0).labels, expected)
+        assert len(lps) < full.num_rows / 10
 
-    def test_single_order_family_matches_plain_pass(self):
+    def test_single_order_family_matches_plain_pass(self, monkeypatch):
         n = 800
         full = amplitude_constraints(dpss(n, 1.0 / n, 1), 2 * np.pi * 0.1e6, 90e-6 / n,
                                      2 * np.pi * 5e6, 1)
-        red = prune_constraints(full, eps=0.1, rng_seed=4)
-        assert np.array_equal(red.labels, plain_prune(full, 0.1, 4))
+        expected = plain_prune(full, 0.1, 4)
+        lps = spy_on_lps(monkeypatch)
+        assert np.array_equal(prune_constraints(full, eps=0.1, rng_seed=4).labels, expected)
+        assert len(lps) < full.num_rows / 10
 
     def test_octagon_matches_plain_pass(self):
         cs = octagon_with_redundant_rows(0.05)
@@ -263,18 +281,10 @@ class TestCertifiedPass:
     def test_violation_at_eps_goes_to_the_lp(self, monkeypatch):
         eps, seed = 0.1, 3
         cs = octagon_with_redundant_rows(eps)
-        at_eps = cs.rows[-1]
+        expected = plain_prune(cs, eps, seed)
         # the row comes last, when a cached vertex certifies it (lambda > 0)
         assert np.random.default_rng(seed).permutation(cs.num_rows)[-1] == cs.num_rows - 1
-        objectives = []
-        solve = lp_reduce._highs_max
-
-        def spy(objective, rows):
-            objectives.append(objective.copy())
-            return solve(objective, rows)
-
-        monkeypatch.setattr(lp_reduce, "_highs_max", spy)
+        lps = spy_on_lps(monkeypatch)
         red = prune_constraints(cs, eps=eps, rng_seed=seed)
-        assert any(np.array_equal(obj, at_eps) for obj in objectives)
-        assert len(objectives) < cs.num_rows + red.num_rows
-        assert np.array_equal(red.labels, plain_prune(cs, eps, seed))
+        assert any(np.array_equal(objective, cs.rows[-1]) for objective in lps)
+        assert np.array_equal(red.labels, expected)
