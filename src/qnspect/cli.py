@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import GridError, NonConvergenceError, ParameterError, UndefinedRatioError
 from .filterfn import (
+    _MAX_DFT_BIN,
     amplitude_ff,
     dephasing_ff,
     ff_to_csv,
@@ -105,14 +106,22 @@ def _outdir(args) -> Path:
     return out
 
 
+def _flags(args) -> dict:
+    """The command's flags by name, --seed and --out aside: its manifest ``config``."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed", "out")}
+
+
 def _sweep_waveform(family: str, lam: float, n: int, dt: float, amp: float,
                     time_bandwidth: float) -> PiecewiseConstantWaveform:
     """One probe waveform at modulation frequency lam (rad/s)."""
     total_time = n * dt
     if family == "dr":
-        root = root_index_for_peak_rate(lam, amp)  # rejects a non-finite lam
-        periods = int(round(lam * total_time / (2.0 * np.pi)))
-        return dephasing_robust(total_time, periods, root, n)
+        # lam and its period count are checked before any J0 root search
+        periods = int(round(lam * total_time / (2.0 * np.pi))) if 0.0 < lam < np.inf else 0
+        if periods < 1:
+            raise ParameterError(f"need a positive finite modulation frequency with at least "
+                                 f"one period in T, got {lam} rad/s and T = {total_time} s")
+        return dephasing_robust(total_time, periods, root_index_for_peak_rate(lam, amp), n)
     if family == "dpss":
         return modulated_dpss_waveform(n, time_bandwidth / n, amp, lam, dt)
     raise ParameterError(f"unknown waveform family {family!r} (use 'dr' or 'dpss')")
@@ -167,58 +176,52 @@ def _cmd_dpss(args):
                [[m] + row for m, row in enumerate(ds.sequences.T.tolist())])
     _write_csv(out / "dpss_eigenvalues.csv", "k,concentration",
                [[k, v] for k, v in enumerate(ds.eigenvalues.tolist())])
-    _write_manifest(out, "dpss", {"n": args.n, "nw": args.nw, "k": args.k}, None,
+    _write_manifest(out, "dpss", _flags(args), None,
                     ["dpss_sequences.csv", "dpss_eigenvalues.csv"])
+
+
+def _probe(args, family: str) -> PiecewiseConstantWaveform:
+    """The probe waveform of the probe flags (--lambda-mhz, --t-us, --n, --amp-mhz, --nw)."""
+    return _sweep_waveform(family, args.lambda_mhz * MHZ, args.n,
+                           _segment_length(args.t_us, args.n), args.amp_mhz * MHZ, args.nw)
 
 
 def _cmd_waveform(args):
     out = _outdir(args)
-    lam = args.lambda_mhz * MHZ
-    wf = _sweep_waveform(args.family, lam, args.n, _segment_length(args.t_us, args.n),
-                         args.amp_mhz * MHZ, args.nw)
+    wf = _probe(args, args.family)
     params = {"family": args.family, "lambda_mhz": args.lambda_mhz,
               "amp_mhz": args.amp_mhz, "nw": args.nw}
     waveform_to_csv(wf, out / "waveform.csv", params)
-    _write_manifest(out, "waveform", {**params, "n": args.n, "t_us": args.t_us}, None,
-                    ["waveform.csv"])
+    _write_manifest(out, "waveform", _flags(args), None, ["waveform.csv"])
 
 
 def _cmd_ff(args):
     out = _outdir(args)
-    lam = args.lambda_mhz * MHZ
-    dt = _segment_length(args.t_us, args.n)
-    wf = _sweep_waveform(args.waveform, lam, args.n, dt, args.amp_mhz * MHZ, args.nw)
+    wf = _probe(args, args.waveform)
     if args.points < 1 or not 0.0 < args.max_mhz < np.inf:
         raise ParameterError(f"need --points >= 1 and a positive finite --max-mhz, got "
                              f"{args.points} and {args.max_mhz}")
     omegas = np.linspace(0.0, args.max_mhz * MHZ, args.points)
-    ff_to_csv(amplitude_ff(wf, omegas), out / "amplitude_ff.csv")
-    ff_to_csv(dephasing_ff(wf, omegas), out / "dephasing_ff.csv")
+    # both grids before any file, so that a rejected grid leaves none behind
+    amp, deph = amplitude_ff(wf, omegas), dephasing_ff(wf, omegas)
+    ff_to_csv(amp, out / "amplitude_ff.csv")
+    ff_to_csv(deph, out / "dephasing_ff.csv")
     waveform_to_csv(wf, out / "waveform.csv", {"family": args.waveform})
-    config = {"waveform": args.waveform, "lambda_mhz": args.lambda_mhz,
-              "t_us": args.t_us, "n": args.n, "amp_mhz": args.amp_mhz,
-              "nw": args.nw, "max_mhz": args.max_mhz, "points": args.points}
-    _write_manifest(out, "ff", config, None,
+    _write_manifest(out, "ff", _flags(args), None,
                     ["amplitude_ff.csv", "dephasing_ff.csv", "waveform.csv"])
 
 
 def _cmd_gz(args):
     out = _outdir(args)
-    lam = args.lambda_mhz * MHZ
-    dt = _segment_length(args.t_us, args.n)
-    wf = _sweep_waveform(args.waveform, lam, args.n, dt, args.amp_mhz * MHZ, args.nw)
+    wf = _probe(args, args.waveform)
     base = 2.0 * np.pi / wf.total_time
     top = args.max_mhz * MHZ / base
-    if not 0.0 <= top < np.inf or args.stride < 1:
-        raise ParameterError(f"need a finite --max-mhz >= 0 and --stride >= 1, got "
-                             f"{args.max_mhz} and {args.stride}")
+    if not 0.0 <= top < _MAX_DFT_BIN or args.stride < 1:
+        raise ParameterError(f"need --max-mhz >= 0 below 2^53 DFT bins and --stride >= 1, "
+                             f"got {args.max_mhz} and {args.stride}")
     omegas = np.arange(0, int(round(top)) + 1, args.stride) * base
-    grid = higher_order_ff(wf, omegas, omegas)
-    higher_order_ff_to_csv(grid, out / "gz.csv")
-    config = {"waveform": args.waveform, "lambda_mhz": args.lambda_mhz,
-              "t_us": args.t_us, "n": args.n, "amp_mhz": args.amp_mhz,
-              "nw": args.nw, "max_mhz": args.max_mhz, "stride": args.stride}
-    _write_manifest(out, "gz", config, None, ["gz.csv"])
+    higher_order_ff_to_csv(higher_order_ff(wf, omegas, omegas), out / "gz.csv")
+    _write_manifest(out, "gz", _flags(args), None, ["gz.csv"])
 
 
 def _cmd_prune(args):
@@ -227,10 +230,7 @@ def _cmd_prune(args):
                                  args.dt_ns * 1e-9, args.omega_max_mhz * MHZ, args.k)
     reduced = prune_constraints(full, args.eps, rng_seed=args.seed)
     constraints_to_csv(reduced, out / "constraints.csv")
-    config = {"omega0_mhz": args.omega0_mhz, "n": args.n, "dt_ns": args.dt_ns,
-              "omega_max_mhz": args.omega_max_mhz, "nw": args.nw, "k": args.k,
-              "eps": args.eps}
-    _write_manifest(out, "prune", config, args.seed, ["constraints.csv"])
+    _write_manifest(out, "prune", _flags(args), args.seed, ["constraints.csv"])
     print(f"retained {reduced.num_rows} constraints")
 
 
@@ -253,25 +253,12 @@ def _cmd_optimize(args):
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     waveform_to_csv(wf, out / "waveform.csv", {"omega0_mhz": args.omega0_mhz})
-    config = {"omega0_mhz": args.omega0_mhz, "k": args.k, "nw": args.nw,
-              "omega_max_mhz": args.omega_max_mhz, "eps": args.eps,
-              "n": args.n, "dt_ns": args.dt_ns}
-    _write_manifest(out, "optimize", config, args.seed,
+    _write_manifest(out, "optimize", _flags(args), args.seed,
                     ["coefficients.json", "waveform.csv"])
 
 
-def run_sweep(config: dict, seed: int, realizations: int):
-    """Survival-probability sweep over modulation frequencies.
-
-    Returns a list of per-lambda result dicts (the rows of survival.csv).
-    """
-    lambdas = _lambdas_from_config(config["lambdas_mhz"])
-    waveforms = [_waveform_from_config(config["waveform"], lam) for lam in lambdas]
-    return _sweep_rows(config, lambdas, waveforms, seed, realizations)
-
-
 def _sweep_rows(config: dict, lambdas, waveforms, seed: int, realizations: int):
-    """run_sweep on probe waveforms already built, one per lambda."""
+    """Survival-probability rows (of survival.csv), one per lambda and its probe waveform."""
     amp_model = spectrum_model_from_json(config["amplitude_noise"])
     deph_model = spectrum_model_from_json(config["dephasing_noise"])
     shots = config.get("shots")
@@ -298,7 +285,9 @@ def _cmd_simulate(args):
     if realizations < 1:
         raise ParameterError("realizations must be >= 1")
     out = _outdir(args)
-    rows = run_sweep(config, seed, realizations)
+    lambdas = _lambdas_from_config(config["lambdas_mhz"])
+    waveforms = [_waveform_from_config(config["waveform"], lam) for lam in lambdas]
+    rows = _sweep_rows(config, lambdas, waveforms, seed, realizations)
     keys = ["lambda_mhz", "p1", "p2", "p3", "p1_err", "p2_err", "p3_err",
             "estimator", "estimator_err", "i_omega_pred"]
     _write_csv(out / "survival.csv", ",".join(keys),
@@ -482,10 +471,12 @@ _FIGURE_SETS = {
 
 
 def _cmd_figure_data(args):
-    out = _outdir(args)
     scale = dict(_SCALES[args.scale])
     if args.realizations is not None:
+        if _seed_value(args.realizations, "realizations") < 1:
+            raise ParameterError(f"need --realizations >= 1, got {args.realizations}")
         scale["realizations"] = args.realizations
+    out = _outdir(args)
     artifacts = _FIGURE_SETS[args.set](out, scale, args.seed)
     _write_manifest(out, "figure-data",
                     {"set": args.set, "scale": args.scale,
@@ -532,82 +523,63 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dephasing-robust amplitude control and simulated noise spectroscopy",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by a command family, declared once as argparse parents
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--lambda-mhz", type=float, required=True)
+    probe.add_argument("--t-us", "--T-us", type=float, required=True, dest="t_us")
+    probe.add_argument("--amp-mhz", type=float, default=5.0)
+    probe.add_argument("--nw", type=float, default=1.0)
+    design = argparse.ArgumentParser(add_help=False)
+    design.add_argument("--omega0-mhz", type=float, required=True)
+    design.add_argument("--n", type=int, default=20000)
+    design.add_argument("--dt-ns", type=float, default=5.0)
+    design.add_argument("--omega-max-mhz", type=float, default=5.0)
+    design.add_argument("--eps", type=float, default=0.1)
+    design.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("dpss", help="emit Slepian sequences and concentrations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nw", type=float, default=1.0)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_dpss)
 
-    p = sub.add_parser("waveform", help="emit a control waveform")
+    p = sub.add_parser("waveform", parents=[probe], help="emit a control waveform")
     p.add_argument("--family", choices=["dr", "dpss"], required=True)
-    p.add_argument("--lambda-mhz", type=float, required=True)
-    p.add_argument("--t-us", "--T-us", type=float, required=True, dest="t_us")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--amp-mhz", type=float, default=5.0)
-    p.add_argument("--nw", type=float, default=1.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_waveform)
 
-    p = sub.add_parser("ff", help="amplitude and dephasing filter functions")
+    p = sub.add_parser("ff", parents=[probe], help="amplitude and dephasing filter functions")
     p.add_argument("--waveform", choices=["dr", "dpss"], required=True)
-    p.add_argument("--lambda-mhz", type=float, required=True)
-    p.add_argument("--t-us", "--T-us", type=float, required=True, dest="t_us")
     p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--amp-mhz", type=float, default=5.0)
-    p.add_argument("--nw", type=float, default=1.0)
     p.add_argument("--max-mhz", type=float, default=2.0)
     p.add_argument("--points", type=int, default=2000)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ff)
 
-    p = sub.add_parser("gz", help="higher-order dephasing filter function")
+    p = sub.add_parser("gz", parents=[probe], help="higher-order dephasing filter function")
     p.add_argument("--waveform", choices=["dr", "dpss"], required=True)
-    p.add_argument("--lambda-mhz", type=float, required=True)
-    p.add_argument("--t-us", "--T-us", type=float, required=True, dest="t_us")
     p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--amp-mhz", type=float, default=5.0)
-    p.add_argument("--nw", type=float, default=1.0)
     p.add_argument("--max-mhz", type=float, default=0.3)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gz)
 
-    p = sub.add_parser("prune", help="LP reduction of the amplitude constraints")
-    p.add_argument("--omega0-mhz", type=float, required=True)
-    p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--dt-ns", type=float, default=5.0)
-    p.add_argument("--omega-max-mhz", type=float, default=5.0)
+    p = sub.add_parser("prune", parents=[design], help="LP reduction of the amplitude constraints")
     p.add_argument("--nw", type=float, default=1.0)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_prune)
 
-    p = sub.add_parser("optimize", help="solve the waveform design problem")
-    p.add_argument("--omega0-mhz", type=float, required=True)
+    p = sub.add_parser("optimize", parents=[design], help="solve the waveform design problem")
     p.add_argument("--k", "--K", type=int, default=3, dest="k")
     p.add_argument("--nw", "--NW", type=float, default=1.0, dest="nw")
-    p.add_argument("--omega-max-mhz", type=float, default=5.0)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--dt-ns", type=float, default=5.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("simulate", help="Monte-Carlo survival-probability sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--realizations", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="invert a sweep into a spectrum estimate")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("figure-data", help="canned analysis pipelines (tidy CSV)")
@@ -615,9 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=["desk", "paper"], default="desk")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--realizations", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_figure_data)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 

@@ -91,6 +91,10 @@ _GRID_PHASE_TOL = 1e-10
 # this many cells: rows of the autocorrelation and lags of the kernel of the
 # one, Gauss-Legendre nodes of the other
 _BLOCK_CELLS = 1 << 18
+# most Gauss-Legendre nodes across a segment, and the DFT bin that G_Z
+# frequencies must lie below (from 2^53 on a float index names no one integer)
+_MAX_NODES = 1 << 10
+_MAX_DFT_BIN = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -122,16 +126,6 @@ class HigherOrderFFGrid:
     total_time: float
 
 
-def _segment_integral(u: np.ndarray, dt: float) -> np.ndarray:
-    """int_0^dt e^{i u s} ds = dt (sinc(x/2) e^{i x/2}), x = u dt, without a branch.
-
-    Written as dt (sin x / x + i sin(x/2) sin(x/2)/(x/2)) so that neither part
-    cancels: both are accurate to rounding from x = 0 upward.
-    """
-    x = np.asarray(u, dtype=float) * dt
-    return dt * (np.sinc(x / np.pi) + 1j * np.sin(x / 2.0) * np.sinc(x / (2.0 * np.pi)))
-
-
 # below this |h| the spherical Bessel j1(h) is summed as its Taylor series
 _J1_SERIES_CUT = 1.0
 # 1/(k! (2k+3)!!) for k = 0..7: j1(h) = h sum_k (-h^2/2)^k / (k! (2k+3)!!)
@@ -139,11 +133,11 @@ _J1_SERIES = tuple(1.0 / (math.factorial(k) * math.prod(range(3, 2 * k + 4, 2)))
                    for k in range(8))
 
 
-def _segment_integral_and_derivative(u: np.ndarray, dt: float):
+def _segment_factor(u: np.ndarray, dt: float):
     """(phi, dphi/du) of phi(u) = int_0^dt e^{i u s} ds, from one sin/cos pair.
 
-    With h = u dt/2, phi = dt e^{ih} sinc h (the value of _segment_integral to
-    rounding) and phi' = i int_0^dt s e^{ius} ds = (dt^2/2) e^{ih} (i sinc h - j1(h)),
+    With h = u dt/2, phi = dt e^{ih} sinc h, accurate to rounding from h = 0
+    upward, and phi' = i int_0^dt s e^{ius} ds = (dt^2/2) e^{ih} (i sinc h - j1(h)),
     where j1(h) = (sin h - h cos h)/h^2 is the spherical Bessel function of
     order 1.  That quotient cancels as h -> 0 (both terms approach h, their
     difference is h^3/3), losing about log10(3/h^2) digits, so below
@@ -154,15 +148,23 @@ def _segment_integral_and_derivative(u: np.ndarray, dt: float):
     h = 0.5 * np.asarray(u, dtype=float) * dt
     sin, cos = np.sin(h), np.cos(h)
     sinc = np.divide(sin, h, out=np.ones_like(h), where=h != 0.0)
+    wide = np.abs(h) >= _J1_SERIES_CUT
+    narrow, safe = np.where(wide, 0.0, h), np.where(wide, h, 1.0)
     series = _J1_SERIES[-1]
-    square = -0.5 * h * h
+    square = -0.5 * narrow * narrow
     for coefficient in _J1_SERIES[-2::-1]:
         series = series * square + coefficient
-    wide = np.abs(h) >= _J1_SERIES_CUT
-    safe = np.where(wide, h, 1.0)
-    j1 = np.where(wide, (sin - safe * cos) / (safe * safe), series * h)
+    with np.errstate(over="ignore"):  # h^2 overflows from |h| ~ 1e154 on, where j1 -> 0
+        j1 = np.where(wide, (sin - safe * cos) / (safe * safe), series * h)
     rot = cos + 1j * sin
     return dt * sinc * rot, 0.5 * dt * dt * rot * (1j * sinc - j1)
+
+
+def _exp_theta_segments(theta: np.ndarray, samples: np.ndarray, dt: float):
+    """e^{i Th_m} phi(Omega_m) = int of e^{i Theta} over segment m, and its Omega_m-derivative."""
+    rot = np.exp(1j * theta)
+    phi, dphi = _segment_factor(samples, dt)
+    return rot * phi, rot * dphi
 
 
 def _is_even_grid(omegas: np.ndarray, total_time: float) -> bool:
@@ -227,6 +229,14 @@ def _gauss_legendre(order: int):
     return nodes, weights
 
 
+def _segment_nodes(phase: float):
+    """Gauss-Legendre nodes and weights, 8 per pi of ``phase`` rad, from 8 to _MAX_NODES."""
+    periods = max(1.0, np.ceil(phase / np.pi))
+    if not 8.0 * periods <= _MAX_NODES:
+        raise GridError(f"a segment spans {phase:.3g} rad: over {_MAX_NODES} quadrature nodes")
+    return _gauss_legendre(8 * int(periods))
+
+
 def _frequencies(omegas) -> np.ndarray:
     """Angular frequencies as a finite 1-D float array; a scalar becomes one point."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
@@ -241,7 +251,7 @@ def amplitude_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionG
     """Amplitude filter function F_Omega on the given angular-frequency grid."""
     omegas = _frequencies(omegas)
     transform = (_fourier_sums(waveform.samples, waveform.dt, omegas)
-                 * _segment_integral(omegas, waveform.dt))
+                 * _segment_factor(omegas, waveform.dt)[0])
     values = 0.25 * np.abs(transform) ** 2
     return FilterFunctionGrid(omegas=omegas, values=values, total_time=waveform.total_time)
 
@@ -276,12 +286,11 @@ def amplitude_ff_integral(samples, dt: float, edges) -> np.ndarray:
         lags[start:start + step] = np.fft.irfft(np.abs(spectra) ** 2, 2 * n)[:, :n]
     lags = lags.reshape(samples.shape)
     lags[..., 1:] *= 2.0  # r_{-k} = r_k and c_{-k} = c_k
-    order = 8 * max(1, int(np.ceil(np.max(np.abs(edges), initial=0.0) * dt / np.pi)))
-    nodes, weights = _gauss_legendre(order)
+    nodes, weights = _segment_nodes(np.max(np.abs(edges), initial=0.0) * dt)
     s = 0.5 * dt * (nodes + 1.0)
     cos_se, sin_se = np.cos(np.outer(s, edges)), np.sin(np.outer(s, edges))
     out = np.zeros(samples.shape[:-1] + edges.shape)
-    step = max(1, _BLOCK_CELLS // edges.size)
+    step = max(1, _BLOCK_CELLS // max(1, edges.size))
     for start in range(0, n, step):
         tau = np.arange(start, min(start + step, n))[:, None] * dt
         scale = dt * weights * (dt - s) / (tau ** 2 - s ** 2)
@@ -304,7 +313,7 @@ def _exp_theta_transforms(waveform: PiecewiseConstantWaveform, omegas: np.ndarra
     """
     dt, n = waveform.dt, waveform.n
     u_max = (np.max(np.abs(omegas), initial=0.0) + np.max(np.abs(waveform.samples))) * dt
-    nodes, weights = _gauss_legendre(8 * max(1, int(np.ceil(u_max / np.pi))))
+    nodes, weights = _segment_nodes(u_max)
     s = 0.5 * dt * (nodes + 1.0)
     theta = rotation_angle(waveform)[:-1]
     i_plus = np.zeros(omegas.shape, dtype=complex)
@@ -332,9 +341,8 @@ def dephasing_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionG
 
 def dephasing_ff_dc(waveform: PiecewiseConstantWaveform) -> float:
     """F_Z(0, T) = |int_0^T e^{i Theta(t)} dt|^2, segment-exact."""
-    i_plus = np.sum(np.exp(1j * rotation_angle(waveform)[:-1])
-                    * _segment_integral(waveform.samples, waveform.dt))
-    return float(np.abs(i_plus) ** 2)
+    segments, _ = _exp_theta_segments(rotation_angle(waveform)[:-1], waveform.samples, waveform.dt)
+    return float(np.abs(np.sum(segments)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +405,7 @@ def dephasing_ff_periodic_oracle(periods: int, modulation_freq: float, peak_rate
 
 
 def _check_dft_grid(omegas: np.ndarray, waveform: PiecewiseConstantWaveform) -> np.ndarray:
-    """Angular frequencies must be integer multiples of 2*pi/(N*dt), below 2^53 bins.
-
-    From 2^53 on a float index no longer names one integer, and from 2^63 it
-    overflows the integer conversion.
-    """
+    """Angular frequencies must be integer multiples of 2*pi/(N*dt), below _MAX_DFT_BIN."""
     base = 2.0 * np.pi / (waveform.n * waveform.dt)
     idx = omegas / base
     rounded = np.round(idx)
@@ -409,9 +413,15 @@ def _check_dft_grid(omegas: np.ndarray, waveform: PiecewiseConstantWaveform) -> 
         raise GridError(
             "higher-order FF frequencies must be integer multiples of 2*pi/(N*dt)"
         )
-    if np.any(np.abs(rounded) >= 2.0 ** 53):
+    if np.any(np.abs(rounded) >= _MAX_DFT_BIN):
         raise GridError("higher-order FF frequencies must lie below 2^53 DFT bins")
     return rounded.astype(int)
+
+
+def _ordered_sines(sin_t: np.ndarray, cos_t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_{l<=i} sin(Th_i - Th_l) w_l for every i (last axis), from two prefix sums."""
+    return (sin_t * np.cumsum(cos_t * weights, axis=-1)
+            - cos_t * np.cumsum(sin_t * weights, axis=-1))
 
 
 def _ordered_double_transforms(theta: np.ndarray, alphas: np.ndarray,
@@ -421,7 +431,7 @@ def _ordered_double_transforms(theta: np.ndarray, alphas: np.ndarray,
     W[a, b] / dt^2 = sum_{j1} sin(Th_j1) z^{a j1} sum_{j2<=j1} cos(Th_j2) z^{b j2}
                      - (sin and cos swapped),   z = e^{2 pi i/N}.
 
-    The inner sums over j2 are running prefix sums, built once per column b;
+    The inner sums over j2 are _ordered_sines of z^{b j2}, once per column b;
     the outer sum over j1 is one inverse FFT per column, read at every row a.
     :func:`higher_order_ff` passes only the columns b >= 0 and reflects them.
     """
@@ -434,9 +444,7 @@ def _ordered_double_transforms(theta: np.ndarray, alphas: np.ndarray,
     for col, beta in enumerate(betas):
         # reduced first, so that beta * j cannot overflow for large beta
         inner_phase = roots[np.mod(beta % n * j, n)]
-        prefix_cos = np.cumsum(cos_t * inner_phase)
-        prefix_sin = np.cumsum(sin_t * inner_phase)
-        w[:, col] = np.fft.ifft(sin_t * prefix_cos - cos_t * prefix_sin)[rows]
+        w[:, col] = np.fft.ifft(_ordered_sines(sin_t, cos_t, inner_phase))[rows]
     return w * n
 
 

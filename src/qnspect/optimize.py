@@ -20,13 +20,14 @@ nonlinear DC null F_Z(0, x) = 0.  Structure of the solver:
   exact while the minimizer sits strictly inside the bound; a solution that
   still breaks |Omega_m| <= max_rate is reported as non-convergence;
 * the inner minimizer is quasi-Newton (L-BFGS) on the exact gradient:
-  samples and Theta are linear in the coefficients, the objective's
-  gradient in Theta is one FFT convolution, and the DC-null, hinge and
-  proximal terms differentiate in closed form;
+  samples and Theta are linear in the coefficients and read through their
+  real Jacobians, the objective's gradient in Theta is one FFT convolution,
+  and the DC-null, hinge and proximal terms differentiate in closed form;
+  the gradients in Theta and in the samples are summed as two real
+  N-vectors, one product with each Jacobian;
 * the DC null (``_dc_residual``, read by both the Lagrangian and the exit
-  check) takes each segment's phi(Omega_m) = int_0^dt e^{i Omega_m s} ds and
-  its derivative in Omega_m from one sin/cos pair, with the spherical Bessel
-  j1 written out elementarily (filterfn._segment_integral_and_derivative).
+  check) sums filterfn's segment integrals of e^{i Theta} and their
+  derivatives in Omega_m (filterfn._exp_theta_segments).
 
 F_Z in the objective is the plain left-endpoint Riemann sum, which is
 indistinguishable from the segment-exact transform everywhere the integrand
@@ -51,7 +52,7 @@ from scipy.optimize import minimize
 from scipy.special import sici
 
 from .errors import NonConvergenceError, ParameterError
-from .filterfn import _segment_integral_and_derivative
+from .filterfn import _exp_theta_segments
 from .lp_reduce import AffineConstraintSet
 from .slepian import DpssSet, dpss
 from .waveform import (
@@ -219,14 +220,12 @@ def _dc_residual(theta: np.ndarray, samples: np.ndarray, dt: float, total_time: 
     the two derivatives as complex arrays of the integral.  The Lagrangian and
     the exit check of solve_design both call it, so they see the same phi.
     """
-    rot = np.exp(1j * theta)
-    phi, dphi = _segment_integral_and_derivative(samples, dt)
-    terms = rot * phi
+    terms, d_terms = _exp_theta_segments(theta, samples, dt)
     integral = np.sum(terms) / total_time
     residual = np.array([integral.real, integral.imag])
     if not gradient:
         return residual
-    return residual, 1j * terms / total_time, rot * dphi / total_time
+    return residual, 1j * terms / total_time, d_terms / total_time
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +289,7 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
 
     total_time = problem.total_time
     objective = problem.objective
-    f_scale = max(abs(objective(_theta_of(z @ (u0 * scale), problem))), 1e-300)
-
-    def trajectory(u):
-        samples = basis @ (z @ (u * scale))
-        return samples, _theta(samples, dt)
+    f_scale = max(abs(objective(d_theta @ u0)), 1e-300)
 
     rho_in = 1e4
     # proximal damping: the objective valley is nearly flat along the
@@ -307,24 +302,23 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
     def make_lagrangian(lam, rho, u_ref):
         def fun(u):
             """The Lagrangian and its gradient in u."""
-            samples, theta = trajectory(u)
+            samples, theta = d_samples @ u, d_theta @ u
             f, df_dtheta = objective(theta, gradient=True)
             h, dc_theta, dc_samples = _dc_residual(theta, samples, dt, total_time, gradient=True)
-            d_dc = dc_theta @ d_theta + dc_samples @ d_samples
             pen = np.maximum(np.abs(samples) / tightened_rate - 1.0, 0.0)
             du = u - u_ref
             value = (f / f_scale + lam @ h + 0.5 * rho * (h @ h) + rho_in * (pen @ pen)
                      + 0.5 * prox_mu * (du @ du))
             mult = lam + rho * h
-            grad = (df_dtheta @ d_theta / f_scale + mult[0] * d_dc.real + mult[1] * d_dc.imag
-                    + (2.0 * rho_in / tightened_rate) * (pen * np.sign(samples)) @ d_samples
-                    + prox_mu * du)
-            return value, grad
+            # dL/dTheta and dL/dOmega as real N-vectors, one product with each Jacobian
+            g_theta = df_dtheta / f_scale + mult[0] * dc_theta.real + mult[1] * dc_theta.imag
+            g_samples = (mult[0] * dc_samples.real + mult[1] * dc_samples.imag
+                         + (2.0 * rho_in / tightened_rate) * pen * np.sign(samples))
+            return value, g_theta @ d_theta + g_samples @ d_samples + prox_mu * du
         return fun
 
     def residual(u):
-        samples, theta = trajectory(u)
-        return _dc_residual(theta, samples, dt, total_time)
+        return _dc_residual(d_theta @ u, d_samples @ u, dt, total_time)
 
     lam = np.zeros(2)
     rho = 10.0
@@ -354,9 +348,8 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
                 best=best,
             )
 
-    x = z @ (u * scale)
-    coeffs = WaveformCoefficients.from_vector(problem.omega0, x)
-    ratio = float(np.max(np.abs(basis @ x))) / problem.max_rate
+    coeffs = WaveformCoefficients.from_vector(problem.omega0, z @ (u * scale))
+    ratio = float(np.max(np.abs(d_samples @ u))) / problem.max_rate
     if ratio > 1.0 + 1e-9:
         raise NonConvergenceError(
             f"amplitude bound not met: max|Omega|/Omega_max = {ratio:.6f}", best=coeffs)

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .filterfn import (_segment_integral, amplitude_ff, amplitude_ff_integral, dephasing_ff,
-                       dephasing_ff_dc)
+from .filterfn import (_exp_theta_segments, _ordered_sines, amplitude_ff, amplitude_ff_integral,
+                       dephasing_ff, dephasing_ff_dc)
 from .noisegen import (SpectrumModel, _harmonic_amplitudes, _panel_overlap, _seed_value,
                        _seed_words, _Synthesis)
 from .waveform import PiecewiseConstantWaveform, rotation_angle
@@ -355,7 +355,7 @@ def error_vector_first_order(waveform: PiecewiseConstantWaveform, amp_noise: np.
     omega = waveform.samples
     a1 = 0.5 * dt * np.sum(omega * amp_noise, axis=-1)
     # per-segment integrals of e^{i Theta}: Im is int sin(Theta), Re is int cos(Theta)
-    seg = np.exp(1j * rotation_angle(waveform)[:-1]) * _segment_integral(omega, dt)
+    seg, _ = _exp_theta_segments(rotation_angle(waveform)[:-1], omega, dt)
     a2 = np.sum(seg.imag * deph_noise, axis=-1)
     a3 = np.sum(seg.real * deph_noise, axis=-1)
     return np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)
@@ -367,18 +367,16 @@ def magnus_second_order_a1(waveform: PiecewiseConstantWaveform,
 
     a1^(2) = int_0^T dt1 int_0^t1 dt2 sin[Theta(t1) - Theta(t2)] beta_z(t1) beta_z(t2),
     in the left-endpoint Riemann convention shared with the higher-order
-    filter function, evaluated with prefix sums in O(N).  A scalar for one
-    (N,) trajectory, shape (R,) for an (R, N) batch.
+    filter function, evaluated with prefix sums in O(N) by the G_Z kernel
+    filterfn._ordered_sines.  A scalar for one (N,) trajectory, shape (R,)
+    for an (R, N) batch.
     """
     _check_grid(waveform, deph_noise)
     dt = waveform.dt
     theta = rotation_angle(waveform)[:-1]
-    b = deph_noise
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    prefix_cos = np.cumsum(cos_t * b, axis=-1)
-    prefix_sin = np.cumsum(sin_t * b, axis=-1)
     # diagonal j2 = j1 contributes sin(0) = 0, so the full prefix is safe
-    return dt * dt * np.sum(b * (sin_t * prefix_cos - cos_t * prefix_sin), axis=-1)
+    ordered = _ordered_sines(np.sin(theta), np.cos(theta), deph_noise)
+    return dt * dt * np.sum(deph_noise * ordered, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ class WaveformCoefficients:
 
 def bessel_j0_roots(count: int) -> np.ndarray:
     """First ``count`` positive roots of J0, ascending (``scipy.special.jn_zeros``)."""
-    if count < 1:
+    if _count(count, "count") < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     return special.jn_zeros(0, count)
 
@@ -183,9 +183,10 @@ def dephasing_robust(total_time: float, periods: int, root_index: int,
     n_samples : int
         Number N of piecewise-constant segments; dt = T/N.
     """
+    n_samples, periods = _count(n_samples, "n_samples"), _count(periods, "periods")
     if periods < 1:
         raise ParameterError(f"periods must be >= 1, got {periods}")
-    if root_index < 1:
+    if _count(root_index, "root_index") < 1:
         raise ParameterError(f"root_index must be >= 1, got {root_index}")
     if n_samples < 2 * periods:
         raise ParameterError(

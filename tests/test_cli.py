@@ -326,11 +326,22 @@ class TestErrorPaths:
     ] + [
         pytest.param(["ff", "--waveform", "dr", "--lambda-mhz", 0.25, "--t-us", 40,
                       "--n", 800, "--max-mhz", top], id=f"ff-{top}-max")
-        for top in ("nan", "inf", 0, -1)
+        for top in ("nan", "inf", 0, -1, 1e9, 1e300)
     ] + [
         pytest.param(["gz", "--waveform", "dr", "--lambda-mhz", 0.2, "--t-us", 20, "--n", 500,
                       "--max-mhz", top], id=f"gz-{top}-max")
-        for top in ("inf", -1)
+        for top in ("inf", -1, 1e16, 1e300)
+    ] + [
+        # under one modulation period in T: rejected before any J0 root search
+        pytest.param([command, flag, "dr", "--lambda-mhz", lam, "--t-us", 100, "--n", 10],
+                     id=f"{command}-dr-{lam}-lambda")
+        for command, flag in (("waveform", "--family"), ("ff", "--waveform"),
+                              ("gz", "--waveform"))
+        for lam in (1e-6, 1e-8, 1e-10)
+    ] + [
+        pytest.param(["figure-data", "--set", name, "--realizations", count],
+                     id=f"figure-data-{name}-{count}-realizations")
+        for name, count in (("gz-map", -3), ("waveforms-and-ffs", 0))
     ] + [
         pytest.param(["optimize", "--omega0-mhz", "nan", "--n", 400, "--dt-ns", 250],
                      id="optimize-nan-omega0"),
@@ -384,6 +395,23 @@ class TestErrorPaths:
         assert run_cli(*[str(a).format(**paths) for a in argv], "--out", out) == 2
         assert not out.exists()
 
+    def test_short_dr_probe_is_rejected_before_root_search(self, tmp_path, monkeypatch):
+        from qnspect import cli
+
+        def no_search(*args):
+            raise AssertionError("J0 roots searched for a probe with no period")
+
+        monkeypatch.setattr(cli, "root_index_for_peak_rate", no_search)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({
+            "waveform": {"family": "dr", "n": 10, "dt_ns": 1e4},
+            "amplitude_noise": {"kind": "flat_cutoff", "a_omega": 1.04e-11, "omega_h_mhz": 2.0},
+            "dephasing_noise": {"kind": "dc_delta", "mu_z_mhz": 0.0},
+            "lambdas_mhz": [1e-6], "realizations": 3}))
+        assert run_cli("simulate", "--config", config, "--out", tmp_path / "sim") == 2
+        assert run_cli("waveform", "--family", "dr", "--lambda-mhz", 1e-6, "--t-us", 100,
+                       "--n", 10, "--out", tmp_path / "wf") == 2
+
     def test_rejected_command_keeps_a_directory_it_did_not_make(self, tmp_path):
         out = tmp_path / "kept"
         out.mkdir()
@@ -427,6 +455,48 @@ class TestErrorPaths:
             assert run_cli(command, "--omega0-mhz", 0.2, "--omega-max-mhz", 0,
                            "--n", 400, "--dt-ns", 250, "--out", out) == 2
             assert not any(out.glob("*.*"))
+
+
+PROBE_FLAGS = ["--lambda-mhz", 0.2, "--t-us", 20, "--n", 200, "--amp-mhz", 4.5, "--nw", 1.5]
+PROBE_CONFIG = {"lambda_mhz": 0.2, "t_us": 20.0, "n": 200, "amp_mhz": 4.5, "nw": 1.5}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["waveform", "--family", "dpss"], {"family": "dpss"}),
+    (["ff", "--waveform", "dr", "--max-mhz", 0.5, "--points", 11],
+     {"waveform": "dr", "max_mhz": 0.5, "points": 11}),
+    (["gz", "--waveform", "dpss", "--max-mhz", 0.1, "--stride", 2],
+     {"waveform": "dpss", "max_mhz": 0.1, "stride": 2}),
+], ids=["waveform", "ff", "gz"])
+def test_probe_manifest_config(tmp_path, argv, config):
+    # the manifest records every probe flag under its own key and value
+    assert run_cli(*argv, *PROBE_FLAGS, "--out", tmp_path) == 0
+    manifest = read_manifest(tmp_path)
+    assert manifest["command"] == argv[0]
+    assert manifest["config"] == {**PROBE_CONFIG, **config}
+    assert manifest["seed"] is None
+
+
+def test_flag_defaults_and_aliases():
+    # flags shared by a command family keep their names, aliases and defaults
+    from qnspect.cli import build_parser
+
+    parser = build_parser()
+    probe = ["--lambda-mhz", "0.2", "--T-us", "20"]
+    for command, flag, n in (("waveform", "--family", None), ("ff", "--waveform", 10000),
+                             ("gz", "--waveform", 2000)):
+        args = parser.parse_args([command, flag, "dr", *probe]
+                                 + (["--n", "7"] if n is None else []))
+        assert (args.t_us, args.amp_mhz, args.nw, args.n, args.out) == (20.0, 5.0, 1.0,
+                                                                        n or 7, None)
+    for command in ("prune", "optimize"):
+        args = parser.parse_args([command, "--omega0-mhz", "0.1"])
+        assert (args.n, args.dt_ns, args.omega_max_mhz, args.eps, args.seed, args.k,
+                args.nw) == (20000, 5.0, 5.0, 0.1, 0, 3, 1.0)
+    args = parser.parse_args(["optimize", "--omega0-mhz", "0.1", "--K", "2", "--NW", "3"])
+    assert (args.k, args.nw) == (2, 3.0)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["prune", "--omega0-mhz", "0.1", "--K", "2"])
 
 
 def test_optimize_reports_met_amplitude_ratio(tmp_path):

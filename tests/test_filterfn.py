@@ -132,6 +132,23 @@ class TestAmplitudeFFIntegral:
             single = amplitude_ff_integral(wf.samples, wf.dt, edges)
             assert np.abs(row - single).max() <= 1e-14 * np.abs(single).max()
 
+    @pytest.mark.parametrize("edges", [[], np.empty((0,))], ids=["list", "array"])
+    def test_no_edges_give_empty_rows(self, probes, edges):
+        # like amplitude_ff and dephasing_ff on an empty grid
+        stack = np.stack([wf.samples for wf in probes])
+        assert amplitude_ff_integral(stack, self.DT, edges).shape == (2, 0)
+        assert amplitude_ff_integral(stack[0], self.DT, edges).shape == (0,)
+
+    def test_node_cap_is_a_grid_error(self, probes):
+        # a band edge that would need more than _MAX_NODES nodes per segment
+        from qnspect.filterfn import _MAX_NODES
+
+        edge = (_MAX_NODES / 8 + 1) * np.pi / self.DT
+        with pytest.raises(GridError, match="quadrature nodes"):
+            amplitude_ff_integral(probes[0].samples, self.DT, [1e6, edge])
+        assert amplitude_ff_integral(probes[0].samples, self.DT,
+                                     [_MAX_NODES / 8 * np.pi / self.DT]).shape == (1,)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_edge_rejected(self, probes, bad):
         with pytest.raises(ParameterError):
@@ -508,7 +525,7 @@ def test_csv_writers(tmp_path):
 
 
 def test_segment_integral_against_mpmath():
-    from qnspect.filterfn import _segment_integral
+    from qnspect.filterfn import _segment_factor
 
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
@@ -516,7 +533,7 @@ def test_segment_integral_against_mpmath():
     mags = [1e-10, 1e-8, 9.9e-8, 1e-7, 1.01e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2,
             0.1, 0.5, 1.0, 2.0, 3.0]
     u = np.array([0.0] + mags + [-m for m in mags]) / dt
-    got = _segment_integral(u, dt)
+    got, _ = _segment_factor(u, dt)
     for ui, value in zip(u, got):
         if ui == 0.0:
             want = mpmath.mpf(dt)
@@ -545,7 +562,7 @@ def test_segment_integral_derivative_across_the_series_cut():
     # j1 switches from its Taylor series to (sin h - h cos h)/h^2 at |h| = cut;
     # dt is a power of two, so h = u dt/2 lands exactly on the cut and on its
     # neighbouring floats
-    from qnspect.filterfn import _J1_SERIES_CUT, _segment_integral_and_derivative
+    from qnspect.filterfn import _J1_SERIES_CUT, _segment_factor
 
     dt = 2.0 ** -22
     cut = _J1_SERIES_CUT
@@ -554,24 +571,23 @@ def test_segment_integral_derivative_across_the_series_cut():
     hs = np.concatenate([hs, -hs])
     u = 2.0 * hs / dt
     assert np.array_equal(0.5 * u * dt, hs)
-    _, got = _segment_integral_and_derivative(u, dt)
+    _, got = _segment_factor(u, dt)
     for ui, value in zip(u, got):
         _, want = segment_integral_pair_mpmath(ui, dt)
         assert abs(value - want) <= 2e-15 * abs(want), ui * dt / 2
 
 
 def test_segment_integral_pair_matches_segment_integral():
-    # the pair's phi is filterfn's phi to rounding, and both halves agree with
-    # mpmath from x = u dt = 0 to past the series cut at x = 2
-    from qnspect.filterfn import _segment_integral, _segment_integral_and_derivative
+    # both halves of the pair agree with mpmath from x = u dt = 0 to past the
+    # series cut at x = 2, on both sides of x = 1e-7 and at every decade
+    # from 1e-10 to 3 of both signs
+    from qnspect.filterfn import _segment_factor
 
     dt = 1e-8
-    mags = [1e-10, 1e-8, 1e-7, 1e-5, 1e-3, 0.1, 0.5, 1.0, 1.99, 1.999999, 2.0, 2.000001,
-            3.0, 8.0, 40.0]
+    mags = [1e-10, 1e-8, 9.9e-8, 1e-7, 1.01e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0,
+            1.99, 1.999999, 2.0, 2.000001, 3.0, 8.0, 40.0]
     u = np.array([0.0] + mags + [-m for m in mags]) / dt
-    phi, dphi = _segment_integral_and_derivative(u, dt)
-    reference = _segment_integral(u, dt)
-    assert np.all(np.abs(phi - reference) <= 4e-16 * dt)
+    phi, dphi = _segment_factor(u, dt)
     for ui, value, slope in zip(u, phi, dphi):
         want, want_slope = segment_integral_pair_mpmath(ui, dt)
         assert abs(value - want) <= 1e-15 * dt, ui * dt

@@ -362,12 +362,12 @@ class TestGradient:
         # quadrature at 30 digits, over the x = u dt the design solves reach
         import mpmath
 
-        from qnspect.filterfn import _segment_integral_and_derivative
+        from qnspect.filterfn import _segment_factor
 
         dt = 250e-9
         xs = np.concatenate([[0.0, 1e-12, 1e-8, 1e-4, 1e-2], np.linspace(0.05, 8.0, 160),
                              -np.array([1e-8, 0.3, 2.5, 7.9])])
-        _, got = _segment_integral_and_derivative(xs / dt, dt)
+        _, got = _segment_factor(xs / dt, dt)
         for x, value in zip(xs, got):
             with mpmath.workdps(30):
                 u = mpmath.mpf(x) / dt

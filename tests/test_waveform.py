@@ -38,6 +38,11 @@ class TestBesselRoots:
         with pytest.raises(ParameterError):
             bessel_j0_roots(0)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            bessel_j0_roots(count)
+
 
 def test_root_index_for_peak_rate():
     lam = 2 * np.pi * 0.05e6
@@ -96,6 +101,15 @@ class TestDephasingRobust:
             dephasing_robust(1e-4, 1, 0, 100)
         with pytest.raises(ParameterError):
             dephasing_robust(1e-4, 60, 1, 100)  # under-sampled modulation
+
+    @pytest.mark.parametrize("args", [(10, 1, 100.5), (10, 1, 100.0), (10.0, 1, 100),
+                                      (10, 1.5, 100), (10, True, 100)],
+                             ids=["n_samples", "n_samples-float", "periods", "root_index",
+                                  "root_index-bool"])
+    def test_non_integer_counts_rejected(self, args):
+        # 100.5 samples would give dt = T/100.5 and 101 samples, so total_time != T
+        with pytest.raises(ParameterError, match="must be an integer"):
+            dephasing_robust(1e-4, *args)
 
 
 class TestModulatedDpss:
