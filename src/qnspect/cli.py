@@ -22,9 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import GridError, NonConvergenceError, ParameterError, UndefinedRatioError
+from ._table import read_table, write_table
+from .errors import (GridError, NonConvergenceError, ParameterError, UndefinedRatioError,
+                     _integer, _real)
 from .filterfn import (
     _MAX_DFT_BIN,
+    _MAX_GZ_CELLS,
     amplitude_ff,
     dephasing_ff,
     ff_to_csv,
@@ -32,7 +35,7 @@ from .filterfn import (
     higher_order_ff_to_csv,
 )
 from .lp_reduce import constraints_to_csv, prune_constraints
-from .noisegen import SpectrumModel, _seed_value, psd_eval, spectrum_model_from_json
+from .noisegen import SpectrumModel, psd_eval, spectrum_model_from_json
 from .optimize import (
     amplitude_constraints,
     build_design_problem,
@@ -44,7 +47,6 @@ from .qsim import bias_breakdown, overlap_amplitude, survival_probabilities, tom
 from .slepian import dpss
 from .spectro import overlap_matrix, reconstruct
 from .waveform import (
-    _CSV_BLOCK_ROWS,
     PiecewiseConstantWaveform,
     dephasing_robust,
     modulated_dpss_waveform,
@@ -71,26 +73,13 @@ def _write_manifest(outdir: Path, command: str, config: dict, seed, artifacts):
         "artifacts": sorted(artifacts),
         "complete": True,
     }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "manifest.json", manifest)
 
 
-def _write_csv(path: Path, header: str, rows):
-    """Write ``rows`` (a list of equal-length lists) under ``header``.
-
-    Floats are written as ``%.17g``, everything else (labels, indices) with
-    ``str``; the column kinds are read from the first row, which every row
-    shares.  One ``%`` row template, repeated, formats a block of rows at a time.
-    """
+def _write_json(path: Path, payload: dict):
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        if not rows:
-            return
-        line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(v for row in block for v in row))
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _out_target(args) -> str | None:
@@ -135,25 +124,27 @@ def _segment_length(t_us: float, n: int) -> float:
 
 
 def _waveform_from_config(cfg: dict, lam: float) -> PiecewiseConstantWaveform:
+    if not isinstance(cfg, dict):
+        raise ParameterError(f"the waveform config must be a JSON object, got {cfg!r}")
     return _sweep_waveform(
         family=cfg.get("family", "dr"),
         lam=lam,
-        n=_seed_value(cfg["n"], "waveform n"),
-        dt=float(cfg["dt_ns"]) * 1e-9,
-        amp=float(cfg.get("amp_mhz", 5.0)) * MHZ,
-        time_bandwidth=float(cfg.get("nw", 1.0)),
+        n=_integer(cfg["n"], "waveform n", 1),
+        dt=_real(cfg["dt_ns"], "dt_ns") * 1e-9,
+        amp=_real(cfg.get("amp_mhz", 5.0), "amp_mhz") * MHZ,
+        time_bandwidth=_real(cfg.get("nw", 1.0), "nw"),
     )
 
 
 def _lambdas_from_config(cfg) -> np.ndarray:
     if isinstance(cfg, dict):
-        start = float(cfg["start_mhz"])
-        step = float(cfg["step_mhz"])
-        count = _seed_value(cfg["count"], "lambdas_mhz count")
-        if count < 1:
-            raise ParameterError("lambdas_mhz count must be >= 1")
+        start = _real(cfg["start_mhz"], "start_mhz")
+        step = _real(cfg["step_mhz"], "step_mhz")
+        count = _integer(cfg["count"], "lambdas_mhz count", 1)
         return (start + step * np.arange(count)) * MHZ
-    return np.asarray([float(v) for v in cfg]) * MHZ
+    if not isinstance(cfg, list):
+        raise ParameterError(f"lambdas_mhz must be a list or an object, got {cfg!r}")
+    return np.asarray([_real(v, "lambdas_mhz") for v in cfg]) * MHZ
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +162,11 @@ def _dpss_of(args):
 def _cmd_dpss(args):
     out = _outdir(args)
     ds = _dpss_of(args)
-    _write_csv(out / "dpss_sequences.csv",
-               "n," + ",".join(f"v{k}" for k in range(args.k)),
-               [[m] + row for m, row in enumerate(ds.sequences.T.tolist())])
-    _write_csv(out / "dpss_eigenvalues.csv", "k,concentration",
-               [[k, v] for k, v in enumerate(ds.eigenvalues.tolist())])
+    write_table(out / "dpss_sequences.csv",
+                "n," + ",".join(f"v{k}" for k in range(args.k)),
+                [[m] + row for m, row in enumerate(ds.sequences.T.tolist())])
+    write_table(out / "dpss_eigenvalues.csv", "k,concentration",
+                [[k, v] for k, v in enumerate(ds.eigenvalues.tolist())])
     _write_manifest(out, "dpss", _flags(args), None,
                     ["dpss_sequences.csv", "dpss_eigenvalues.csv"])
 
@@ -219,7 +210,10 @@ def _cmd_gz(args):
     if not 0.0 <= top < _MAX_DFT_BIN or args.stride < 1:
         raise ParameterError(f"need --max-mhz >= 0 below 2^53 DFT bins and --stride >= 1, "
                              f"got {args.max_mhz} and {args.stride}")
-    omegas = np.arange(0, int(round(top)) + 1, args.stride) * base
+    points = int(round(top)) // args.stride + 1
+    if points ** 2 > _MAX_GZ_CELLS:  # before the grid itself is allocated
+        raise GridError(f"a {points} x {points} G_Z grid exceeds {_MAX_GZ_CELLS} cells")
+    omegas = np.arange(points) * args.stride * base
     higher_order_ff_to_csv(higher_order_ff(wf, omegas, omegas), out / "gz.csv")
     _write_manifest(out, "gz", _flags(args), None, ["gz.csv"])
 
@@ -249,9 +243,7 @@ def _cmd_optimize(args):
         "objective": objective_Iz(coeffs, problem),
         "max_amplitude_ratio": float(np.max(np.abs(wf.samples))) / problem.max_rate,
     }
-    with open(out / "coefficients.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "coefficients.json", payload)
     waveform_to_csv(wf, out / "waveform.csv", {"omega0_mhz": args.omega0_mhz})
     _write_manifest(out, "optimize", _flags(args), args.seed,
                     ["coefficients.json", "waveform.csv"])
@@ -279,19 +271,17 @@ def _sweep_rows(config: dict, lambdas, waveforms, seed: int, realizations: int):
 
 def _cmd_simulate(args):
     config = _load_config(args.config)
-    seed = _seed_value(args.seed if args.seed is not None else config.get("seed", 0))
-    realizations = _seed_value(args.realizations if args.realizations is not None
-                               else config.get("realizations", 2000), "realizations")
-    if realizations < 1:
-        raise ParameterError("realizations must be >= 1")
+    seed = _integer(args.seed if args.seed is not None else config.get("seed", 0), "seed", 0)
+    realizations = _integer(args.realizations if args.realizations is not None
+                            else config.get("realizations", 2000), "realizations", 1)
     out = _outdir(args)
     lambdas = _lambdas_from_config(config["lambdas_mhz"])
     waveforms = [_waveform_from_config(config["waveform"], lam) for lam in lambdas]
     rows = _sweep_rows(config, lambdas, waveforms, seed, realizations)
     keys = ["lambda_mhz", "p1", "p2", "p3", "p1_err", "p2_err", "p3_err",
             "estimator", "estimator_err", "i_omega_pred"]
-    _write_csv(out / "survival.csv", ",".join(keys),
-               [[float(r[k]) for k in keys] for r in rows])
+    write_table(out / "survival.csv", ",".join(keys),
+                [[float(r[k]) for k in keys] for r in rows])
     _write_manifest(out, "simulate",
                     {**config, "seed": seed, "realizations": realizations},
                     seed, ["survival.csv"])
@@ -300,11 +290,10 @@ def _cmd_simulate(args):
 def _cmd_reconstruct(args):
     config = _load_config(args.config)
     out = _outdir(args)
-    table = _read_csv_dicts(Path(config["measurements_csv"]))
-    lambdas = np.array([row["lambda_mhz"] for row in table]) * MHZ
-    measurements = np.array([row["estimator"] for row in table])
-    delta_omega = float(config["delta_omega_mhz"]) * MHZ
-    num_bands = _seed_value(config["num_bands"], "num_bands")
+    table = read_table(Path(config["measurements_csv"]), ["lambda_mhz", "estimator"])[1]
+    lambdas, measurements = table[:, 0] * MHZ, table[:, 1]
+    delta_omega = _real(config["delta_omega_mhz"], "delta_omega_mhz") * MHZ
+    num_bands = _integer(config["num_bands"], "num_bands", 1)
     waveforms = [_waveform_from_config(config["waveform"], lam) for lam in lambdas]
     matrix = overlap_matrix(waveforms, num_bands, delta_omega)
     truth = None
@@ -312,14 +301,9 @@ def _cmd_reconstruct(args):
         model = spectrum_model_from_json(config["true_spectrum"])
         truth = psd_eval(model, matrix.band_centers)
     result = reconstruct(measurements, matrix, true_spectrum=truth)
-    rows = []
-    for i, freq in enumerate(result.frequencies):
-        row = [float(freq / MHZ), float(result.estimates[i])]
-        if truth is not None:
-            row.append(float(truth[i]))
-        rows.append(row)
+    columns = [result.frequencies / MHZ, result.estimates] + ([truth] if truth is not None else [])
     header = "omega_over_2pi_mhz,s_omega_est" + (",s_omega_true" if truth is not None else "")
-    _write_csv(out / "spectrum.csv", header, rows)
+    write_table(out / "spectrum.csv", header, np.column_stack(columns))
     summary = {
         "residual_norm": result.residual_norm,
         "condition_number": result.condition_number,
@@ -328,9 +312,7 @@ def _cmd_reconstruct(args):
         finite = result.relative_errors[np.isfinite(result.relative_errors)]
         summary["median_abs_relative_error"] = float(np.median(np.abs(finite)))
         summary["median_signed_relative_error"] = float(np.median(finite))
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     _write_manifest(out, "reconstruct", config, None, ["spectrum.csv", "summary.json"])
 
 
@@ -408,9 +390,9 @@ def _figure_bias_vs_detuning(out: Path, scale: dict, seed: int):
             rows.append([family, float(delta_mhz), est.value, est.stderr,
                          parts.i_omega, parts.i_z, parts.a12_sq,
                          parts.multiplicative_term, parts.predicted])
-    _write_csv(out / "bias_vs_detuning.csv",
-               "family,delta_mhz,estimator,estimator_err,i_omega,i_z,a12_sq,"
-               "i_om_i_z_over_3,predicted", rows)
+    write_table(out / "bias_vs_detuning.csv",
+                "family,delta_mhz,estimator,estimator_err,i_omega,i_z,a12_sq,"
+                "i_om_i_z_over_3,predicted", rows)
     return ["bias_vs_detuning.csv"]
 
 
@@ -441,9 +423,9 @@ def _reconstruction_sweep(out: Path, scale: dict, seed: int, deph_payloads,
                 rows_out.append([family, float(tag), float(freq / MHZ),
                                  float(estimates.estimates[i]), float(truth[i])])
     name = f"reconstruction_vs_{tag_name}.csv"
-    _write_csv(out / name,
-               f"family,{tag_name},omega_over_2pi_mhz,s_omega_est,s_omega_true",
-               rows_out)
+    write_table(out / name,
+                f"family,{tag_name},omega_over_2pi_mhz,s_omega_est,s_omega_true",
+                rows_out)
     artifacts.append(name)
     return artifacts
 
@@ -473,9 +455,7 @@ _FIGURE_SETS = {
 def _cmd_figure_data(args):
     scale = dict(_SCALES[args.scale])
     if args.realizations is not None:
-        if _seed_value(args.realizations, "realizations") < 1:
-            raise ParameterError(f"need --realizations >= 1, got {args.realizations}")
-        scale["realizations"] = args.realizations
+        scale["realizations"] = _integer(args.realizations, "--realizations", 1)
     out = _outdir(args)
     artifacts = _FIGURE_SETS[args.set](out, scale, args.seed)
     _write_manifest(out, "figure-data",
@@ -489,32 +469,17 @@ def _cmd_figure_data(args):
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path):
+def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise ParameterError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ParameterError(f"config file {path} is not valid JSON: {exc}")
-
-
-def _read_csv_dicts(path: Path):
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except OSError as exc:
-        raise ParameterError(f"cannot read measurements file {path}: {exc}")
-    if not lines:
-        raise ParameterError(f"measurements file {path} has no lines")
-    header = lines[0].split(",")
-    try:
-        rows = [[float(cell) for cell in ln.split(",")] for ln in lines[1:]]
-    except ValueError as exc:
-        raise ParameterError(f"measurements file {path} has a non-numeric cell: {exc}")
-    if any(len(row) != len(header) for row in rows):
-        raise ParameterError(f"measurements file {path}: a row and the header differ in cell count")
-    return [dict(zip(header, row)) for row in rows]
+    if not isinstance(config, dict):
+        raise ParameterError(f"config file {path} holds no JSON object")
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -600,6 +565,9 @@ def main(argv=None) -> int:
     target = _out_target(args)
     created = bool(target) and not Path(target).exists()
     try:
+        if getattr(args, "seed", None) is not None:
+            # before the command makes its output directory
+            _integer(args.seed, "--seed", 0)
         args.func(args)
     except (ParameterError, GridError, UndefinedRatioError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

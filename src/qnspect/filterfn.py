@@ -67,6 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
+from ._table import write_table
 from .errors import GridError, ParameterError
 from .waveform import PiecewiseConstantWaveform, rotation_angle
 
@@ -95,6 +96,9 @@ _BLOCK_CELLS = 1 << 18
 # frequencies must lie below (from 2^53 on a float index names no one integer)
 _MAX_NODES = 1 << 10
 _MAX_DFT_BIN = 2.0 ** 53
+# most cells of G_Z's double transform W and of its output grid: 256 MiB of
+# complex W, where a grid of 2 x 10^4 frequencies would need 12.8 GB
+_MAX_GZ_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -466,6 +470,10 @@ def higher_order_ff(waveform: PiecewiseConstantWaveform, omegas,
     # sorted and symmetric under negation: W(a, -b) = conj W(-a, b) gives the
     # columns b < 0 from the columns b >= 0 with rows and columns reversed
     needed = np.unique(np.concatenate([idx, -idx, idx_prime, -idx_prime]))
+    cells = max(needed.size * np.count_nonzero(needed >= 0), omegas.size * omegas_prime.size)
+    if cells > _MAX_GZ_CELLS:
+        raise GridError(f"G_Z on {omegas.size} x {omegas_prime.size} frequencies needs "
+                        f"{cells} cells, over the cap of {_MAX_GZ_CELLS}")
     w_half = _ordered_double_transforms(rotation_angle(waveform)[:-1], needed,
                                         needed[needed >= 0])
     negative = np.count_nonzero(needed < 0)
@@ -519,8 +527,7 @@ def higher_order_ff_brute(waveform: PiecewiseConstantWaveform, omega: float,
 
 def ff_to_csv(grid: FilterFunctionGrid, path):
     """CSV columns ``omega_rad_per_s, value``."""
-    np.savetxt(path, np.column_stack([grid.omegas, grid.values]), fmt="%.17g",
-               delimiter=",", header="omega_rad_per_s,value", comments="")
+    write_table(path, "omega_rad_per_s,value", np.column_stack([grid.omegas, grid.values]))
 
 
 def higher_order_ff_to_csv(grid: HigherOrderFFGrid, path):
@@ -528,7 +535,10 @@ def higher_order_ff_to_csv(grid: HigherOrderFFGrid, path):
 
     Each omega' is formatted once into a line template; one ``%`` format per
     row of ``omegas`` then fills in that row's re/im pairs.  The bytes equal
-    ``f"{x:.17g}"`` of every field.
+    ``f"{x:.17g}"`` of every field, the format of ``_table.write_table``, whose one
+    template per row would format omega and omega' on every line: 161 604 ``%.17g``
+    calls on the 201 x 201 grid of the benchmark's ``gz`` job (filter-analysis
+    ``job_ref.p90``, about 18 of a 26 ref pass) against 201 + 201 + 2 * 201^2 = 81 204.
     """
     omegas_prime = np.asarray(grid.omegas_prime, dtype=float).tolist()
     lines = ["%.17g," % wp + "%.17g,%.17g\n" for wp in omegas_prime]

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from ._table import read_table, write_table
 from .errors import NonConvergenceError, ParameterError
 
 __all__ = [
@@ -225,16 +226,10 @@ def prune_constraints(full: AffineConstraintSet, eps: float,
 def constraints_to_csv(constraints: AffineConstraintSet, path):
     """One row per constraint, columns a_0 ... a_{d-1} (rhs implicitly 1)."""
     header = ",".join(f"a_{j}" for j in range(constraints.dimension))
-    np.savetxt(path, constraints.rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    write_table(path, header, constraints.rows)
 
 
 def constraints_from_csv(path) -> AffineConstraintSet:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("a_"):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    rows = np.asarray(rows)
+    """Read a constraint set written by :func:`constraints_to_csv`; labels are row numbers."""
+    rows = read_table(path)[1]
     return AffineConstraintSet(rows=rows, labels=np.arange(rows.shape[0]))

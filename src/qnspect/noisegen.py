@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import GridError, ParameterError
+from .errors import GridError, ParameterError, _integer, _real
 
 __all__ = [
     "SpectrumModel",
@@ -133,13 +133,6 @@ def _harmonic_amplitudes(model: SpectrumModel, n: int, dt: float):
     amps = np.sqrt(2.0 * psd_eval(model, j * domega) * domega / (2.0 * np.pi))
     keep = amps > 0.0
     return j[keep], amps[keep]
-
-
-def _seed_value(value, what: str = "seed") -> int:
-    """``value`` as a Python int, or ParameterError unless it is a non-negative integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ParameterError(f"{what} must be a non-negative integer, got {value!r}")
-    return int(value)
 
 
 # numpy's SeedSequence hash (pool of 4 uint32 words) and its constants
@@ -275,8 +268,8 @@ def sample_many(model: SpectrumModel, n: int, dt: float, seed: int,
     row has the same bits whether it is drawn alone or in a batch.  The seed
     and the indices must be non-negative integers.
     """
-    seed = _seed_value(seed)
-    indices = [_seed_value(index, "a realization index") for index in indices]
+    seed = _integer(seed, "seed", 0)
+    indices = [_integer(index, "a realization index", 0) for index in indices]
     synthesis = _Synthesis(model, n, dt)
     return synthesis.draw(_seed_words(seed, indices), np.empty((len(indices), n)),
                           np.empty(synthesis.scratch_size(len(indices)), dtype=complex))
@@ -352,22 +345,29 @@ def spectrum_model_from_json(payload: dict) -> SpectrumModel:
     ``omega_l_mhz``, ``omega_h_mhz``, ``mu_z_mhz``; frequencies are ordinary
     frequencies in MHz and are converted to rad/s here.
     """
-    to_rad = lambda mhz: 2.0 * np.pi * 1e6 * float(mhz)
+    if not isinstance(payload, dict):
+        raise ParameterError(f"a spectrum model must be a JSON object, got {payload!r}")
+
+    def number(key, default=None, scale=1.0):
+        value = payload[key] if default is None else payload.get(key, default)
+        return scale * _real(value, key)
+
+    mhz = 2.0 * np.pi * 1e6
     kind = payload.get("kind")
     if kind == FLAT_CUTOFF:
         return SpectrumModel.flat_cutoff(
-            a_omega=float(payload["a_omega"]),
-            omega_h=to_rad(payload["omega_h_mhz"]),
-            mean=to_rad(payload.get("mu_z_mhz", 0.0)),
+            a_omega=number("a_omega"),
+            omega_h=number("omega_h_mhz", scale=mhz),
+            mean=number("mu_z_mhz", 0.0, mhz),
         )
     if kind == ONE_OVER_F:
         return SpectrumModel.one_over_f(
-            c=float(payload["c"]),
-            a_z=float(payload["a_z"]),
-            omega_l=to_rad(payload["omega_l_mhz"]),
-            omega_h=to_rad(payload["omega_h_mhz"]),
-            mean=to_rad(payload.get("mu_z_mhz", 0.0)),
+            c=number("c"),
+            a_z=number("a_z"),
+            omega_l=number("omega_l_mhz", scale=mhz),
+            omega_h=number("omega_h_mhz", scale=mhz),
+            mean=number("mu_z_mhz", 0.0, mhz),
         )
     if kind == DC_DELTA:
-        return SpectrumModel.dc_delta(mu_z=to_rad(payload["mu_z_mhz"]))
+        return SpectrumModel.dc_delta(mu_z=number("mu_z_mhz", scale=mhz))
     raise ParameterError(f"unknown spectrum kind {kind!r} in config")

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 from .filterfn import (_exp_theta_segments, _ordered_sines, amplitude_ff, amplitude_ff_integral,
                        dephasing_ff, dephasing_ff_dc)
-from .noisegen import (SpectrumModel, _harmonic_amplitudes, _panel_overlap, _seed_value,
-                       _seed_words, _Synthesis)
+from .noisegen import (SpectrumModel, _harmonic_amplitudes, _panel_overlap, _seed_words,
+                       _Synthesis)
 from .waveform import PiecewiseConstantWaveform, rotation_angle
 
 __all__ = [
@@ -289,12 +289,10 @@ def survival_probabilities(waveform: PiecewiseConstantWaveform, amp_model: Spect
     top of each realization's probability; by default the ensemble average of
     the exact probabilities is returned.
     """
-    if _seed_value(n_realizations, "n_realizations") < 1:
-        raise ParameterError("n_realizations must be >= 1")
-    seed = _seed_value(seed)
-    if shots is not None and (isinstance(shots, bool) or not isinstance(shots, (int, np.integer))
-                              or shots < 1):
-        raise ParameterError(f"shots must be None or an integer >= 1, got {shots!r}")
+    n_realizations = _integer(n_realizations, "n_realizations", 1)
+    seed = _integer(seed, "seed", 0)
+    if shots is not None:
+        shots = _integer(shots, "shots", 1)
     n, dt = waveform.n, waveform.dt
     rows = min(n_realizations, max(1, _BLOCK_SAMPLES // n))
     channels = (_Synthesis(amp_model, n, dt), _Synthesis(deph_model, n, dt))

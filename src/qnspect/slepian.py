@@ -28,7 +28,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ParameterError, UndefinedRatioError
+from .errors import ParameterError, UndefinedRatioError, _integer
 
 __all__ = ["DpssSet", "dpss", "spectral_concentration", "toeplitz_kernel"]
 
@@ -79,13 +79,11 @@ def dpss(n: int, half_bandwidth: float, num_sequences: int = 1) -> DpssSet:
     -------
     DpssSet
     """
-    n = _count(n, "n")
-    num_sequences = _count(num_sequences, "num_sequences")
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
+    num_sequences = _integer(num_sequences, "num_sequences", 1)
     if not 0.0 < half_bandwidth < 0.5:
         raise ParameterError(f"half_bandwidth must lie in (0, 1/2), got {half_bandwidth}")
-    if not 1 <= num_sequences <= n:
+    if num_sequences > n:
         raise ParameterError(f"num_sequences must lie in [1, {n}], got {num_sequences}")
 
     if n <= 16:
@@ -111,13 +109,6 @@ def dpss(n: int, half_bandwidth: float, num_sequences: int = 1) -> DpssSet:
         sequences=seqs,
         eigenvalues=np.asarray(ratios, dtype=float),
     )
-
-
-def _count(value, what: str) -> int:
-    """``value`` as a Python int, or ParameterError unless it is an integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _tapers(m: int, nw: float, k: int) -> np.ndarray:

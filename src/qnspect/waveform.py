@@ -17,14 +17,14 @@ here:
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError
-from .slepian import DpssSet, _count, _tapers, dpss
+from ._table import read_table, write_table
+from .errors import ParameterError, _integer, _real
+from .slepian import DpssSet, _tapers, dpss
 
 __all__ = [
     "PiecewiseConstantWaveform",
@@ -41,8 +41,6 @@ __all__ = [
 
 # net rotation below this fraction of the absolute-integral scale counts as zero
 IDENTITY_RTOL = 1e-9
-# waveform_to_csv formats its sample rows in blocks of this many, one % each
-_CSV_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -129,9 +127,7 @@ class WaveformCoefficients:
 
 def bessel_j0_roots(count: int) -> np.ndarray:
     """First ``count`` positive roots of J0, ascending (``scipy.special.jn_zeros``)."""
-    if _count(count, "count") < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    return special.jn_zeros(0, count)
+    return special.jn_zeros(0, _integer(count, "count", 1))
 
 
 def root_index_for_peak_rate(modulation_freq: float, target_rate: float) -> int:
@@ -183,11 +179,8 @@ def dephasing_robust(total_time: float, periods: int, root_index: int,
     n_samples : int
         Number N of piecewise-constant segments; dt = T/N.
     """
-    n_samples, periods = _count(n_samples, "n_samples"), _count(periods, "periods")
-    if periods < 1:
-        raise ParameterError(f"periods must be >= 1, got {periods}")
-    if _count(root_index, "root_index") < 1:
-        raise ParameterError(f"root_index must be >= 1, got {root_index}")
+    n_samples, periods = _integer(n_samples, "n_samples"), _integer(periods, "periods", 1)
+    root_index = _integer(root_index, "root_index", 1)
     if n_samples < 2 * periods:
         raise ParameterError(
             f"need n_samples >= 2*periods to sample the modulation, got {n_samples} < {2 * periods}"
@@ -221,7 +214,7 @@ def modulated_dpss_waveform(n: int, half_bandwidth: float, peak_rate: float,
     factor M^2/(M^2 + NW), so the samples are those of
     ``scipy.signal.windows.dpss(N, N*W, sym=False)``, bit for bit.
     """
-    n = _count(n, "n")
+    n = _integer(n, "n")
     if not 1.0 <= n * half_bandwidth < n / 2:
         raise ParameterError(
             f"need a time-bandwidth product 1 <= N*W < N/2, got N*W = {n * half_bandwidth}")
@@ -290,36 +283,14 @@ def waveform_to_csv(waveform: PiecewiseConstantWaveform, path, parameters: dict 
 
     Grid metadata and generator parameters go into ``#`` header comments.
     """
-    buf = io.StringIO()
-    buf.write(f"# dt_s = {waveform.dt!r}\n")
-    buf.write(f"# n_samples = {waveform.n}\n")
-    for key, value in (parameters or {}).items():
-        buf.write(f"# {key} = {value!r}\n")
-    buf.write("t_start_s,omega_rad_per_s\n")
+    comments = [("dt_s", repr(waveform.dt)), ("n_samples", waveform.n),
+                *((key, repr(value)) for key, value in (parameters or {}).items())]
     table = np.column_stack([np.arange(waveform.n) * waveform.dt, waveform.samples])
-    for start in range(0, waveform.n, _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS]
-        buf.write(("%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    write_table(path, "t_start_s,omega_rad_per_s", table, comments)
 
 
 def waveform_from_csv(path) -> PiecewiseConstantWaveform:
     """Read a waveform written by :func:`waveform_to_csv`."""
-    dt = None
-    samples = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "dt_s" in line and "=" in line:
-                    dt = float(line.split("=", 1)[1])
-                continue
-            if line.startswith("t_start_s"):
-                continue
-            samples.append(float(line.split(",")[1]))
-    if dt is None:
-        raise ParameterError(f"{path} has no '# dt_s = ...' header")
-    return PiecewiseConstantWaveform(samples=np.asarray(samples), dt=dt)
+    comments, samples = read_table(path, ["omega_rad_per_s"])
+    dt = _real(comments.get("dt_s"), f"the '# dt_s = ...' comment of {path}")
+    return PiecewiseConstantWaveform(samples=samples[:, 0], dt=dt)

@@ -286,6 +286,7 @@ class TestErrorPaths:
                                         "delta_omega_mhz": delta_mhz, "waveform": waveform}
         configs["sim_ok"] = {**configs["sim_dr"], "lambdas_mhz": [0.1]}
         configs["sim_zero_shots"] = {**configs["sim_ok"], "shots": 0}
+        configs["sim_scalar_lambdas"] = {**configs["sim_ok"], "lambdas_mhz": 0.1}
         configs["sim_fractional_n"] = {**configs["sim_ok"],
                                        "waveform": {**configs["sim_ok"]["waveform"], "n": 200.9}}
         for key, values in BAD_CONFIG_COUNTS.items():
@@ -330,7 +331,7 @@ class TestErrorPaths:
     ] + [
         pytest.param(["gz", "--waveform", "dr", "--lambda-mhz", 0.2, "--t-us", 20, "--n", 500,
                       "--max-mhz", top], id=f"gz-{top}-max")
-        for top in ("inf", -1, 1e16, 1e300)
+        for top in ("inf", -1, 1e7, 1e16, 1e300)
     ] + [
         # under one modulation period in T: rejected before any J0 root search
         pytest.param([command, flag, "dr", "--lambda-mhz", lam, "--t-us", 100, "--n", 10],
@@ -365,14 +366,61 @@ class TestErrorPaths:
                      "delta_zero")
     ] + [
         pytest.param(["simulate", "--config", "{sim_zero_shots}"], id="simulate-zero-shots"),
+        pytest.param(["simulate", "--config", "{sim_scalar_lambdas}"],
+                     id="simulate-scalar-lambdas"),
         pytest.param(["simulate", "--config", "{sim_fractional_n}"], id="simulate-fractional-n"),
         pytest.param(["simulate", "--config", "{sim_ok}", "--seed", -1],
                      id="simulate-negative-seed"),
+        pytest.param(["prune", "--omega0-mhz", 0.1, "--n", 200, "--dt-ns", 60, "--k", 1,
+                      "--seed", -1], id="prune-negative-seed"),
+        pytest.param(["optimize", "--omega0-mhz", 0.2, "--n", 400, "--dt-ns", 250,
+                      "--seed", -1], id="optimize-negative-seed"),
+        pytest.param(["figure-data", "--set", "gz-map", "--seed", -1],
+                     id="figure-data-negative-seed"),
+        # a (40001, 20001) double transform: refused before anything is allocated
+        pytest.param(["gz", "--waveform", "dpss", "--lambda-mhz", 0.1, "--t-us", 100,
+                      "--n", 2000, "--max-mhz", 200], id="gz-over-cell-cap"),
     ] + [
         pytest.param(["simulate", "--config", f"{{sim_{key}_{i}}}"],
                      id=f"simulate-config-{key}-{value}")
         for key, values in BAD_CONFIG_COUNTS.items() for i, value in enumerate(values)
     ]
+
+    # config values float() refuses, and a config that is not a JSON object
+    WRONG_TYPES = {"dt-string": ("waveform", "dt_ns", "abc"),
+                   "dt-null": ("waveform", "dt_ns", None),
+                   "amp-list": ("waveform", "amp_mhz", [1]),
+                   "a-omega-string": ("noise", "a_omega", "big"),
+                   "waveform-list": (None, "waveform", [1]),
+                   "top-level-array": None}
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_wrong_type_config_is_exit_2_without_artifacts(self, tmp_path, command, case):
+        noise = {"kind": "flat_cutoff", "a_omega": 1.04e-11, "omega_h_mhz": 2.0}
+        if command == "simulate":
+            config = {"waveform": {"family": "dr", "n": 400, "dt_ns": 50.0, "amp_mhz": 5.0},
+                      "amplitude_noise": noise,
+                      "dephasing_noise": {"kind": "dc_delta", "mu_z_mhz": 0.0},
+                      "lambdas_mhz": [0.1], "realizations": 3}
+            noise_key = "amplitude_noise"
+        else:
+            config = json.loads(self._reconstruct_config(tmp_path, [1e-12]).read_text())
+            config["true_spectrum"] = noise
+            noise_key = "true_spectrum"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(command, "--config", path, "--out", tmp_path / "valid") == 0
+        if self.WRONG_TYPES[case] is None:
+            config = [config]
+        else:
+            section, key, value = self.WRONG_TYPES[case]
+            sections = {None: config, "waveform": config["waveform"], "noise": config[noise_key]}
+            sections[section][key] = value
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", path, "--out", out) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("count", [2.9, True, -1, 0])
     def test_bad_lambda_count_is_exit_2_without_artifacts(self, tmp_path, count):

@@ -497,6 +497,22 @@ class TestKernelPaths:
         with pytest.raises(GridError):
             higher_order_ff(wf, [index * base], [base])
 
+    @pytest.mark.parametrize("rows, cols", [(np.arange(4100), [0]),
+                                            (np.zeros(4097), np.zeros(4097))], ids=["W", "output"])
+    def test_gz_over_cell_cap_rejected_before_transforms(self, monkeypatch, rows, cols):
+        # W: 8199 x 4100 cells for 4100 x 1 frequencies; output: 4097^2 cells
+        # of one repeated frequency, whose W is a single cell
+        from qnspect import filterfn
+
+        def no_transform(*args):
+            raise AssertionError("double transform computed for a grid over the cap")
+
+        monkeypatch.setattr(filterfn, "_ordered_double_transforms", no_transform)
+        wf = random_waveform(np.random.default_rng(10), n=15)
+        base = 2 * np.pi / wf.total_time
+        with pytest.raises(GridError, match="cells"):
+            higher_order_ff(wf, np.asarray(rows) * base, np.asarray(cols) * base)
+
     def test_gz_large_index_reads_its_aliased_bin(self):
         # 2^48 bins times j up to N - 1 = 39 999 would overflow int64 unreduced
         n = 40000
@@ -621,14 +637,14 @@ def test_csv_bytes_match_fstring_format(tmp_path):
     assert (tmp_path / "rows.csv").read_bytes() == want.encode()
 
     # the CLI's mixed tables: labels and int indices with str, floats with %.17g
-    from qnspect.cli import _write_csv
+    from qnspect._table import write_table
 
     specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
     table = [["dr", m, float(v), float(w)] for m, (v, w) in
              enumerate(zip(np.concatenate([values, specials]), np.concatenate([specials, omegas])))]
     table.append(["dpss", -(10 ** 20), np.float64(1.0 / 3.0), 2.0 ** 60])
     for rows in (table, table[:1], []):
-        _write_csv(tmp_path / "table.csv", "family,m,x,y", rows)
+        write_table(tmp_path / "table.csv", "family,m,x,y", rows)
         want = "family,m,x,y\n" + "".join(
             ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
             for row in rows)

@@ -129,6 +129,15 @@ class TestConstraintSet:
         back = constraints_from_csv(tmp_path / "c.csv")
         assert np.array_equal(back.rows, cs.rows)
 
+    @pytest.mark.parametrize("body", [None, "", "a_0,a_1\n1,0\n0,1,7\n", "a_0,a_1\n1,x\n"],
+                             ids=["missing", "empty", "ragged", "non-numeric"])
+    def test_malformed_csv_is_a_parameter_error(self, tmp_path, body):
+        path = tmp_path / "c.csv"
+        if body is not None:
+            path.write_text(body)
+        with pytest.raises(ParameterError):
+            constraints_from_csv(path)
+
 
 def sample_region(rows, count, rng):
     """Boundary-biased interior samples of {x : rows.x <= 1} (which holds 0)."""

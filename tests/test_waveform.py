@@ -231,12 +231,34 @@ def test_csv_round_trip(tmp_path):
     assert "t_start_s,omega_rad_per_s" in text
 
 
+def test_csv_reads_dt_from_its_own_comment_only(tmp_path):
+    wf = dephasing_robust(20e-6, 4, 1, 500)
+    path = tmp_path / "wf.csv"
+    waveform_to_csv(wf, path, {"note_dt_s": "x=1"})
+    back = waveform_from_csv(path)
+    assert back.dt == wf.dt
+    assert np.array_equal(back.samples, wf.samples)
+
+
+@pytest.mark.parametrize("body", [None, "", "# dt_s = 1e-08\nt_start_s,omega_rad_per_s\n0,abc\n",
+                                  "# dt_s = 1e-08\nt_start_s,omega_rad_per_s\n0,1,2\n",
+                                  "# dt_s = soon\nt_start_s,omega_rad_per_s\n0,1\n",
+                                  "t_start_s,omega_rad_per_s\n0,1\n"],
+                         ids=["missing", "empty", "non-numeric", "long-row", "bad-dt", "no-dt"])
+def test_malformed_csv_is_a_parameter_error(tmp_path, body):
+    path = tmp_path / "wf.csv"
+    if body is not None:
+        path.write_text(body)
+    with pytest.raises(ParameterError):
+        waveform_from_csv(path)
+
+
 @pytest.mark.parametrize("n, block_rows", [(7, 3), ((1 << 14) + 5, None)])
 def test_csv_bytes_match_fstring_format(tmp_path, monkeypatch, n, block_rows):
-    from qnspect import waveform
+    from qnspect import _table
 
     if block_rows is not None:  # blocks of 3, 3 and 1 rows
-        monkeypatch.setattr(waveform, "_CSV_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(_table, "_BLOCK_ROWS", block_rows)
     samples = np.random.default_rng(2).normal(0.0, 3e6, n)
     samples[:4] = [-0.0, 5e-324, -2.5e-310, 1.0 / 3.0]
     wf = PiecewiseConstantWaveform(samples, 1e-8 / 3.0)
