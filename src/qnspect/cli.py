@@ -289,8 +289,11 @@ def _cmd_simulate(args):
 
 def _cmd_reconstruct(args):
     config = _load_config(args.config)
+    measurements_csv = config["measurements_csv"]
+    if not isinstance(measurements_csv, str):
+        raise ParameterError(f"measurements_csv must be a path string, got {measurements_csv!r}")
     out = _outdir(args)
-    table = read_table(Path(config["measurements_csv"]), ["lambda_mhz", "estimator"])[1]
+    table = read_table(Path(measurements_csv), ["lambda_mhz", "estimator"])[1]
     lambdas, measurements = table[:, 0] * MHZ, table[:, 1]
     delta_omega = _real(config["delta_omega_mhz"], "delta_omega_mhz") * MHZ
     num_bands = _integer(config["num_bands"], "num_bands", 1)

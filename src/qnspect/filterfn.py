@@ -137,38 +137,50 @@ _J1_SERIES = tuple(1.0 / (math.factorial(k) * math.prod(range(3, 2 * k + 4, 2)))
                    for k in range(8))
 
 
-def _segment_factor(u: np.ndarray, dt: float):
-    """(phi, dphi/du) of phi(u) = int_0^dt e^{i u s} ds, from one sin/cos pair.
+def _segment_factor(u: np.ndarray, dt: float, order: int = 1):
+    """phi(u) = int_0^dt e^{i u s} ds and its first ``order`` (0 to 2) u-derivatives.
 
-    With h = u dt/2, phi = dt e^{ih} sinc h, accurate to rounding from h = 0
-    upward, and phi' = i int_0^dt s e^{ius} ds = (dt^2/2) e^{ih} (i sinc h - j1(h)),
-    where j1(h) = (sin h - h cos h)/h^2 is the spherical Bessel function of
-    order 1.  That quotient cancels as h -> 0 (both terms approach h, their
-    difference is h^3/3), losing about log10(3/h^2) digits, so below
-    |h| = _J1_SERIES_CUT j1 is its Taylor series through k = 7 by Horner's
-    rule: at the cut the quotient has lost under one digit, and the first
-    omitted term is 5e-16 of j1(1).
+    All of them come from one sin/cos pair of h = u dt/2.  phi = dt e^{ih} sinc h,
+    accurate to rounding from h = 0 upward, phi' = i int_0^dt s e^{ius} ds =
+    (dt^2/2) e^{ih} (i sinc h - j1(h)) and phi'' = -int_0^dt s^2 e^{ius} ds =
+    -(dt^3/2) e^{ih} (sinc h - j1(h)/h + i j1(h)), where j1(h) = (sin h -
+    h cos h)/h^2 is the spherical Bessel function of order 1.  That quotient
+    cancels as h -> 0 (both terms approach h, their difference is h^3/3),
+    losing about log10(3/h^2) digits, so below |h| = _J1_SERIES_CUT j1(h)/h is
+    its Taylor series through k = 7 by Horner's rule: at the cut the quotient
+    has lost under one digit, and the first omitted term is 5e-16 of j1(1).
+    The quotient is formed only on the entries at or above the cut.
     """
     h = 0.5 * np.asarray(u, dtype=float) * dt
     sin, cos = np.sin(h), np.cos(h)
     sinc = np.divide(sin, h, out=np.ones_like(h), where=h != 0.0)
+    rot = cos + 1j * sin
+    factors = (dt * sinc * rot,)
+    if order == 0:
+        return factors
     wide = np.abs(h) >= _J1_SERIES_CUT
-    narrow, safe = np.where(wide, 0.0, h), np.where(wide, h, 1.0)
-    series = _J1_SERIES[-1]
+    narrow = np.where(wide, 0.0, h)
+    j1_over_h = _J1_SERIES[-1]
     square = -0.5 * narrow * narrow
     for coefficient in _J1_SERIES[-2::-1]:
-        series = series * square + coefficient
-    with np.errstate(over="ignore"):  # h^2 overflows from |h| ~ 1e154 on, where j1 -> 0
-        j1 = np.where(wide, (sin - safe * cos) / (safe * safe), series * h)
-    rot = cos + 1j * sin
-    return dt * sinc * rot, 0.5 * dt * dt * rot * (1j * sinc - j1)
+        j1_over_h = j1_over_h * square + coefficient
+    j1 = j1_over_h * h
+    if wide.any():
+        h_wide = h[wide]
+        with np.errstate(over="ignore"):  # h^2 overflows from |h| ~ 1e154 on, where j1 -> 0
+            j1[wide] = (sin[wide] - h_wide * cos[wide]) / (h_wide * h_wide)
+        j1_over_h[wide] = j1[wide] / h_wide
+    factors += (0.5 * dt * dt * rot * (1j * sinc - j1),)
+    if order == 2:
+        factors += (-0.5 * dt ** 3 * rot * (sinc - j1_over_h + 1j * j1),)
+    return factors
 
 
-def _exp_theta_segments(theta: np.ndarray, samples: np.ndarray, dt: float):
-    """e^{i Th_m} phi(Omega_m) = int of e^{i Theta} over segment m, and its Omega_m-derivative."""
+def _exp_theta_segments(theta: np.ndarray, samples: np.ndarray, dt: float, order: int = 1):
+    """e^{i Th_m} phi(Omega_m) = int of e^{i Theta} over segment m, and its first
+    ``order`` Omega_m-derivatives."""
     rot = np.exp(1j * theta)
-    phi, dphi = _segment_factor(samples, dt)
-    return rot * phi, rot * dphi
+    return tuple(rot * factor for factor in _segment_factor(samples, dt, order))
 
 
 def _is_even_grid(omegas: np.ndarray, total_time: float) -> bool:
@@ -255,7 +267,7 @@ def amplitude_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionG
     """Amplitude filter function F_Omega on the given angular-frequency grid."""
     omegas = _frequencies(omegas)
     transform = (_fourier_sums(waveform.samples, waveform.dt, omegas)
-                 * _segment_factor(omegas, waveform.dt)[0])
+                 * _segment_factor(omegas, waveform.dt, order=0)[0])
     values = 0.25 * np.abs(transform) ** 2
     return FilterFunctionGrid(omegas=omegas, values=values, total_time=waveform.total_time)
 
@@ -345,7 +357,8 @@ def dephasing_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionG
 
 def dephasing_ff_dc(waveform: PiecewiseConstantWaveform) -> float:
     """F_Z(0, T) = |int_0^T e^{i Theta(t)} dt|^2, segment-exact."""
-    segments, _ = _exp_theta_segments(rotation_angle(waveform)[:-1], waveform.samples, waveform.dt)
+    segments, = _exp_theta_segments(rotation_angle(waveform)[:-1], waveform.samples,
+                                    waveform.dt, order=0)
     return float(np.abs(np.sum(segments)) ** 2)
 
 

@@ -19,15 +19,18 @@ nonlinear DC null F_Z(0, x) = 0.  Structure of the solver:
   computes and enters as a quadratic hinge on |Omega_m| (1 + eps)/max_rate - 1,
   exact while the minimizer sits strictly inside the bound; a solution that
   still breaks |Omega_m| <= max_rate is reported as non-convergence;
-* the inner minimizer is quasi-Newton (L-BFGS) on the exact gradient:
-  samples and Theta are linear in the coefficients and read through their
-  real Jacobians, the objective's gradient in Theta is one FFT convolution,
-  and the DC-null, hinge and proximal terms differentiate in closed form;
-  the gradients in Theta and in the samples are summed as two real
-  N-vectors, one product with each Jacobian;
+* the inner minimizer is damped Newton (``_newton``) on the exact gradient
+  and the exact (2K-1) x (2K-1) Hessian: samples and Theta are linear in the
+  coefficients and read through their real Jacobians; the objective's
+  gradient in Theta is one FFT convolution and its Hessian, read through
+  the Theta Jacobian, 2(2K-1) more; the DC-null, hinge and proximal terms
+  differentiate twice in closed form.  The gradients in Theta and in the
+  samples are summed as two real N-vectors, one product with each Jacobian.
+  Each step solves H p = -g by Cholesky, with Levenberg damping where H is
+  not positive definite, and backtracks to an Armijo decrease;
 * the DC null (``_dc_residual``, read by both the Lagrangian and the exit
-  check) sums filterfn's segment integrals of e^{i Theta} and their
-  derivatives in Omega_m (filterfn._exp_theta_segments).
+  check) sums filterfn's segment integrals of e^{i Theta} and their first
+  and second derivatives in Omega_m (filterfn._exp_theta_segments).
 
 F_Z in the objective is the plain left-endpoint Riemann sum, which is
 indistinguishable from the segment-exact transform everywhere the integrand
@@ -48,7 +51,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import sici
 
 from .errors import NonConvergenceError, ParameterError
@@ -120,6 +122,13 @@ class DesignProblem:
 
         With ``gradient=True`` the call returns (I_Z, dI_Z/dTheta), read from
         the same convolutions: 2 dt^2 (cos Th_j (h*sin Th)_j - sin Th_j (h*cos Th)_j).
+        Given also a Jacobian J = dTheta/du of shape (N, P), it returns J^T
+        (d^2 I_Z/dTheta^2) J third, with
+
+            d^2 I_Z/dTheta^2 = 2 dt^2 [C H C + S H S - diag(cos Th (h*cos Th) + sin Th (h*sin Th))],
+
+        C = diag(cos Th), S = diag(sin Th) and H the convolution by h: 2P more
+        convolutions, one batched rfft/irfft pair.
         """
         n, dt = self.n, self.dt
         kernel = _lag_kernel(n, dt, self.delta_omega)
@@ -127,13 +136,24 @@ class DesignProblem:
         spectrum = np.fft.rfft(np.concatenate(([0.0], kernel[1:], [0.0], kernel[:0:-1]))).real
         diagonal = n * kernel[0]
 
-        def evaluate(theta: np.ndarray, gradient: bool = False):
+        def convolve(rows):
+            return np.fft.irfft(np.fft.rfft(rows, 2 * n) * spectrum, 2 * n)[..., :n]
+
+        def evaluate(theta: np.ndarray, gradient: bool = False, jacobian=None):
             trig = np.stack([np.cos(theta), np.sin(theta)])
-            conv = np.fft.irfft(np.fft.rfft(trig, 2 * n) * spectrum, 2 * n)[:, :n]
+            conv = convolve(trig)
             value = dt * dt * (diagonal + float(np.sum(trig * conv)))
             if not gradient:
                 return value
-            return value, 2.0 * dt * dt * (trig[0] * conv[1] - trig[1] * conv[0])
+            grad = 2.0 * dt * dt * (trig[0] * conv[1] - trig[1] * conv[0])
+            if jacobian is None:
+                return value, grad
+            rows = trig[:, None, :] * jacobian.T  # (2, P, N): cos Th J and sin Th J
+            rows_conv = convolve(rows)
+            weight = np.sum(trig * conv, axis=0)
+            curvature = (rows[0] @ rows_conv[0].T + rows[1] @ rows_conv[1].T
+                         - jacobian.T @ (weight[:, None] * jacobian))
+            return value, grad, 2.0 * dt * dt * curvature
 
         return evaluate
 
@@ -213,19 +233,22 @@ def objective_Iz(coeffs: WaveformCoefficients, problem: DesignProblem) -> float:
 
 
 def _dc_residual(theta: np.ndarray, samples: np.ndarray, dt: float, total_time: float,
-                 gradient: bool = False):
+                 gradient: int = 0):
     """(Re, Im) of int_0^T e^{i Theta(t)} dt / T with segment-exact integrals.
 
-    With ``gradient=True`` the call returns (residual, d/dTheta_m, d/dOmega_m),
-    the two derivatives as complex arrays of the integral.  The Lagrangian and
-    the exit check of solve_design both call it, so they see the same phi.
+    ``gradient`` is the derivative order.  With 1 (or True) the call returns
+    (residual, d/dTheta_m, d/dOmega_m), the two derivatives as complex arrays
+    of the integral; with 2 it appends d^2/dOmega_m^2.  The other second
+    derivatives follow from these: d^2/dTheta_m^2 = i d/dTheta_m and
+    d^2/dTheta_m dOmega_m = i d/dOmega_m.  The Lagrangian and the exit check
+    of solve_design both call it, so they see the same phi.
     """
-    terms, d_terms = _exp_theta_segments(theta, samples, dt)
+    terms, *d_terms = _exp_theta_segments(theta, samples, dt, int(gradient))
     integral = np.sum(terms) / total_time
     residual = np.array([integral.real, integral.imag])
     if not gradient:
         return residual
-    return residual, 1j * terms / total_time, d_terms / total_time
+    return (residual, 1j * terms / total_time, *(d / total_time for d in d_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +284,12 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
     all N of them.  ``eps`` is a soft margin: the hinge weight 1e4 trades it
     against the DC-null terms, so a solution near the bound may keep less
     than the full margin; only max |Omega_m| <= max_rate (1 + 1e-9) is
-    enforced.  ``seed`` is unused (the solve is deterministic); it stays
-    while existing callers pass it.  Returns coefficients satisfying that
-    bound, the identity constraint (exactly, by construction) and
-    F_Z(0) <= fz_tol * T^2, locally minimal in the objective.
+    enforced.  Each augmented-Lagrangian outer step runs at most
+    ``inner_maxiter`` Newton steps.  ``seed`` is unused (the solve is
+    deterministic); it stays while existing callers pass it.  Returns
+    coefficients satisfying that bound, the identity constraint (exactly, by
+    construction) and F_Z(0) <= fz_tol * T^2, locally minimal in the
+    objective.
 
     Raises
     ------
@@ -300,11 +325,13 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
     prox_mu = 0.05
 
     def make_lagrangian(lam, rho, u_ref):
-        def fun(u):
-            """The Lagrangian and its gradient in u."""
+        def fun(u, hessian=False):
+            """The Lagrangian and its gradient in u, and with ``hessian`` its Hessian."""
             samples, theta = d_samples @ u, d_theta @ u
-            f, df_dtheta = objective(theta, gradient=True)
-            h, dc_theta, dc_samples = _dc_residual(theta, samples, dt, total_time, gradient=True)
+            f, df_dtheta, *f_curvature = objective(theta, gradient=True,
+                                                   jacobian=d_theta if hessian else None)
+            h, dc_theta, dc_samples, *dc_curvature = _dc_residual(
+                theta, samples, dt, total_time, 2 if hessian else 1)
             pen = np.maximum(np.abs(samples) / tightened_rate - 1.0, 0.0)
             du = u - u_ref
             value = (f / f_scale + lam @ h + 0.5 * rho * (h @ h) + rho_in * (pen @ pen)
@@ -314,7 +341,23 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
             g_theta = df_dtheta / f_scale + mult[0] * dc_theta.real + mult[1] * dc_theta.imag
             g_samples = (mult[0] * dc_samples.real + mult[1] * dc_samples.imag
                          + (2.0 * rho_in / tightened_rate) * pen * np.sign(samples))
-            return value, g_theta @ d_theta + g_samples @ d_samples + prox_mu * du
+            grad = g_theta @ d_theta + g_samples @ d_samples + prox_mu * du
+            if not hessian:
+                return value, grad
+            # the DC null's second derivatives are diagonal in m: mult . (Re, Im)
+            # of i dc_theta (Theta Theta), i dc_samples (Theta Omega) and
+            # dc_curvature (Omega Omega); the hinge adds 2 rho_in/r^2 where active
+            w_tt = mult[1] * dc_theta.real - mult[0] * dc_theta.imag
+            w_ts = mult[1] * dc_samples.real - mult[0] * dc_samples.imag
+            w_ss = (mult[0] * dc_curvature[0].real + mult[1] * dc_curvature[0].imag
+                    + (2.0 * rho_in / tightened_rate ** 2) * (pen > 0.0))
+            cross = d_theta.T @ (w_ts[:, None] * d_samples)
+            jac = (np.stack([dc_theta.real, dc_theta.imag]) @ d_theta
+                   + np.stack([dc_samples.real, dc_samples.imag]) @ d_samples)
+            hess = (f_curvature[0] / f_scale + d_theta.T @ (w_tt[:, None] * d_theta)
+                    + cross + cross.T + d_samples.T @ (w_ss[:, None] * d_samples)
+                    + rho * (jac.T @ jac) + prox_mu * np.eye(u.size))
+            return value, grad, hess
         return fun
 
     def residual(u):
@@ -328,9 +371,7 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
     target_norm = np.sqrt(fz_tol) * 0.95
 
     for _ in range(max_outer):
-        res = minimize(make_lagrangian(lam, rho, u), u, jac=True, method="L-BFGS-B",
-                       options={"maxiter": inner_maxiter, "ftol": 1e-14, "gtol": 1e-12})
-        u = res.x
+        u = _newton(make_lagrangian(lam, rho, u), u, inner_maxiter)
         h = residual(u)
         hnorm = float(np.linalg.norm(h))
         if hnorm < best_norm:
@@ -354,6 +395,47 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
         raise NonConvergenceError(
             f"amplitude bound not met: max|Omega|/Omega_max = {ratio:.6f}", best=coeffs)
     return coeffs
+
+
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve (H + tau I) p = -g by Cholesky, with the smallest tau in 0, then
+    1e-3 max|H_ii| times powers of 10, that makes the matrix positive definite
+    (Levenberg damping).  Returns a zero step when none does (a non-finite H)."""
+    eye = np.eye(grad.size)
+    base = 1e-3 * float(np.max(np.abs(np.diag(hess))))
+    for tau in (0.0, *(base * 10.0 ** k for k in range(12))):
+        try:
+            factor = np.linalg.cholesky(hess + tau * eye)
+        except np.linalg.LinAlgError:
+            continue
+        return -np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
+    return np.zeros_like(grad)
+
+
+def _newton(fun, u: np.ndarray, maxiter: int) -> np.ndarray:
+    """Damped Newton descent on fun(u, hessian=True) -> (value, gradient, Hessian).
+
+    Each step is _newton_step's, shortened by halving until the value falls
+    by at least 1e-4 of the predicted decrease (Armijo).  Stops when the
+    Newton decrement -g.p is at most 1e-14 |L|, when 30 halvings find no
+    decrease, or after ``maxiter`` steps; returns the last accepted point.
+    """
+    value, grad, hess = fun(u, hessian=True)
+    for _ in range(maxiter):
+        step = _newton_step(hess, grad)
+        decrement = -float(grad @ step)
+        if decrement <= 1e-14 * abs(value):
+            break
+        for halving in range(30):
+            t = 0.5 ** halving
+            trial = u + t * step
+            trial_value, trial_grad, trial_hess = fun(trial, hessian=True)
+            if trial_value <= value - 1e-4 * t * decrement:
+                break
+        else:
+            break
+        u, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+    return u
 
 
 def design_waveform(coeffs: WaveformCoefficients,

@@ -386,16 +386,23 @@ class TestErrorPaths:
         for key, values in BAD_CONFIG_COUNTS.items() for i, value in enumerate(values)
     ]
 
-    # config values float() refuses, and a config that is not a JSON object
+    # config values float() refuses, and a config that is not a JSON object;
+    # the measurements path only exists in a reconstruct config
     WRONG_TYPES = {"dt-string": ("waveform", "dt_ns", "abc"),
                    "dt-null": ("waveform", "dt_ns", None),
                    "amp-list": ("waveform", "amp_mhz", [1]),
                    "a-omega-string": ("noise", "a_omega", "big"),
                    "waveform-list": (None, "waveform", [1]),
                    "top-level-array": None}
+    WRONG_MEASUREMENTS = {"measurements-int": (None, "measurements_csv", 5),
+                          "measurements-null": (None, "measurements_csv", None)}
 
-    @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
-    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    WRONG_TYPE_CASES = ([("simulate", case) for case in sorted(WRONG_TYPES)]
+                        + [("reconstruct", case)
+                           for case in sorted({**WRONG_TYPES, **WRONG_MEASUREMENTS})])
+
+    @pytest.mark.parametrize("command, case", [pytest.param(*pair, id="-".join(pair))
+                                               for pair in WRONG_TYPE_CASES])
     def test_wrong_type_config_is_exit_2_without_artifacts(self, tmp_path, command, case):
         noise = {"kind": "flat_cutoff", "a_omega": 1.04e-11, "omega_h_mhz": 2.0}
         if command == "simulate":
@@ -411,10 +418,11 @@ class TestErrorPaths:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert run_cli(command, "--config", path, "--out", tmp_path / "valid") == 0
-        if self.WRONG_TYPES[case] is None:
+        wrong = {**self.WRONG_TYPES, **self.WRONG_MEASUREMENTS}[case]
+        if wrong is None:
             config = [config]
         else:
-            section, key, value = self.WRONG_TYPES[case]
+            section, key, value = wrong
             sections = {None: config, "waveform": config["waveform"], "noise": config[noise_key]}
             sections[section][key] = value
         path.write_text(json.dumps(config))

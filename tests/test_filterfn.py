@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
@@ -608,6 +610,30 @@ def test_segment_integral_pair_matches_segment_integral():
         want, want_slope = segment_integral_pair_mpmath(ui, dt)
         assert abs(value - want) <= 1e-15 * dt, ui * dt
         assert abs(slope - want_slope) <= 2e-15 * abs(want_slope), ui * dt
+
+
+def test_segment_factor_bits_do_not_depend_on_branch_mix_or_order():
+    # the quotient is formed only where |h| >= cut: an entry gets the same bits
+    # in a mixed array as alone, every order repeats the lower orders' bits
+    # (amplitude_ff reads order 0), and |u dt| up to 1e300 warns of nothing
+    from qnspect.filterfn import _J1_SERIES_CUT, _segment_factor
+
+    dt = 2.0 ** -22
+    hs = np.array([0.0, 1e-9, -0.3, np.nextafter(_J1_SERIES_CUT, 0.0), _J1_SERIES_CUT,
+                   -1.7, 40.0, 1e8 * dt, -1e8 * dt, 2e153, -7e160, 5e299])
+    u = 2.0 * hs / dt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = [_segment_factor(u, dt, order) for order in (0, 1, 2)]
+        alone = [[_segment_factor(u[i:i + 1], dt, order) for i in range(u.size)]
+                 for order in (0, 1, 2)]
+    for order in (0, 1, 2):
+        assert len(mixed[order]) == order + 1
+        for k in range(order + 1):
+            assert np.array_equal(mixed[order][k], mixed[2][k])
+            assert np.array_equal(mixed[order][k],
+                                  np.concatenate([row[k] for row in alone[order]]))
+    assert np.all(np.isfinite(np.stack(mixed[2]).view(float)))
 
 
 def test_csv_bytes_match_fstring_format(tmp_path):

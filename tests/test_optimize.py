@@ -274,17 +274,17 @@ class TestAmplitudeBound:
 
 def captured_lagrangians(problem, monkeypatch):
     """Solve the problem and return every (Lagrangian, start point) that
-    solve_design handed to L-BFGS-B, one per outer iteration."""
+    solve_design handed to its inner Newton solve, one per outer iteration."""
     from qnspect import optimize
 
-    minimize = optimize.minimize
+    newton = optimize._newton
     calls = []
 
-    def recording(fun, x0, **kwargs):
+    def recording(fun, x0, maxiter):
         calls.append((fun, np.array(x0)))
-        return minimize(fun, x0, **kwargs)
+        return newton(fun, x0, maxiter)
 
-    monkeypatch.setattr(optimize, "minimize", recording)
+    monkeypatch.setattr(optimize, "_newton", recording)
     solve_design(problem)
     return calls
 
@@ -299,18 +299,22 @@ def central_difference(fun, u, step):
     return grad
 
 
+def gradient_test_problem(case):
+    # the design-workload shape, and a short pulse whose hinge is active
+    # at 1.2 times the start point (the start sits on the tightened bound)
+    if case == "design":
+        return build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ, eps=0.1)
+    problem = short_pulse_problem(1.9, 5.0)
+    start = project_dephasing_robust(problem).as_vector()
+    worst = np.abs(problem.basis @ start).max() * (1 + problem.eps) / problem.max_rate
+    assert 1.2 * worst > 1.1
+    return problem
+
+
 class TestGradient:
     @pytest.mark.parametrize("case", ["design", "binding"])
     def test_lagrangian_gradient_matches_central_differences(self, case, monkeypatch):
-        # the design-workload shape, and a short pulse whose hinge is active
-        # at 1.2 times the start point (the start sits on the tightened bound)
-        if case == "design":
-            problem = build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ, eps=0.1)
-        else:
-            problem = short_pulse_problem(1.9, 5.0)
-            start = project_dephasing_robust(problem).as_vector()
-            worst = np.abs(problem.basis @ start).max() * (1 + problem.eps) / problem.max_rate
-            assert 1.2 * worst > 1.1
+        problem = gradient_test_problem(case)
         calls = captured_lagrangians(problem, monkeypatch)
         assert len(calls) >= 2
         rng = np.random.default_rng(11)
@@ -321,6 +325,27 @@ class TestGradient:
                 _, grad = fun(u)
                 want = central_difference(fun, u, 1e-6 * np.abs(u).max())
                 assert np.linalg.norm(grad - want) <= 1e-6 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("case", ["design", "binding"])
+    def test_lagrangian_hessian_matches_central_differences(self, case, monkeypatch):
+        # the Newton Hessian, column by column, against central differences of
+        # the exact gradient, at the points of the gradient test
+        problem = gradient_test_problem(case)
+        calls = captured_lagrangians(problem, monkeypatch)
+        rng = np.random.default_rng(11)
+        for fun, u0 in (calls[0], calls[-1]):
+            for _ in range(3):
+                u = 1.2 * u0 + rng.normal(0.0, 0.05, u0.size) * np.abs(u0).max()
+                _, grad, hess = fun(u, hessian=True)
+                assert np.array_equal(grad, fun(u)[1])
+                step = 1e-6 * np.abs(u).max()
+                want = np.empty((u.size, u.size))
+                for j in range(u.size):
+                    up, um = u.copy(), u.copy()
+                    up[j] += step
+                    um[j] -= step
+                    want[:, j] = (fun(up)[1] - fun(um)[1]) / (2.0 * step)
+                assert np.linalg.norm(hess - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_dc_residual_is_the_lagrangians_dc_term(self, monkeypatch):
         # the exit check and the Lagrangian read the DC null through one call:
@@ -348,7 +373,7 @@ class TestGradient:
             matches = [out for th, om, out in seen
                        if np.array_equal(th, theta) and np.array_equal(om, samples)]
             assert matches and all(np.array_equal(out[0], residual) for out in matches)
-        theta, samples, (residual, _, d_samples) = seen[-1]
+        theta, samples, (residual, _, d_samples, *_) = seen[-1]
         for m in (0, 137, 399):
             step = 1e-6 * np.abs(samples).max()
             up, down = samples.copy(), samples.copy()
@@ -373,3 +398,43 @@ class TestGradient:
                 u = mpmath.mpf(x) / dt
                 want = complex(1j * mpmath.quad(lambda s: s * mpmath.expj(u * s), [0, dt]))
             assert abs(value - want) <= 2e-15 * abs(want)
+
+    def test_segment_integral_second_derivative_matches_mpmath(self):
+        # d^2/du^2 int_0^dt e^{ius} ds = -int_0^dt s^2 e^{ius} ds on the same x
+        # grid, across the series cut at x = 2
+        import mpmath
+
+        from qnspect.filterfn import _J1_SERIES_CUT, _segment_factor
+
+        dt = 250e-9
+        xs = np.concatenate([[0.0, 1e-12, 1e-8, 1e-4, 1e-2], np.linspace(0.05, 8.0, 160),
+                             -np.array([1e-8, 0.3, 2.5, 7.9])])
+        assert xs.min() < 2 * _J1_SERIES_CUT < xs.max()
+        phi, dphi, got = _segment_factor(xs / dt, dt, order=2)
+        assert np.array_equal((phi, dphi), _segment_factor(xs / dt, dt))
+        for x, value in zip(xs, got):
+            with mpmath.workdps(30):
+                u = mpmath.mpf(x) / dt
+                want = complex(-mpmath.quad(lambda s: s * s * mpmath.expj(u * s), [0, dt]))
+            assert abs(value - want) <= 2e-15 * abs(want)
+
+
+# coefficients of the L-BFGS-B inner solve that the Newton loop replaced, at
+# the design-workload shape (N = 400, T = 100 us, K = 3, Omega_max = 5 MHz,
+# eps = 0.1), one BLAS thread
+GOLDEN_COEFFICIENTS = {
+    0.1: [-8567304.017802743, 18919.310131536917, 3777048.06578402, 26732050.09799611,
+          -550986.3007827302, 10608665.793155389],
+    0.2: [-10199380.5101881, -128640.35049208264, 11872503.189312762, 55053227.93509488,
+          -554326.141773102, 20181862.41027554],
+    0.3: [-7300247.614834588, -78991.01728492878, 22562433.395943426, 83646580.28390066,
+          -584241.5509611777, 28558947.022469666],
+}
+
+
+@pytest.mark.parametrize("omega0_mhz", sorted(GOLDEN_COEFFICIENTS))
+def test_design_coefficients_match_golden(omega0_mhz):
+    problem = build_design_problem(omega0_mhz * MHZ, 400, 100e-6 / 400, 5 * MHZ, eps=0.1)
+    got = solve_design(problem).as_vector()
+    want = np.array(GOLDEN_COEFFICIENTS[omega0_mhz])
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
