@@ -176,7 +176,7 @@ def _segment_factor(u: np.ndarray, dt: float, order: int = 1):
     return factors
 
 
-def _exp_theta_segments(theta: np.ndarray, samples: np.ndarray, dt: float, order: int = 1):
+def _exp_theta_segments(theta: np.ndarray, samples: np.ndarray, dt: float, order: int):
     """e^{i Th_m} phi(Omega_m) = int of e^{i Theta} over segment m, and its first
     ``order`` Omega_m-derivatives."""
     rot = np.exp(1j * theta)

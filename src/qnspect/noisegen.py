@@ -105,7 +105,7 @@ class SpectrumModel:
 def psd_eval(model: SpectrumModel, omega) -> np.ndarray:
     """One-sided PSD S(w) of the stochastic part, for w >= 0."""
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
+    if not np.all(omega >= 0):  # NaN fails too
         raise ParameterError("psd_eval expects omega >= 0 (the PSD is one-sided)")
     if model.kind == DC_DELTA:
         return np.zeros_like(omega)

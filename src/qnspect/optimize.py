@@ -42,7 +42,8 @@ per problem (``DesignProblem.objective``) and shared by solve_design and
 objective_Iz; each evaluation is one zero-padded FFT convolution.  The solve
 always starts from the projection of the first-root dephasing-robust
 sinusoid; one modulation frequency is one problem, so a sweep is a loop of
-solve_design calls.
+solve_design calls.  delta_omega and the solver's limits are fixed module
+constants (``_DELTA_OMEGA``, ``_MAX_OUTER``, ``_INNER_MAXITER``, ``_FZ_TOL``).
 """
 
 from __future__ import annotations
@@ -76,6 +77,13 @@ __all__ = [
     "design_waveform",
 ]
 
+# the objective's delta_omega (rad/s); the solver's outer steps, Newton steps
+# per outer step, and DC-null target F_Z(0) <= _FZ_TOL T^2
+_DELTA_OMEGA = 2.0 * np.pi * 1e3
+_MAX_OUTER = 14
+_INNER_MAXITER = 80
+_FZ_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DesignProblem:
@@ -88,12 +96,11 @@ class DesignProblem:
     num_orders: int
     max_rate: float
     eps: float
-    delta_omega: float
 
     def __post_init__(self):
         if not np.isfinite(self.omega0):
             raise ParameterError(f"omega0 must be finite, got {self.omega0}")
-        for name in ("dt", "max_rate", "eps", "delta_omega"):
+        for name in ("dt", "max_rate", "eps"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ParameterError(f"{name} must be positive and finite, got {value}")
@@ -120,10 +127,10 @@ class DesignProblem:
         The kernel (:func:`_lag_kernel`) and its spectrum are built on first
         use and shared by every later evaluation on this problem.
 
-        With ``gradient=True`` the call returns (I_Z, dI_Z/dTheta), read from
-        the same convolutions: 2 dt^2 (cos Th_j (h*sin Th)_j - sin Th_j (h*cos Th)_j).
-        Given also a Jacobian J = dTheta/du of shape (N, P), it returns J^T
-        (d^2 I_Z/dTheta^2) J third, with
+        Given a Jacobian J = dTheta/du of shape (N, P), the call returns
+        (I_Z, dI_Z/dTheta, J^T (d^2 I_Z/dTheta^2) J).  The gradient is read
+        from the same convolutions: 2 dt^2 (cos Th_j (h*sin Th)_j - sin Th_j
+        (h*cos Th)_j), and
 
             d^2 I_Z/dTheta^2 = 2 dt^2 [C H C + S H S - diag(cos Th (h*cos Th) + sin Th (h*sin Th))],
 
@@ -131,7 +138,7 @@ class DesignProblem:
         convolutions, one batched rfft/irfft pair.
         """
         n, dt = self.n, self.dt
-        kernel = _lag_kernel(n, dt, self.delta_omega)
+        kernel = _lag_kernel(n, dt, _DELTA_OMEGA)
         # h circularly on 2n points: h_0 = 0 and h_{-k} = h_k at 2n - k
         spectrum = np.fft.rfft(np.concatenate(([0.0], kernel[1:], [0.0], kernel[:0:-1]))).real
         diagonal = n * kernel[0]
@@ -139,15 +146,13 @@ class DesignProblem:
         def convolve(rows):
             return np.fft.irfft(np.fft.rfft(rows, 2 * n) * spectrum, 2 * n)[..., :n]
 
-        def evaluate(theta: np.ndarray, gradient: bool = False, jacobian=None):
+        def evaluate(theta: np.ndarray, jacobian=None):
             trig = np.stack([np.cos(theta), np.sin(theta)])
             conv = convolve(trig)
             value = dt * dt * (diagonal + float(np.sum(trig * conv)))
-            if not gradient:
+            if jacobian is None:
                 return value
             grad = 2.0 * dt * dt * (trig[0] * conv[1] - trig[1] * conv[0])
-            if jacobian is None:
-                return value, grad
             rows = trig[:, None, :] * jacobian.T  # (2, P, N): cos Th J and sin Th J
             rows_conv = convolve(rows)
             weight = np.sum(trig * conv, axis=0)
@@ -194,8 +199,7 @@ def _lag_kernel(n: int, dt: float, delta_omega: float) -> np.ndarray:
 
 def build_design_problem(omega0: float, n: int, dt: float, max_rate: float,
                          time_bandwidth: float = 1.0, num_orders: int = 3,
-                         eps: float = 0.1, seed: int = 0,
-                         delta_omega: float = 2.0 * np.pi * 1e3) -> DesignProblem:
+                         eps: float = 0.1, seed: int = 0) -> DesignProblem:
     """Assemble the DPSS basis (no LP); the objective kernel follows from (n, dt).
 
     ``seed`` is unused (nothing here is random); it stays while existing
@@ -206,7 +210,7 @@ def build_design_problem(omega0: float, n: int, dt: float, max_rate: float,
     dpss_set = dpss(n, time_bandwidth / n, num_orders)
     return DesignProblem(
         dpss_set=dpss_set, omega0=omega0, dt=dt, n=n, num_orders=num_orders,
-        max_rate=max_rate, eps=eps, delta_omega=delta_omega,
+        max_rate=max_rate, eps=eps,
     )
 
 
@@ -221,29 +225,24 @@ def _theta(samples: np.ndarray, dt: float) -> np.ndarray:
     return np.concatenate((start, np.cumsum(samples * dt, axis=0)))[:-1]
 
 
-def _theta_of(x: np.ndarray, problem: DesignProblem) -> np.ndarray:
-    return _theta(problem.basis @ x, problem.dt)
-
-
 def objective_Iz(coeffs: WaveformCoefficients, problem: DesignProblem) -> float:
     """(1/pi) int_0^{pi/dt} F_Z(w)/(w + delta_omega) dw, exactly, for the Riemann F_Z."""
     if coeffs.num_orders != problem.num_orders:
         raise ParameterError("coefficient order count does not match the problem")
-    return problem.objective(_theta_of(coeffs.as_vector(), problem))
+    return problem.objective(_theta(problem.basis @ coeffs.as_vector(), problem.dt))
 
 
 def _dc_residual(theta: np.ndarray, samples: np.ndarray, dt: float, total_time: float,
-                 gradient: int = 0):
+                 gradient: bool = False):
     """(Re, Im) of int_0^T e^{i Theta(t)} dt / T with segment-exact integrals.
 
-    ``gradient`` is the derivative order.  With 1 (or True) the call returns
-    (residual, d/dTheta_m, d/dOmega_m), the two derivatives as complex arrays
-    of the integral; with 2 it appends d^2/dOmega_m^2.  The other second
-    derivatives follow from these: d^2/dTheta_m^2 = i d/dTheta_m and
-    d^2/dTheta_m dOmega_m = i d/dOmega_m.  The Lagrangian and the exit check
-    of solve_design both call it, so they see the same phi.
+    With ``gradient`` the call returns (residual, d/dTheta_m, d/dOmega_m,
+    d^2/dOmega_m^2), the derivatives as complex arrays of the integral.  The
+    other second derivatives follow from these: d^2/dTheta_m^2 = i d/dTheta_m
+    and d^2/dTheta_m dOmega_m = i d/dOmega_m.  The Lagrangian and the exit
+    check of solve_design both call it, so they see the same phi.
     """
-    terms, *d_terms = _exp_theta_segments(theta, samples, dt, int(gradient))
+    terms, *d_terms = _exp_theta_segments(theta, samples, dt, 2 if gradient else 0)
     integral = np.sum(terms) / total_time
     residual = np.array([integral.real, integral.imag])
     if not gradient:
@@ -275,8 +274,7 @@ def project_dephasing_robust(problem: DesignProblem) -> WaveformCoefficients:
     return WaveformCoefficients.from_vector(omega0, x)
 
 
-def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
-                 inner_maxiter: int = 80, fz_tol: float = 1e-9) -> WaveformCoefficients:
+def solve_design(problem: DesignProblem, seed: int = 0) -> WaveformCoefficients:
     """Minimize the dephasing objective under the amplitude bound.
 
     The descent starts from project_dephasing_robust(problem).  The bound is
@@ -284,12 +282,12 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
     all N of them.  ``eps`` is a soft margin: the hinge weight 1e4 trades it
     against the DC-null terms, so a solution near the bound may keep less
     than the full margin; only max |Omega_m| <= max_rate (1 + 1e-9) is
-    enforced.  Each augmented-Lagrangian outer step runs at most
-    ``inner_maxiter`` Newton steps.  ``seed`` is unused (the solve is
-    deterministic); it stays while existing callers pass it.  Returns
-    coefficients satisfying that bound, the identity constraint (exactly, by
-    construction) and F_Z(0) <= fz_tol * T^2, locally minimal in the
-    objective.
+    enforced.  At most ``_MAX_OUTER`` augmented-Lagrangian outer steps run,
+    each of at most ``_INNER_MAXITER`` Newton steps.  ``seed`` is unused (the
+    solve is deterministic); it stays while existing callers pass it.
+    Returns coefficients satisfying that bound, the identity constraint
+    (exactly, by construction) and F_Z(0) <= ``_FZ_TOL`` T^2, locally minimal
+    in the objective.
 
     Raises
     ------
@@ -325,13 +323,12 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
     prox_mu = 0.05
 
     def make_lagrangian(lam, rho, u_ref):
-        def fun(u, hessian=False):
-            """The Lagrangian and its gradient in u, and with ``hessian`` its Hessian."""
+        def fun(u):
+            """The Lagrangian, its gradient and its Hessian in u."""
             samples, theta = d_samples @ u, d_theta @ u
-            f, df_dtheta, *f_curvature = objective(theta, gradient=True,
-                                                   jacobian=d_theta if hessian else None)
-            h, dc_theta, dc_samples, *dc_curvature = _dc_residual(
-                theta, samples, dt, total_time, 2 if hessian else 1)
+            f, df_dtheta, f_curvature = objective(theta, d_theta)
+            h, dc_theta, dc_samples, dc_curvature = _dc_residual(
+                theta, samples, dt, total_time, gradient=True)
             pen = np.maximum(np.abs(samples) / tightened_rate - 1.0, 0.0)
             du = u - u_ref
             value = (f / f_scale + lam @ h + 0.5 * rho * (h @ h) + rho_in * (pen @ pen)
@@ -342,37 +339,32 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
             g_samples = (mult[0] * dc_samples.real + mult[1] * dc_samples.imag
                          + (2.0 * rho_in / tightened_rate) * pen * np.sign(samples))
             grad = g_theta @ d_theta + g_samples @ d_samples + prox_mu * du
-            if not hessian:
-                return value, grad
             # the DC null's second derivatives are diagonal in m: mult . (Re, Im)
             # of i dc_theta (Theta Theta), i dc_samples (Theta Omega) and
             # dc_curvature (Omega Omega); the hinge adds 2 rho_in/r^2 where active
             w_tt = mult[1] * dc_theta.real - mult[0] * dc_theta.imag
             w_ts = mult[1] * dc_samples.real - mult[0] * dc_samples.imag
-            w_ss = (mult[0] * dc_curvature[0].real + mult[1] * dc_curvature[0].imag
+            w_ss = (mult[0] * dc_curvature.real + mult[1] * dc_curvature.imag
                     + (2.0 * rho_in / tightened_rate ** 2) * (pen > 0.0))
             cross = d_theta.T @ (w_ts[:, None] * d_samples)
             jac = (np.stack([dc_theta.real, dc_theta.imag]) @ d_theta
                    + np.stack([dc_samples.real, dc_samples.imag]) @ d_samples)
-            hess = (f_curvature[0] / f_scale + d_theta.T @ (w_tt[:, None] * d_theta)
+            hess = (f_curvature / f_scale + d_theta.T @ (w_tt[:, None] * d_theta)
                     + cross + cross.T + d_samples.T @ (w_ss[:, None] * d_samples)
                     + rho * (jac.T @ jac) + prox_mu * np.eye(u.size))
             return value, grad, hess
         return fun
-
-    def residual(u):
-        return _dc_residual(d_theta @ u, d_samples @ u, dt, total_time)
 
     lam = np.zeros(2)
     rho = 10.0
     u = u0.copy()
     best_u = u0.copy()
     best_norm = np.inf
-    target_norm = np.sqrt(fz_tol) * 0.95
+    target_norm = np.sqrt(_FZ_TOL) * 0.95
 
-    for _ in range(max_outer):
-        u = _newton(make_lagrangian(lam, rho, u), u, inner_maxiter)
-        h = residual(u)
+    for _ in range(_MAX_OUTER):
+        u = _newton(make_lagrangian(lam, rho, u), u, _INNER_MAXITER)
+        h = _dc_residual(d_theta @ u, d_samples @ u, dt, total_time)
         hnorm = float(np.linalg.norm(h))
         if hnorm < best_norm:
             best_norm, best_u = hnorm, u.copy()
@@ -381,13 +373,9 @@ def solve_design(problem: DesignProblem, seed: int = 0, max_outer: int = 14,
         lam = lam + rho * h
         rho = min(rho * 8.0, 1e12)
     else:
-        u = best_u
-        if float(np.linalg.norm(residual(u))) > target_norm:
-            best = WaveformCoefficients.from_vector(problem.omega0, z @ (best_u * scale))
-            raise NonConvergenceError(
-                f"DC-null residual {best_norm:.3e} above target {target_norm:.3e}",
-                best=best,
-            )
+        best = WaveformCoefficients.from_vector(problem.omega0, z @ (best_u * scale))
+        raise NonConvergenceError(
+            f"DC-null residual {best_norm:.3e} above target {target_norm:.3e}", best=best)
 
     coeffs = WaveformCoefficients.from_vector(problem.omega0, z @ (u * scale))
     ratio = float(np.max(np.abs(d_samples @ u))) / problem.max_rate
@@ -413,14 +401,14 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _newton(fun, u: np.ndarray, maxiter: int) -> np.ndarray:
-    """Damped Newton descent on fun(u, hessian=True) -> (value, gradient, Hessian).
+    """Damped Newton descent on fun(u) -> (value, gradient, Hessian).
 
     Each step is _newton_step's, shortened by halving until the value falls
     by at least 1e-4 of the predicted decrease (Armijo).  Stops when the
     Newton decrement -g.p is at most 1e-14 |L|, when 30 halvings find no
     decrease, or after ``maxiter`` steps; returns the last accepted point.
     """
-    value, grad, hess = fun(u, hessian=True)
+    value, grad, hess = fun(u)
     for _ in range(maxiter):
         step = _newton_step(hess, grad)
         decrement = -float(grad @ step)
@@ -429,7 +417,7 @@ def _newton(fun, u: np.ndarray, maxiter: int) -> np.ndarray:
         for halving in range(30):
             t = 0.5 ** halving
             trial = u + t * step
-            trial_value, trial_grad, trial_hess = fun(trial, hessian=True)
+            trial_value, trial_grad, trial_hess = fun(trial)
             if trial_value <= value - 1e-4 * t * decrement:
                 break
         else:

@@ -353,7 +353,7 @@ def error_vector_first_order(waveform: PiecewiseConstantWaveform, amp_noise: np.
     omega = waveform.samples
     a1 = 0.5 * dt * np.sum(omega * amp_noise, axis=-1)
     # per-segment integrals of e^{i Theta}: Im is int sin(Theta), Re is int cos(Theta)
-    seg, _ = _exp_theta_segments(rotation_angle(waveform)[:-1], omega, dt)
+    seg, = _exp_theta_segments(rotation_angle(waveform)[:-1], omega, dt, order=0)
     a2 = np.sum(seg.imag * deph_noise, axis=-1)
     a3 = np.sum(seg.real * deph_noise, axis=-1)
     return np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import NonConvergenceError, ParameterError
+from .errors import NonConvergenceError, ParameterError, _integer
 from .filterfn import amplitude_ff_integral
 
 __all__ = ["OverlapMatrix", "ReconstructionResult", "overlap_matrix", "nnls", "reconstruct"]
@@ -70,8 +70,7 @@ def overlap_matrix(waveforms, num_bands: int, delta_omega: float) -> OverlapMatr
     for wf in waveforms:
         if wf.n != n or abs(wf.dt - dt) > 1e-12 * dt:
             raise ParameterError("all probe waveforms must share one grid (n and dt)")
-    if num_bands < 1:
-        raise ParameterError(f"need num_bands >= 1, got {num_bands}")
+    num_bands = _integer(num_bands, "num_bands", 1)
     if not 0.0 < delta_omega < np.inf:
         raise ParameterError(f"delta_omega must be positive and finite, got {delta_omega}")
     if num_bands * delta_omega > np.pi / dt * (1 + 1e-12):

@@ -125,9 +125,16 @@ class WaveformCoefficients:
 # ---------------------------------------------------------------------------
 
 
+# jn_zeros takes 0.14-0.19 s for 2**16 roots (2-vCPU x86); paper scale uses about 160
+_MAX_J0_ROOTS = 2 ** 16
+
+
 def bessel_j0_roots(count: int) -> np.ndarray:
     """First ``count`` positive roots of J0, ascending (``scipy.special.jn_zeros``)."""
-    return special.jn_zeros(0, _integer(count, "count", 1))
+    count = _integer(count, "count", 1)
+    if count > _MAX_J0_ROOTS:
+        raise ParameterError(f"count must be at most {_MAX_J0_ROOTS}, got {count}")
+    return special.jn_zeros(0, count)
 
 
 def root_index_for_peak_rate(modulation_freq: float, target_rate: float) -> int:
@@ -138,7 +145,11 @@ def root_index_for_peak_rate(modulation_freq: float, target_rate: float) -> int:
     """
     if not (0.0 < modulation_freq < np.inf and 0.0 < target_rate < np.inf):
         raise ParameterError("modulation_freq and target_rate must be positive and finite")
-    guess = max(1, int(round(target_rate / (np.pi * modulation_freq) + 0.25)))
+    # j_k is about pi (k - 1/4); Python floats reach inf here without a warning
+    ratio = float(target_rate) / (np.pi * float(modulation_freq)) + 0.25
+    if not ratio < _MAX_J0_ROOTS - 1:
+        raise ParameterError(f"target_rate needs J0 root {ratio:.3g}, past {_MAX_J0_ROOTS}")
+    guess = max(1, int(round(ratio)))
     candidates = bessel_j0_roots(guess + 1)
     errors = np.abs(candidates * modulation_freq - target_rate)
     return int(np.argmin(errors)) + 1

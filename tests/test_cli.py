@@ -340,6 +340,10 @@ class TestErrorPaths:
                               ("gz", "--waveform"))
         for lam in (1e-6, 1e-8, 1e-10)
     ] + [
+        # a peak rate past the J0 root cap: rejected before any root is computed
+        pytest.param(["ff", "--waveform", "dr", "--lambda-mhz", 0.1, "--t-us", 10, "--n", 200,
+                      "--amp-mhz", 1e9], id="ff-dr-huge-amp"),
+    ] + [
         pytest.param(["figure-data", "--set", name, "--realizations", count],
                      id=f"figure-data-{name}-{count}-realizations")
         for name, count in (("gz-map", -3), ("waveforms-and-ffs", 0))

@@ -37,6 +37,13 @@ class TestPsdEval:
         with pytest.raises(ParameterError):
             psd_eval(FLAT, np.array([-1.0]))
 
+    @pytest.mark.parametrize("model", [FLAT, PINK, SpectrumModel.dc_delta(0.1 * MHZ)],
+                             ids=["flat", "one_over_f", "dc_delta"])
+    def test_rejects_nan_frequency(self, model):
+        for omega in ([np.nan], [1 * MHZ, np.nan, 0.0]):
+            with pytest.raises(ParameterError):
+                psd_eval(model, np.array(omega))
+
 
 class TestSampleProcess:
     def test_dc_delta_constant(self):

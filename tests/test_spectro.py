@@ -71,7 +71,7 @@ class TestOverlapMatrix:
             overlap_matrix([], 4, 1.0)
         with pytest.raises(ParameterError):
             overlap_matrix([wf], 10**6, linewidth)
-        for num_bands in (0, -1):
+        for num_bands in (0, -1, 2.5, True):
             with pytest.raises(ParameterError):
                 overlap_matrix([wf], num_bands, linewidth)
         for delta in (np.nan, np.inf, 0.0, -linewidth):

@@ -43,6 +43,11 @@ class TestBesselRoots:
         with pytest.raises(ParameterError, match="must be an integer"):
             bessel_j0_roots(count)
 
+    def test_count_cap(self):
+        assert bessel_j0_roots(2 ** 16).size == 2 ** 16
+        with pytest.raises(ParameterError, match="at most"):
+            bessel_j0_roots(2 ** 16 + 1)
+
 
 def test_root_index_for_peak_rate():
     lam = 2 * np.pi * 0.05e6
@@ -52,6 +57,19 @@ def test_root_index_for_peak_rate():
     # chosen root is at least as close as its neighbours
     assert abs(roots[idx - 1] * lam - target) <= abs(roots[idx - 2] * lam - target)
     assert abs(roots[idx - 1] * lam - target) <= abs(roots[idx] * lam - target)
+
+
+@pytest.mark.parametrize("target_mhz, lam_mhz", [(1e6, 0.1), (1e9, 0.1), (1e300, 1e-300)])
+def test_root_index_past_the_root_cap_is_rejected(target_mhz, lam_mhz, monkeypatch):
+    from qnspect import waveform
+
+    def no_roots(count):
+        raise AssertionError(f"{count} J0 roots computed")
+
+    monkeypatch.setattr(waveform, "bessel_j0_roots", no_roots)
+    with pytest.raises(ParameterError, match="J0 root"):
+        root_index_for_peak_rate(np.float64(2 * np.pi * lam_mhz * 1e6),
+                                 np.float64(2 * np.pi * target_mhz * 1e6))
 
 
 class TestDephasingRobust:
