@@ -13,7 +13,6 @@ from .filterfn import (
     amplitude_ff_integral,
     dephasing_ff,
     dephasing_ff_dc,
-    dephasing_ff_periodic_oracle,
     higher_order_ff,
 )
 from .lp_reduce import AffineConstraintSet, LpOutcome, lp_max, max_violation, prune_constraints

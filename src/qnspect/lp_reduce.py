@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._table import read_table, write_table
 from .errors import NonConvergenceError, ParameterError
@@ -98,6 +97,8 @@ class LpOutcome:
 
 def _highs_max(objective: np.ndarray, rows: np.ndarray) -> LpOutcome:
     """Maximize c.x subject to rows.x <= 1 with x free."""
+    from scipy.optimize import linprog  # deferred: keeps scipy.optimize out of a cold start
+
     # decided here: HiGHS would read a tiny unscaled c as zero and call it optimal
     if rows.shape[0] == 0:
         if np.all(objective == 0.0):

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import GridError, ParameterError, _integer, _real
 
@@ -327,11 +326,15 @@ def t2_estimate(model: SpectrumModel, t_max: float = 1e-2) -> float:
     2*beta_z, so the free-induction coherence decays as exp(-2*chi) and the
     1/e point sits at chi = 1/2.  (This choice reproduces the 4 us and
     100 us decay times quoted for the scale factors 299.1 and 3.18 of the
-    reference one-over-f model to within a few percent.)  A non-finite
-    t_max raises ParameterError.
+    reference one-over-f model to within a few percent.)  A non-finite or
+    non-positive t_max raises ParameterError.
     """
+    from scipy.optimize import brentq  # deferred: keeps scipy.optimize out of a cold start
+
     if model.kind == DC_DELTA:
         raise TypeError("t2_estimate needs a stochastic dephasing spectrum")
+    if t_max <= 0:
+        raise ParameterError(f"t2_estimate horizon must be positive, got {t_max!r}")
     if free_induction_chi(model, t_max) < 0.5:
         return math.inf
     return brentq(lambda t: free_induction_chi(model, t) - 0.5, 0.0, t_max,

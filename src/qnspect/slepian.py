@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ParameterError, UndefinedRatioError, _integer
 
@@ -121,6 +120,8 @@ def _tapers(m: int, nw: float, k: int) -> np.ndarray:
     v^2 > max(1e-7, 1/m) is positive.  The same arithmetic as
     ``scipy.signal.windows.dpss(m, nw, Kmax=k, sym=True, norm=2)``.
     """
+    from scipy.linalg import eigh_tridiagonal  # deferred: keeps scipy.linalg out of a cold start
+
     w = float(nw) / m
     t = np.arange(m, dtype=np.float64)
     diagonal = ((m - 1 - 2 * t) / 2.) ** 2 * np.cos(2 * np.pi * w)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NonConvergenceError, ParameterError, _integer
 from .filterfn import amplitude_ff_integral
@@ -93,6 +92,8 @@ def nnls(matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
     NonConvergenceError
         If scipy's active-set iteration cap is reached.
     """
+    import scipy.optimize  # deferred: keeps scipy.optimize out of a cold start
+
     a = np.asarray(matrix, dtype=float)
     y = np.asarray(y, dtype=float)
     if a.ndim != 2 or y.shape != (a.shape[0],):

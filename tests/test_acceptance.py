@@ -33,7 +33,6 @@ from qnspect import (
     tomographic_estimator,
 )
 from qnspect.cli import main as cli_main
-from qnspect.filterfn import higher_order_ff_brute
 from qnspect.lp_reduce import AffineConstraintSet
 from qnspect.optimize import (
     amplitude_constraints,
@@ -42,6 +41,8 @@ from qnspect.optimize import (
     solve_design,
 )
 from qnspect.slepian import dpss
+
+from oracles import higher_order_ff_brute
 
 MHZ = 2 * np.pi * 1e6
 J01 = 2.404825557695773

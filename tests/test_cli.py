@@ -9,7 +9,6 @@ import pytest
 import scipy.optimize
 
 import qnspect
-from qnspect import lp_reduce
 from qnspect.cli import main
 
 MHZ = 2 * np.pi * 1e6
@@ -495,7 +494,7 @@ class TestErrorPaths:
         def failing(*args, **kwargs):
             return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties")
 
-        monkeypatch.setattr(lp_reduce, "linprog", failing)
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
         out = tmp_path / "prune"
         assert run_cli("prune", "--omega0-mhz", 0.2, "--n", 400, "--dt-ns", 250,
                        "--out", out) == 3
@@ -572,9 +571,18 @@ def test_optimize_reports_met_amplitude_ratio(tmp_path):
     assert payload["max_amplitude_ratio"] <= 1.0
 
 
+def _last_line_of_fresh_interpreter(script):
+    env = {**os.environ, "PYTHONPATH": str(Path(qnspect.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
 def test_commands_leave_scipy_signal_unimported(tmp_path):
     # a fresh interpreter: ff, gz, a dpss waveform and a design solve must not
-    # pull scipy.signal (and the scipy.stats it loads) into the process
+    # pull scipy.signal (and the scipy.stats it loads) into the process, nor
+    # scipy.optimize, which only an LP, an NNLS or a root find needs
     script = f"""
 import sys
 from qnspect.cli import main
@@ -585,10 +593,18 @@ assert main(["gz", "--waveform", "dpss", *common, "--max-mhz", "0.1", "--out", o
 assert main(["waveform", "--family", "dpss", *common, "--out", out + "/wf"]) == 0
 assert main(["optimize", "--omega0-mhz", "0.2", "--n", "400", "--dt-ns", "250",
              "--out", out + "/opt"]) == 0
-print(sorted(name for name in sys.modules if name.startswith(("scipy.signal", "scipy.stats"))))
+print(sorted(name for name in sys.modules
+             if name.startswith(("scipy.signal", "scipy.stats", "scipy.optimize"))))
 """
-    env = {**os.environ, "PYTHONPATH": str(Path(qnspect.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert _last_line_of_fresh_interpreter(script) == "[]"
+
+
+def test_importing_the_cli_leaves_scipy_optimize_and_linalg_unimported():
+    # every command starts cold: scipy.optimize and scipy.linalg load in the
+    # routines that call them, not when the CLI is imported
+    script = """
+import sys
+import qnspect.cli
+print(sorted(name for name in sys.modules if name.startswith(("scipy.optimize", "scipy.linalg"))))
+"""
+    assert _last_line_of_fresh_interpreter(script) == "[]"

@@ -12,7 +12,6 @@ from qnspect import (
     amplitude_ff_integral,
     dephasing_ff,
     dephasing_ff_dc,
-    dephasing_ff_periodic_oracle,
     dephasing_robust,
     higher_order_ff,
     modulated_dpss_waveform,
@@ -22,10 +21,11 @@ from qnspect.filterfn import (
     FilterFunctionGrid,
     HigherOrderFFGrid,
     ff_to_csv,
-    higher_order_ff_brute,
     higher_order_ff_to_csv,
 )
 from qnspect.lp_reduce import AffineConstraintSet, constraints_to_csv
+
+from oracles import _fejer, dephasing_ff_periodic_oracle, higher_order_ff_brute
 
 T = 100e-6
 N = 10000
@@ -215,8 +215,6 @@ class TestDephasingFF:
 
 class TestPeriodicOracle:
     def test_fejer_dc_limit(self):
-        from qnspect.filterfn import _fejer
-
         assert abs(_fejer(np.array([0.0]), 10, LAM)[0] - 100.0) < 1e-9
         assert abs(_fejer(np.array([3 * LAM]), 10, LAM)[0] - 100.0) < 1e-6
 

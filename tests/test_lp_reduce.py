@@ -79,7 +79,7 @@ class TestLpMax:
         def failing(*args, **kwargs):
             return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties")
 
-        monkeypatch.setattr(lp_reduce, "linprog", failing)
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
         with pytest.raises(NonConvergenceError):
             lp_max(np.array([1.0, 1.0]), box())
 

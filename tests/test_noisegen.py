@@ -219,6 +219,13 @@ class TestT2:
         with pytest.raises(ParameterError):
             t2_estimate(PINK, t)
 
+    @pytest.mark.parametrize("t", [0.0, -1e-3])
+    def test_non_positive_horizon_rejected(self, t):
+        # chi vanishes at t <= 0, but no coherence time exceeds an empty horizon
+        assert free_induction_chi(PINK, t) == 0.0
+        with pytest.raises(ParameterError):
+            t2_estimate(PINK, t)
+
 
 def test_json_schema():
     flat = spectrum_model_from_json({"kind": "flat_cutoff", "a_omega": 1.04e-11,
