@@ -249,11 +249,8 @@ def _cmd_optimize(args):
                     ["coefficients.json", "waveform.csv"])
 
 
-def _sweep_rows(config: dict, lambdas, waveforms, seed: int, realizations: int):
+def _sweep_rows(amp_model, deph_model, shots, lambdas, waveforms, seed: int, realizations: int):
     """Survival-probability rows (of survival.csv), one per lambda and its probe waveform."""
-    amp_model = spectrum_model_from_json(config["amplitude_noise"])
-    deph_model = spectrum_model_from_json(config["dephasing_noise"])
-    shots = config.get("shots")
     rows = []
     for i, (lam, wf) in enumerate(zip(lambdas, waveforms)):
         triple = survival_probabilities(wf, amp_model, deph_model, realizations,
@@ -277,7 +274,9 @@ def _cmd_simulate(args):
     out = _outdir(args)
     lambdas = _lambdas_from_config(config["lambdas_mhz"])
     waveforms = [_waveform_from_config(config["waveform"], lam) for lam in lambdas]
-    rows = _sweep_rows(config, lambdas, waveforms, seed, realizations)
+    rows = _sweep_rows(spectrum_model_from_json(config["amplitude_noise"]),
+                       spectrum_model_from_json(config["dephasing_noise"]), config.get("shots"),
+                       lambdas, waveforms, seed, realizations)
     keys = ["lambda_mhz", "p1", "p2", "p3", "p1_err", "p2_err", "p3_err",
             "estimator", "estimator_err", "i_omega_pred"]
     write_table(out / "survival.csv", ",".join(keys),
@@ -313,8 +312,10 @@ def _cmd_reconstruct(args):
     }
     if result.relative_errors is not None:
         finite = result.relative_errors[np.isfinite(result.relative_errors)]
-        summary["median_abs_relative_error"] = float(np.median(np.abs(finite)))
-        summary["median_signed_relative_error"] = float(np.median(finite))
+        # a true spectrum that is zero in every band leaves no relative error
+        if finite.size:
+            summary["median_abs_relative_error"] = float(np.median(np.abs(finite)))
+            summary["median_signed_relative_error"] = float(np.median(finite))
     _write_json(out / "summary.json", summary)
     _write_manifest(out, "reconstruct", config, None, ["spectrum.csv", "summary.json"])
 
@@ -405,20 +406,17 @@ def _reconstruction_sweep(out: Path, scale: dict, seed: int, deph_payloads,
     dt = scale["dt_ns"] * 1e-9
     bands = scale["bands"]
     delta = scale["delta_mhz"]
-    lambdas = {"start_mhz": delta, "step_mhz": delta, "count": bands}
-    lambda_values = _lambdas_from_config(lambdas)
+    lambda_values = (delta + delta * np.arange(bands)) * MHZ
+    amp_model = spectrum_model_from_json(_AMP_NOISE)
+    deph_models = [spectrum_model_from_json(payload) for payload in deph_payloads]
     artifacts = []
     rows_out = []
     for family in ("dr", "dpss"):
-        wf_cfg = {"family": family, "n": n, "dt_ns": scale["dt_ns"],
-                  "amp_mhz": 5.0, "nw": 1.0}
-        waveforms = [_waveform_from_config(wf_cfg, lam) for lam in lambda_values]
+        waveforms = [_sweep_waveform(family, lam, n, dt, 5.0 * MHZ, 1.0) for lam in lambda_values]
         matrix = overlap_matrix(waveforms, bands, delta * MHZ)
-        truth = psd_eval(spectrum_model_from_json(_AMP_NOISE), matrix.band_centers)
-        for tag, payload in zip(tag_values, deph_payloads):
-            config = {"waveform": wf_cfg, "amplitude_noise": _AMP_NOISE,
-                      "dephasing_noise": payload, "lambdas_mhz": lambdas}
-            sweep = _sweep_rows(config, lambda_values, waveforms, seed,
+        truth = psd_eval(amp_model, matrix.band_centers)
+        for tag, deph_model in zip(tag_values, deph_models):
+            sweep = _sweep_rows(amp_model, deph_model, None, lambda_values, waveforms, seed,
                                 scale["realizations"])
             estimates = reconstruct([r["estimator"] for r in sweep], matrix,
                                     true_spectrum=truth)

@@ -236,47 +236,22 @@ def _step_pairs(work: _Workspace, samples: np.ndarray, dt: float, rows: int):
     return a, b
 
 
-def _propagate_quaternions(samples: np.ndarray, dt: float, beta_omega: np.ndarray,
-                           beta_z: np.ndarray) -> np.ndarray:
-    """Batched time-ordered product; rows of the (R, 4) result are (u0, ux, uy, uz).
-
-    Works on Cayley-Klein pairs a = u0 - i uz, b = uy - i ux in blocks of
-    about _BLOCK_SAMPLES samples of rows, all in one _Workspace.
-    """
-    r, n = beta_omega.shape
-    rows = max(1, _BLOCK_SAMPLES // n)
-    work = _Workspace(min(r, rows), n)
-    u = np.empty((r, 4))
-    for start in range(0, r, rows):
-        stop = min(start + rows, r)
-        amp, deph = work.noise(stop - start)
-        amp[...], deph[...] = beta_omega[start:stop], beta_z[start:stop]
-        u[start:stop] = work.propagate(samples, dt, stop - start)
-    return u
-
-
 def propagate(waveform: PiecewiseConstantWaveform, amp_noise: np.ndarray,
               deph_noise: np.ndarray) -> QubitPropagator:
     """Exact propagator for one pair of (N,) noise trajectories.
 
     The amplitude noise acts multiplicatively on the drive; the dephasing
     trajectory (including its static mean) adds a sigma_z term.  Noise is
-    held constant across each segment (zero-order hold).
+    held constant across each segment (zero-order hold).  The pair runs as a
+    one-row _Workspace block: the bits of that row in survival_probabilities.
     """
     if np.shape(amp_noise) != (waveform.n,) or np.shape(deph_noise) != (waveform.n,):
         raise ParameterError("propagate takes one trajectory per channel on the waveform grid")
     _check_grid(waveform, amp_noise, deph_noise)
-    u = _propagate_quaternions(waveform.samples, waveform.dt, np.reshape(amp_noise, (1, -1)),
-                               np.reshape(deph_noise, (1, -1)))[0]
-    return QubitPropagator(quaternion=u)
-
-
-def _survival_from_quaternions(u: np.ndarray) -> np.ndarray:
-    """(R, 3) survival probabilities from (R, 4) quaternions."""
-    return np.stack(
-        [u[:, 0] ** 2 + u[:, 1] ** 2, u[:, 0] ** 2 + u[:, 2] ** 2, u[:, 0] ** 2 + u[:, 3] ** 2],
-        axis=1,
-    )
+    work = _Workspace(1, waveform.n)
+    amp, deph = work.noise(1)
+    amp[0], deph[0] = amp_noise, deph_noise
+    return QubitPropagator(quaternion=work.propagate(waveform.samples, waveform.dt, 1)[0])
 
 
 def survival_probabilities(waveform: PiecewiseConstantWaveform, amp_model: SpectrumModel,
@@ -304,8 +279,8 @@ def survival_probabilities(waveform: PiecewiseConstantWaveform, amp_model: Spect
         stop = min(start + rows, n_realizations)
         for channel, w, out in zip(channels, words, work.noise(stop - start)):
             channel.draw(w[start:stop], out, work.even)
-        probs[start:stop] = _survival_from_quaternions(
-            work.propagate(waveform.samples, dt, stop - start))
+        u = work.propagate(waveform.samples, dt, stop - start)
+        probs[start:stop] = u[:, :1] ** 2 + u[:, 1:] ** 2
     if shots is not None:
         rng = np.random.default_rng([seed, 0xB10])
         probs = rng.binomial(shots, np.clip(probs, 0.0, 1.0)) / float(shots)

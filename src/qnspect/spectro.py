@@ -105,8 +105,7 @@ def nnls(matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def reconstruct(measurements, matrix: OverlapMatrix, true_spectrum=None,
-                weights=None) -> ReconstructionResult:
+def reconstruct(measurements, matrix: OverlapMatrix, true_spectrum=None) -> ReconstructionResult:
     """Invert per-modulation-frequency estimator values into a spectrum.
 
     Parameters
@@ -114,13 +113,11 @@ def reconstruct(measurements, matrix: OverlapMatrix, true_spectrum=None,
     measurements : array, one tomographic estimator value per matrix row.
     matrix : OverlapMatrix
     true_spectrum : optional array of S(l * delta_omega) for error reporting.
-    weights : optional per-row nonnegative weights applied to rows and
-        measurements before the (otherwise unweighted) regression.
 
     Raises
     ------
     ParameterError
-        If a measurement or weight is not finite, or a shape disagrees.
+        If a measurement is not finite, or a shape disagrees.
     """
     y = np.asarray(measurements, dtype=float)
     a = matrix.matrix
@@ -128,12 +125,6 @@ def reconstruct(measurements, matrix: OverlapMatrix, true_spectrum=None,
         raise ParameterError("need exactly one measurement per matrix row")
     if not np.all(np.isfinite(y)):
         raise ParameterError("measurements must be finite")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != y.shape or not np.all(np.isfinite(weights) & (weights >= 0)):
-            raise ParameterError("weights must be one finite nonnegative value per row")
-        a = a * weights[:, None]
-        y = y * weights
 
     estimates = nnls(a, y)
     residual = float(np.linalg.norm(a @ estimates - y))

@@ -151,6 +151,23 @@ class TestSimulatePipeline:
         summary = json.loads((rec_out / "summary.json").read_text())
         assert "median_abs_relative_error" in summary
 
+    def test_zero_true_spectrum_leaves_the_medians_out(self, tmp_path):
+        # no band has a finite relative error, so summary.json has no median,
+        # and no NaN that a strict JSON reader refuses
+        path = TestErrorPaths._reconstruct_config(tmp_path, [1e-12, 2e-12, 1e-12])
+        config = json.loads(path.read_text())
+        config["true_spectrum"] = {"kind": "flat_cutoff", "a_omega": 0.0, "omega_h_mhz": 2.0}
+        path.write_text(json.dumps(config))
+        out = tmp_path / "rec"
+        assert run_cli("reconstruct", "--config", path, "--out", out) == 0
+
+        def refuse(constant):
+            raise ValueError(f"summary.json holds {constant}")
+
+        with open(out / "summary.json") as fh:
+            summary = json.load(fh, parse_constant=refuse)
+        assert set(summary) == {"residual_norm", "condition_number"}
+
 
 class TestFigureData:
     def test_gz_map_desk(self, tmp_path):

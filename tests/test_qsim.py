@@ -23,7 +23,7 @@ from qnspect import (
 )
 from qnspect import qsim
 from qnspect.errors import GridError, ParameterError
-from qnspect.qsim import _BLOCK_SAMPLES, SurvivalTriple, _propagate_quaternions
+from qnspect.qsim import _BLOCK_SAMPLES, SurvivalTriple, _Workspace
 
 MHZ = 2 * np.pi * 1e6
 FLAT_AMP = SpectrumModel.flat_cutoff(1.04e-11, 2 * MHZ)
@@ -102,6 +102,15 @@ def sequential_product(samples, dt, amp, deph):
     return np.array([u[0, 0].real, -u[0, 1].imag, -u[0, 1].real, -u[0, 0].imag])
 
 
+def block_quaternions(samples, dt, amp, deph):
+    """(R, 4) quaternions of an (R, N) noise batch, propagated as one workspace block."""
+    r, n = amp.shape
+    work = _Workspace(r, n)
+    block_amp, block_deph = work.noise(r)
+    block_amp[...], block_deph[...] = amp, deph
+    return work.propagate(samples, dt, r)
+
+
 class TestTreeProduct:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 2000, 2001])
     def test_matches_sequential_product(self, n):
@@ -110,7 +119,7 @@ class TestTreeProduct:
         samples = rng.normal(0.0, 2e7, n)
         amp = rng.normal(0.0, 0.3, (3, n))
         deph = rng.normal(0.0, 2e7, (3, n))
-        u = _propagate_quaternions(samples, dt, amp, deph)
+        u = block_quaternions(samples, dt, amp, deph)
         for row in range(3):
             ref = sequential_product(samples, dt, amp[row], deph[row])
             assert np.abs(u[row] - ref).max() < 1e-13
@@ -131,7 +140,7 @@ class TestTreeProduct:
         theta = dt * np.hypot(0.5 * samples * (1.0 + amp), deph)
         assert np.any(np.abs(theta - np.pi) < 1e-12)
         assert np.any(np.abs(theta - 3 * np.pi) < 1e-12)
-        u = _propagate_quaternions(samples, dt, amp, deph)
+        u = block_quaternions(samples, dt, amp, deph)
         for row in range(3):
             ref = sequential_product(samples, dt, amp[row], deph[row])
             assert np.abs(u[row] - ref).max() < 1e-13
@@ -148,12 +157,12 @@ class TestTreeProduct:
         deph[:, samples == 0.0] = 0.0
         deph[1] = 0.0
         amp = rng.normal(0.0, 0.3, (2, n))
-        u = _propagate_quaternions(samples, dt, amp, deph)
+        u = block_quaternions(samples, dt, amp, deph)
         for row in range(2):
             ref = sequential_product(samples, dt, amp[row], deph[row])
             assert np.abs(u[row] - ref).max() < 1e-13
         # no drive and no noise anywhere: exactly the identity
-        still = _propagate_quaternions(np.zeros(n), dt, amp, np.zeros((2, n)))
+        still = block_quaternions(np.zeros(n), dt, amp, np.zeros((2, n)))
         assert np.array_equal(still, np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
 
     def test_row_bits_do_not_depend_on_the_batch(self):
@@ -164,7 +173,7 @@ class TestTreeProduct:
         assert rows > 1 and r % rows != 0
         amp = sample_many(FLAT_AMP, wf.n, wf.dt, seed=5, indices=range(r))
         bz = sample_many(deph, wf.n, wf.dt, seed=6, indices=range(r))
-        batch = _propagate_quaternions(wf.samples, wf.dt, amp, bz)
+        batch = block_quaternions(wf.samples, wf.dt, amp, bz)
         for row in (0, rows - 1, rows, 2 * rows, r - 1):
             assert np.array_equal(propagate(wf, amp[row], bz[row]).quaternion, batch[row])
         assert np.abs(np.sum(batch**2, axis=1) - 1.0).max() < 1e-13

@@ -206,12 +206,6 @@ class TestReconstruct:
         dropped = np.linalg.norm(dr_matrix.matrix[:-1] @ s_true - y[:-1])
         assert full <= dropped + 1e-18
 
-    def test_weights(self, dr_matrix):
-        s_true = np.full(12, 1e-11)
-        y = dr_matrix.matrix @ s_true
-        res = reconstruct(y, dr_matrix, weights=np.linspace(1, 2, 12))
-        assert np.abs(res.estimates / s_true - 1).max() < 1e-6
-
     def test_measurement_count_mismatch(self, dr_matrix):
         with pytest.raises(ParameterError):
             reconstruct(np.ones(5), dr_matrix)
@@ -219,11 +213,6 @@ class TestReconstruct:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input(self, dr_matrix, bad):
         y = dr_matrix.matrix @ np.full(12, 1e-11)
-        y_bad = y.copy()
-        y_bad[4] = bad
+        y[4] = bad
         with pytest.raises(ParameterError):
-            reconstruct(y_bad, dr_matrix)
-        weights = np.ones(12)
-        weights[4] = bad
-        with pytest.raises(ParameterError):
-            reconstruct(y, dr_matrix, weights=weights)
+            reconstruct(y, dr_matrix)
