@@ -103,6 +103,8 @@ def _flags(args) -> dict:
 def _sweep_waveform(family: str, lam: float, n: int, dt: float, amp: float,
                     time_bandwidth: float) -> PiecewiseConstantWaveform:
     """One probe waveform at modulation frequency lam (rad/s)."""
+    if not 0.0 < amp < np.inf:
+        raise ParameterError(f"need a positive finite peak rate, got {amp} rad/s")
     total_time = n * dt
     if family == "dr":
         # lam and its period count are checked before any J0 root search

@@ -16,14 +16,13 @@ nonlinear DC null F_Z(0, x) = 0.  Structure of the solver:
   two smooth equality constraints driven to zero by an augmented-Lagrangian
   outer loop;
 * the amplitude bound is read from the samples the objective already
-  computes and enters as a quadratic hinge on |Omega_m| (1 + eps)/max_rate - 1,
-  exact while the minimizer sits strictly inside the bound; a solution that
-  still breaks |Omega_m| <= max_rate is reported as non-convergence;
+  computes: a log barrier on the band max_rate/(1 + eps) < |Omega_m| < max_rate;
+  a trial step that reaches max_rate gets value inf and the line search halves it;
 * the inner minimizer is damped Newton (``_newton``) on the exact gradient
   and the exact (2K-1) x (2K-1) Hessian: samples and Theta are linear in the
   coefficients and read through their real Jacobians; the objective's
   gradient in Theta is one FFT convolution and its Hessian, read through
-  the Theta Jacobian, 2(2K-1) more; the DC-null, hinge and proximal terms
+  the Theta Jacobian, 2(2K-1) more; the DC-null, barrier and proximal terms
   differentiate twice in closed form.  The gradients in Theta and in the
   samples are summed as two real N-vectors, one product with each Jacobian.
   Each step solves H p = -g by Cholesky, with Levenberg damping where H is
@@ -259,46 +258,41 @@ def project_dephasing_robust(problem: DesignProblem) -> WaveformCoefficients:
     """Least-squares projection of the dephasing-robust sinusoid onto the basis.
 
     The target is Omega_0 sin(omega0 t) with Omega_0 = omega0 * j_{0,1}, the
-    first root of J0; the projected coefficients are then shrunk (if
-    necessary) until every sample satisfies |Omega_m| (1 + eps) <= max_rate.
-    This is the start point of solve_design.
+    first root of J0.  It is not shrunk into the amplitude bound; solve_design
+    scales its own start (the projection onto the identity null space).
     """
     omega0 = problem.omega0
     amp = omega0 * bessel_j0_roots(1)[0]
     m = np.arange(problem.n)
     target = amp * np.sin(omega0 * m * problem.dt)
     x, *_ = np.linalg.lstsq(problem.basis, target, rcond=None)
-    worst = float(np.max(np.abs(problem.basis @ x))) * (1.0 + problem.eps) / problem.max_rate
-    if worst > 1.0:
-        x = x / (worst * (1.0 + 1e-9))
     return WaveformCoefficients.from_vector(omega0, x)
 
 
 def solve_design(problem: DesignProblem, seed: int = 0) -> WaveformCoefficients:
     """Minimize the dephasing objective under the amplitude bound.
 
-    The descent starts from project_dephasing_robust(problem).  The bound is
-    a hinge on the iterate's own samples, |Omega_m| (1 + eps) <= max_rate at
-    all N of them.  ``eps`` is a soft margin: the hinge weight 1e4 trades it
-    against the DC-null terms, so a solution near the bound may keep less
-    than the full margin; only max |Omega_m| <= max_rate (1 + 1e-9) is
-    enforced.  At most ``_MAX_OUTER`` augmented-Lagrangian outer steps run,
-    each of at most ``_INNER_MAXITER`` Newton steps.  ``seed`` is unused (the
-    solve is deterministic); it stays while existing callers pass it.
-    Returns coefficients satisfying that bound, the identity constraint
-    (exactly, by construction) and F_Z(0) <= ``_FZ_TOL`` T^2, locally minimal
-    in the objective.
+    The descent starts from project_dephasing_robust(problem) on the identity
+    null space, scaled down (if necessary) to a peak of at most c max_rate,
+    c = 1/(1 + eps).  The bound is a log barrier on all N samples of the
+    iterate that acts only above c max_rate: ``eps`` sets that band, not a
+    margin the solution keeps, and no iterate reaches max_rate.  At most
+    ``_MAX_OUTER`` augmented-Lagrangian outer steps run, each of at most
+    ``_INNER_MAXITER`` Newton steps.  ``seed`` is unused (the solve is
+    deterministic); it stays while existing callers pass it.  Returns
+    coefficients satisfying that bound, the identity constraint (exactly, by
+    construction) and F_Z(0) <= ``_FZ_TOL`` T^2, locally minimal in the objective.
 
     Raises
     ------
     NonConvergenceError
         When the DC-null residual or the amplitude bound cannot be met;
-        ``best`` carries the best iterate.
+        ``best`` carries the best iterate, which holds the bound.
     """
     basis = problem.basis
     dt = problem.dt
     e = basis.sum(axis=0)  # net-identity coefficients, as identity_vector
-    tightened_rate = problem.max_rate / (1.0 + problem.eps)
+    onset = problem.max_rate / (1.0 + problem.eps)  # where the amplitude barrier starts
 
     # null-space parametrization x = Z u (u in units of max_rate)
     _, _, vt = np.linalg.svd(e[None, :])
@@ -309,12 +303,13 @@ def solve_design(problem: DesignProblem, seed: int = 0) -> WaveformCoefficients:
     d_theta = _theta(d_samples, dt)
 
     u0 = (z.T @ project_dephasing_robust(problem).as_vector()) / scale
+    u0 /= max(1.0, np.abs(d_samples @ u0).max() * (1.0 + 1e-9) / onset)  # peak <= onset
 
     total_time = problem.total_time
     objective = problem.objective
     f_scale = max(abs(objective(d_theta @ u0)), 1e-300)
 
-    rho_in = 1e4
+    mu, width = 1e-5, problem.max_rate - onset  # the barrier is -mu sum log(1 - y_m^2)
     # proximal damping: the objective valley is nearly flat along the
     # carrier-phase direction, so an undamped inner minimizer can drift far
     # from the initialization at negligible objective gain.  The proximal
@@ -324,28 +319,32 @@ def solve_design(problem: DesignProblem, seed: int = 0) -> WaveformCoefficients:
 
     def make_lagrangian(lam, rho, u_ref):
         def fun(u):
-            """The Lagrangian, its gradient and its Hessian in u."""
+            """The Lagrangian, its gradient and its Hessian in u; past the barrier
+            (some |Omega_m| >= max_rate) the value is inf, before the objective is computed."""
             samples, theta = d_samples @ u, d_theta @ u
+            y = np.maximum(np.abs(samples) - onset, 0.0) / width
+            if y.max() >= 1.0:
+                return np.inf, None, None
             f, df_dtheta, f_curvature = objective(theta, d_theta)
             h, dc_theta, dc_samples, dc_curvature = _dc_residual(
                 theta, samples, dt, total_time, gradient=True)
-            pen = np.maximum(np.abs(samples) / tightened_rate - 1.0, 0.0)
             du = u - u_ref
-            value = (f / f_scale + lam @ h + 0.5 * rho * (h @ h) + rho_in * (pen @ pen)
-                     + 0.5 * prox_mu * (du @ du))
+            value = f / f_scale + lam @ h + 0.5 * rho * (h @ h) + 0.5 * prox_mu * (du @ du)
             mult = lam + rho * h
             # dL/dTheta and dL/dOmega as real N-vectors, one product with each Jacobian
             g_theta = df_dtheta / f_scale + mult[0] * dc_theta.real + mult[1] * dc_theta.imag
-            g_samples = (mult[0] * dc_samples.real + mult[1] * dc_samples.imag
-                         + (2.0 * rho_in / tightened_rate) * pen * np.sign(samples))
-            grad = g_theta @ d_theta + g_samples @ d_samples + prox_mu * du
+            g_samples = mult[0] * dc_samples.real + mult[1] * dc_samples.imag
             # the DC null's second derivatives are diagonal in m: mult . (Re, Im)
-            # of i dc_theta (Theta Theta), i dc_samples (Theta Omega) and
-            # dc_curvature (Omega Omega); the hinge adds 2 rho_in/r^2 where active
+            # of i dc_theta (Theta Theta), i dc_samples (Theta Omega) and dc_curvature (Omega Omega)
             w_tt = mult[1] * dc_theta.real - mult[0] * dc_theta.imag
             w_ts = mult[1] * dc_samples.real - mult[0] * dc_samples.imag
-            w_ss = (mult[0] * dc_curvature.real + mult[1] * dc_curvature.imag
-                    + (2.0 * rho_in / tightened_rate ** 2) * (pen > 0.0))
+            w_ss = mult[0] * dc_curvature.real + mult[1] * dc_curvature.imag
+            if y.any():  # the barrier and its derivatives in Omega_m, all zero below the onset
+                slack = 1.0 - y * y
+                value -= mu * np.sum(np.log(slack))
+                g_samples += (2.0 * mu / width) * y / slack * np.sign(samples)
+                w_ss += (2.0 * mu / width ** 2) * (1.0 + y * y) / (slack * slack) * (y > 0.0)
+            grad = g_theta @ d_theta + g_samples @ d_samples + prox_mu * du
             cross = d_theta.T @ (w_ts[:, None] * d_samples)
             jac = (np.stack([dc_theta.real, dc_theta.imag]) @ d_theta
                    + np.stack([dc_samples.real, dc_samples.imag]) @ d_samples)
@@ -357,8 +356,7 @@ def solve_design(problem: DesignProblem, seed: int = 0) -> WaveformCoefficients:
 
     lam = np.zeros(2)
     rho = 10.0
-    u = u0.copy()
-    best_u = u0.copy()
+    u = best_u = u0  # no step changes an iterate in place
     best_norm = np.inf
     target_norm = np.sqrt(_FZ_TOL) * 0.95
 

@@ -280,8 +280,8 @@ class TestErrorPaths:
     @staticmethod
     def _bad_number_configs(tmp_path):
         """Config files, by the names BAD_NUMBERS uses: a NaN modulation
-        frequency for each family, reconstructions with bad bands, and a
-        valid sweep with and without ``"shots": 0``."""
+        frequency for each family, reconstructions with bad bands or a
+        zero-amplitude probe, and a valid sweep with and without ``"shots": 0``."""
         n, dt_ns = 500, 40.0
         delta_mhz = 1e3 / (n * dt_ns)  # one linewidth per band
         table = tmp_path / "table.csv"
@@ -314,6 +314,9 @@ class TestErrorPaths:
                                        ("delta_nan", 1, float("nan")), ("delta_zero", 1, 0.0)):
             configs[name] = {**configs["rec_dr"], "measurements_csv": str(table),
                              "num_bands": num_bands, "delta_omega_mhz": delta}
+        configs["dpss_zero_amp"] = {**configs["rec_dpss"], "measurements_csv": str(table),
+                                    "waveform": {**configs["rec_dpss"]["waveform"],
+                                                 "amp_mhz": 0.0}}
         paths = {}
         for name, payload in configs.items():
             paths[name] = tmp_path / f"{name}.json"
@@ -360,6 +363,10 @@ class TestErrorPaths:
         pytest.param(["ff", "--waveform", "dr", "--lambda-mhz", 0.1, "--t-us", 10, "--n", 200,
                       "--amp-mhz", 1e9], id="ff-dr-huge-amp"),
     ] + [
+        pytest.param(["waveform", "--family", family, "--lambda-mhz", 0.25, "--t-us", 40,
+                      "--n", 800, "--amp-mhz", amp], id=f"waveform-{family}-{amp}-amp")
+        for family in ("dr", "dpss") for amp in (0, -3)
+    ] + [
         pytest.param(["figure-data", "--set", name, "--realizations", count],
                      id=f"figure-data-{name}-{count}-realizations")
         for name, count in (("gz-map", -3), ("waveforms-and-ffs", 0))
@@ -383,7 +390,7 @@ class TestErrorPaths:
     ] + [
         pytest.param(["reconstruct", "--config", f"{{{name}}}"], id=f"reconstruct-{name}")
         for name in ("bands_zero", "bands_negative", "bands_fractional", "delta_nan",
-                     "delta_zero")
+                     "delta_zero", "dpss_zero_amp")
     ] + [
         pytest.param(["simulate", "--config", "{sim_zero_shots}"], id="simulate-zero-shots"),
         pytest.param(["simulate", "--config", "{sim_scalar_lambdas}"],

@@ -245,14 +245,37 @@ class TestAmplitudeBound:
         assert dephasing_ff_dc(wf) < 1e-9 * problem.total_time**2
 
     def test_unmeetable_bound_raises_with_best_iterate(self):
+        # the barrier keeps every iterate inside the bound, so the solve fails
+        # on the DC null, and its best iterate holds the bound
         from qnspect.errors import NonConvergenceError
 
         problem = short_pulse_problem(1.0, 2.0)
-        with pytest.raises(NonConvergenceError) as err:
+        with pytest.raises(NonConvergenceError, match="DC-null residual") as err:
             solve_design(problem, seed=1)
         best = err.value.best
         assert best is not None and best.num_orders == 3
-        assert np.abs(design_waveform(best, problem).samples).max() > problem.max_rate
+        wf = design_waveform(best, problem)
+        assert np.abs(wf.samples).max() <= problem.max_rate * (1 + 1e-9)
+        assert dephasing_ff_dc(wf) > 1e-9 * problem.total_time**2
+
+    def test_every_evaluated_iterate_holds_the_bound(self, monkeypatch):
+        # a trial step past max_rate is halved before the Lagrangian computes
+        # anything, so the DC-null terms only ever see samples inside the bound
+        from qnspect import optimize
+
+        real = optimize._dc_residual
+        peaks = []
+
+        def recording(theta, samples, dt, total_time, gradient=False):
+            if gradient:
+                peaks.append(np.abs(samples).max())
+            return real(theta, samples, dt, total_time, gradient)
+
+        monkeypatch.setattr(optimize, "_dc_residual", recording)
+        problem = short_pulse_problem(1.9, 5.0)
+        solve_design(problem, seed=1)
+        assert 0 < len(peaks) <= 50
+        assert max(peaks) < problem.max_rate
 
     def test_design_path_runs_no_lp(self, monkeypatch):
         from qnspect import lp_reduce
@@ -306,52 +329,67 @@ def central_difference(fun, u, step):
     return grad
 
 
-def gradient_test_problem(case):
-    # the design-workload shape, and a short pulse whose hinge is active
-    # at 1.2 times the start point (the start sits on the tightened bound)
+def lagrangian_test_points(case, monkeypatch):
+    """Three (Lagrangian, point) pairs each for the first Lagrangian of a solve
+    (no multiplier) and its last (the largest penalty), at a scaled start
+    point of that Lagrangian plus normal noise.
+
+    ``design`` is the design-workload shape at 1.2 times the start points.
+    ``binding`` is a short pulse whose barrier acts near its start points:
+    at 1.02 times them every point has a sample above max_rate/(1 + eps) and
+    stays inside the barrier's domain, which 1.2 times them would leave.
+    """
+    from qnspect import optimize
+
     if case == "design":
-        return build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ, eps=0.1)
-    problem = short_pulse_problem(1.9, 5.0)
-    start = project_dephasing_robust(problem).as_vector()
-    worst = np.abs(problem.basis @ start).max() * (1 + problem.eps) / problem.max_rate
-    assert 1.2 * worst > 1.1
-    return problem
+        problem = build_design_problem(0.2 * MHZ, 400, 100e-6 / 400, 5 * MHZ, eps=0.1)
+        scale, spread = 1.2, 0.05
+    else:
+        problem = short_pulse_problem(1.9, 5.0)
+        scale, spread = 1.02, 0.005
+    calls = captured_lagrangians(problem, monkeypatch)
+    assert len(calls) >= 2
+    rng = np.random.default_rng(11)
+    points = [(fun, scale * u0 + rng.normal(0.0, spread, u0.size) * np.abs(u0).max())
+              for fun, u0 in (calls[0], calls[-1]) for _ in range(3)]
+    real = optimize._dc_residual
+    peaks = []
+
+    def recording(theta, samples, *args, **kwargs):
+        peaks.append(np.abs(samples).max())
+        return real(theta, samples, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_dc_residual", recording)
+    for fun, u in points:
+        assert np.isfinite(fun(u)[0])
+    monkeypatch.setattr(optimize, "_dc_residual", real)
+    if case == "binding":
+        assert min(peaks) > problem.max_rate / (1 + problem.eps)
+    return points
 
 
 class TestGradient:
     @pytest.mark.parametrize("case", ["design", "binding"])
     def test_lagrangian_gradient_matches_central_differences(self, case, monkeypatch):
-        problem = gradient_test_problem(case)
-        calls = captured_lagrangians(problem, monkeypatch)
-        assert len(calls) >= 2
-        rng = np.random.default_rng(11)
-        # the first Lagrangian has no multiplier, the last the largest penalty
-        for fun, u0 in (calls[0], calls[-1]):
-            for _ in range(3):
-                u = 1.2 * u0 + rng.normal(0.0, 0.05, u0.size) * np.abs(u0).max()
-                _, grad, _ = fun(u)
-                want = central_difference(fun, u, 1e-6 * np.abs(u).max())
-                assert np.linalg.norm(grad - want) <= 1e-6 * np.linalg.norm(want)
+        for fun, u in lagrangian_test_points(case, monkeypatch):
+            _, grad, _ = fun(u)
+            want = central_difference(fun, u, 1e-6 * np.abs(u).max())
+            assert np.linalg.norm(grad - want) <= 1e-6 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("case", ["design", "binding"])
     def test_lagrangian_hessian_matches_central_differences(self, case, monkeypatch):
         # the Newton Hessian, column by column, against central differences of
         # the exact gradient, at the points of the gradient test
-        problem = gradient_test_problem(case)
-        calls = captured_lagrangians(problem, monkeypatch)
-        rng = np.random.default_rng(11)
-        for fun, u0 in (calls[0], calls[-1]):
-            for _ in range(3):
-                u = 1.2 * u0 + rng.normal(0.0, 0.05, u0.size) * np.abs(u0).max()
-                _, grad, hess = fun(u)
-                step = 1e-6 * np.abs(u).max()
-                want = np.empty((u.size, u.size))
-                for j in range(u.size):
-                    up, um = u.copy(), u.copy()
-                    up[j] += step
-                    um[j] -= step
-                    want[:, j] = (fun(up)[1] - fun(um)[1]) / (2.0 * step)
-                assert np.linalg.norm(hess - want) <= 1e-6 * np.linalg.norm(want)
+        for fun, u in lagrangian_test_points(case, monkeypatch):
+            _, grad, hess = fun(u)
+            step = 1e-6 * np.abs(u).max()
+            want = np.empty((u.size, u.size))
+            for j in range(u.size):
+                up, um = u.copy(), u.copy()
+                up[j] += step
+                um[j] -= step
+                want[:, j] = (fun(up)[1] - fun(um)[1]) / (2.0 * step)
+            assert np.linalg.norm(hess - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_dc_residual_is_the_lagrangians_dc_term(self, monkeypatch):
         # the exit check and the Lagrangian read the DC null through one call:
