@@ -251,21 +251,16 @@ def _cmd_optimize(args):
                     ["coefficients.json", "waveform.csv"])
 
 
-def _sweep_rows(amp_model, deph_model, shots, lambdas, waveforms, seed: int, realizations: int):
-    """Survival-probability rows (of survival.csv), one per lambda and its probe waveform."""
+def _estimates(amp_model, deph_model, waveforms, seed: int, realizations: int, shots=None):
+    """(R, 8) Monte-Carlo rows, one per probe: p1, p2, p3, their errors, the estimator
+    and its error.  Probe i draws its noise from seed + 1000 i."""
     rows = []
-    for i, (lam, wf) in enumerate(zip(lambdas, waveforms)):
-        triple = survival_probabilities(wf, amp_model, deph_model, realizations,
-                                        seed=seed + 1000 * i, shots=shots)
-        est = tomographic_estimator(triple)
-        rows.append({
-            "lambda_mhz": lam / MHZ,
-            "p1": triple.p1, "p2": triple.p2, "p3": triple.p3,
-            "p1_err": triple.err1, "p2_err": triple.err2, "p3_err": triple.err3,
-            "estimator": est.value, "estimator_err": est.stderr,
-            "i_omega_pred": overlap_amplitude(wf, amp_model),
-        })
-    return rows
+    for i, wf in enumerate(waveforms):
+        t = survival_probabilities(wf, amp_model, deph_model, realizations,
+                                   seed=seed + 1000 * i, shots=shots)
+        est = tomographic_estimator(t)
+        rows.append([t.p1, t.p2, t.p3, t.err1, t.err2, t.err3, est.value, est.stderr])
+    return np.array(rows, dtype=float)
 
 
 def _cmd_simulate(args):
@@ -276,13 +271,15 @@ def _cmd_simulate(args):
     out = _outdir(args)
     lambdas = _lambdas_from_config(config["lambdas_mhz"])
     waveforms = [_waveform_from_config(config["waveform"], lam) for lam in lambdas]
-    rows = _sweep_rows(spectrum_model_from_json(config["amplitude_noise"]),
-                       spectrum_model_from_json(config["dephasing_noise"]), config.get("shots"),
-                       lambdas, waveforms, seed, realizations)
-    keys = ["lambda_mhz", "p1", "p2", "p3", "p1_err", "p2_err", "p3_err",
-            "estimator", "estimator_err", "i_omega_pred"]
-    write_table(out / "survival.csv", ",".join(keys),
-                [[float(r[k]) for k in keys] for r in rows])
+    amp_model = spectrum_model_from_json(config["amplitude_noise"])
+    deph_model = spectrum_model_from_json(config["dephasing_noise"])
+    # the overlaps first: a model they reject fails before any Monte-Carlo work
+    overlaps = [overlap_amplitude(wf, amp_model) for wf in waveforms]
+    estimates = _estimates(amp_model, deph_model, waveforms, seed, realizations,
+                           config.get("shots"))
+    write_table(out / "survival.csv",
+                "lambda_mhz,p1,p2,p3,p1_err,p2_err,p3_err,estimator,estimator_err,i_omega_pred",
+                np.column_stack([lambdas / MHZ, estimates, overlaps]))
     _write_manifest(out, "simulate",
                     {**config, "seed": seed, "realizations": realizations},
                     seed, ["survival.csv"])
@@ -336,49 +333,41 @@ _SCALES = {
 _AMP_NOISE = {"kind": "flat_cutoff", "a_omega": 1.04e-11, "omega_h_mhz": 2.0}
 
 
+def _grid(scale: dict):
+    """(n, dt, T, lam) of a figure set; lam = 2 pi 20/T puts the passband at 20 linewidths."""
+    n, dt = scale["n"], scale["dt_ns"] * 1e-9
+    total_time = n * dt
+    return n, dt, total_time, 2.0 * np.pi * 20.0 / total_time
+
+
 def _figure_waveforms_and_ffs(out: Path, scale: dict, seed: int):
     """Waveforms with their amplitude and dephasing FFs (analytic families)."""
-    n = scale["n"]
-    dt = scale["dt_ns"] * 1e-9
-    total_time = n * dt
-    lam = 2.0 * np.pi * 20.0 / total_time  # passband at 20 linewidths
+    n, dt, total_time, lam = _grid(scale)
     omegas = np.linspace(0.0, 3.0 * lam, 1501)
-    artifacts = []
-    cases = [("dr_root1", "dr", 1), ("dr_root2", "dr", 2), ("dr_root3", "dr", 3),
-             ("dpss", "dpss", None)]
-    for name, family, root in cases:
-        if family == "dr":
-            wf = dephasing_robust(total_time, 20, root, n)
-        else:
-            wf = modulated_dpss_waveform(n, 1.0 / n, 5.0 * MHZ, lam, dt)
+    names = ["dr_root1", "dr_root2", "dr_root3", "dpss"]
+    for root, name in enumerate(names, start=1):
+        wf = (_sweep_waveform("dpss", lam, n, dt, 5.0 * MHZ, 1.0) if name == "dpss"
+              else dephasing_robust(total_time, 20, root, n))
         waveform_to_csv(wf, out / f"waveform_{name}.csv", {"family": name})
         ff_to_csv(amplitude_ff(wf, omegas), out / f"amplitude_ff_{name}.csv")
         ff_to_csv(dephasing_ff(wf, omegas), out / f"dephasing_ff_{name}.csv")
-        artifacts += [f"waveform_{name}.csv", f"amplitude_ff_{name}.csv",
-                      f"dephasing_ff_{name}.csv"]
-    return artifacts
+    return [f"{kind}_{name}.csv" for name in names
+            for kind in ("waveform", "amplitude_ff", "dephasing_ff")]
 
 
 def _figure_gz_map(out: Path, scale: dict, seed: int):
     """|G_Z| maps highlighting the DC-row peaks of the Slepian waveform."""
-    n = scale["n"]
-    dt = scale["dt_ns"] * 1e-9
-    total_time = n * dt
-    lam = 2.0 * np.pi * 20.0 / total_time
-    base = 2.0 * np.pi / total_time
-    omegas = np.arange(0, 61, 2) * base
-    artifacts = []
+    n, dt, total_time, lam = _grid(scale)
+    omegas = np.arange(0, 61, 2) * (2.0 * np.pi / total_time)
     for name in ("dr", "dpss"):
         wf = _sweep_waveform(name, lam, n, dt, 5.0 * MHZ, 1.0)
         higher_order_ff_to_csv(higher_order_ff(wf, omegas, omegas), out / f"gz_{name}.csv")
-        artifacts.append(f"gz_{name}.csv")
-    return artifacts
+    return ["gz_dr.csv", "gz_dpss.csv"]
 
 
 def _figure_bias_vs_detuning(out: Path, scale: dict, seed: int):
     """Estimator discrepancy and its fourth-order pieces versus detuning."""
-    n = scale["n"]
-    dt = scale["dt_ns"] * 1e-9
+    n, dt = _grid(scale)[:2]
     lam = 2.0 * np.pi * 1e6  # 1 MHz modulation as in the bias study
     amp_model = spectrum_model_from_json(_AMP_NOISE)
     # detuning values are not rescaled with the shorter desk-scale duration:
@@ -389,11 +378,9 @@ def _figure_bias_vs_detuning(out: Path, scale: dict, seed: int):
         wf = _sweep_waveform(family, lam, n, dt, 5.0 * MHZ, 1.0)
         for delta_mhz in detunings_mhz:
             deph = SpectrumModel.dc_delta(delta_mhz * MHZ)
-            triple = survival_probabilities(wf, amp_model, deph,
-                                            scale["realizations"], seed=seed)
-            est = tomographic_estimator(triple)
+            value, stderr = _estimates(amp_model, deph, [wf], seed, scale["realizations"])[0, 6:]
             parts = bias_breakdown(wf, amp_model, deph)
-            rows.append([family, float(delta_mhz), est.value, est.stderr,
+            rows.append([family, float(delta_mhz), value, stderr,
                          parts.i_omega, parts.i_z, parts.a12_sq,
                          parts.multiplicative_term, parts.predicted])
     write_table(out / "bias_vs_detuning.csv",
@@ -404,33 +391,27 @@ def _figure_bias_vs_detuning(out: Path, scale: dict, seed: int):
 
 def _reconstruction_sweep(out: Path, scale: dict, seed: int, deph_payloads,
                           tag_values, tag_name: str):
-    n = scale["n"]
-    dt = scale["dt_ns"] * 1e-9
+    n, dt = _grid(scale)[:2]
     bands = scale["bands"]
     delta = scale["delta_mhz"]
     lambda_values = (delta + delta * np.arange(bands)) * MHZ
     amp_model = spectrum_model_from_json(_AMP_NOISE)
     deph_models = [spectrum_model_from_json(payload) for payload in deph_payloads]
-    artifacts = []
-    rows_out = []
+    rows = []
     for family in ("dr", "dpss"):
         waveforms = [_sweep_waveform(family, lam, n, dt, 5.0 * MHZ, 1.0) for lam in lambda_values]
         matrix = overlap_matrix(waveforms, bands, delta * MHZ)
         truth = psd_eval(amp_model, matrix.band_centers)
         for tag, deph_model in zip(tag_values, deph_models):
-            sweep = _sweep_rows(amp_model, deph_model, None, lambda_values, waveforms, seed,
-                                scale["realizations"])
-            estimates = reconstruct([r["estimator"] for r in sweep], matrix,
-                                    true_spectrum=truth)
+            sweep = _estimates(amp_model, deph_model, waveforms, seed, scale["realizations"])
+            estimates = reconstruct(sweep[:, 6], matrix, true_spectrum=truth)
             for i, freq in enumerate(estimates.frequencies):
-                rows_out.append([family, float(tag), float(freq / MHZ),
-                                 float(estimates.estimates[i]), float(truth[i])])
+                rows.append([family, float(tag), float(freq / MHZ),
+                             float(estimates.estimates[i]), float(truth[i])])
     name = f"reconstruction_vs_{tag_name}.csv"
     write_table(out / name,
-                f"family,{tag_name},omega_over_2pi_mhz,s_omega_est,s_omega_true",
-                rows_out)
-    artifacts.append(name)
-    return artifacts
+                f"family,{tag_name},omega_over_2pi_mhz,s_omega_est,s_omega_true", rows)
+    return [name]
 
 
 def _figure_reconstruction_detuning(out: Path, scale: dict, seed: int):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import read_table, write_table
-from .errors import NonConvergenceError, ParameterError
+from .errors import NonConvergenceError, ParameterError, _integer
 
 __all__ = [
     "AffineConstraintSet",
@@ -123,6 +123,8 @@ def lp_max(objective, constraints: AffineConstraintSet) -> LpOutcome:
     outcome is either optimal or unbounded.
     """
     objective = np.asarray(objective, dtype=float)
+    if not np.all(np.isfinite(objective)):
+        raise ParameterError("the objective must be finite")
     if constraints.num_rows and objective.size != constraints.dimension:
         raise ParameterError("objective dimension does not match the constraints")
     return _highs_max(objective, constraints.rows)
@@ -142,7 +144,7 @@ def max_violation(row_index: int, constraints: AffineConstraintSet) -> float:
     program is unbounded.  v <= 0 certifies the row is redundant; v > 0
     certifies it genuinely cuts the region.
     """
-    if not 0 <= row_index < constraints.num_rows:
+    if _integer(row_index, "row_index", 0) >= constraints.num_rows:
         raise ParameterError(f"row_index {row_index} out of range")
     mask = np.ones(constraints.num_rows, dtype=bool)
     mask[row_index] = False

@@ -228,8 +228,9 @@ class _Synthesis:
     """
 
     def __init__(self, model: SpectrumModel, n: int, dt: float):
-        if n < 1 or not (math.isfinite(dt) and dt > 0):
-            raise ParameterError(f"need n >= 1 and a positive finite dt, got {n} and {dt}")
+        n = _integer(n, "n", 1)
+        if not (math.isfinite(dt) and dt > 0):
+            raise ParameterError(f"need a positive finite dt, got {dt}")
         self.n, self.mean, self.bins = n, float(model.mean), None
         if model.kind != DC_DELTA:
             self.bins, amps = _harmonic_amplitudes(model, n, dt)

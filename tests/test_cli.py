@@ -178,6 +178,22 @@ class TestFigureData:
         assert manifest["artifacts"] == ["gz_dpss.csv", "gz_dr.csv"]
 
 
+    def test_reconstruction_set_computes_no_overlap_predictions(self, tmp_path, monkeypatch):
+        # simulate's i_omega_pred column is the only reader of these overlaps
+        from qnspect import cli
+
+        calls, overlap = [], cli.overlap_amplitude
+
+        def counted(*args):
+            calls.append(args)
+            return overlap(*args)
+
+        monkeypatch.setattr(cli, "overlap_amplitude", counted)
+        assert run_cli("figure-data", "--set", "reconstruction-detuning", "--realizations", 2,
+                       "--out", tmp_path / "fig") == 0
+        assert calls == []
+
+
 class TestArtifactHygiene:
     def test_no_orphan_outputs(self, tmp_path):
         out = tmp_path / "w"

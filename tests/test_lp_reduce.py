@@ -83,6 +83,15 @@ class TestLpMax:
         with pytest.raises(NonConvergenceError):
             lp_max(np.array([1.0, 1.0]), box())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_objective_is_rejected_before_highs(self, bad, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("linprog ran on a non-finite objective")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", unreachable)
+        with pytest.raises(ParameterError):
+            lp_max(np.array([1.0, bad]), box())
+
     def test_physical_scale_invariance(self):
         # rows in 1/(rad/s): tolerances must not depend on units
         cs = box(limit=2 * np.pi * 5e6)
@@ -101,6 +110,15 @@ class TestMaxViolation:
         rows = np.vstack([box().rows, [[0.5, 0.0]]])
         cs = AffineConstraintSet(rows=rows, labels=np.arange(5))
         assert abs(max_violation(4, cs) + 0.5) < 1e-9
+        assert max_violation(np.int64(4), cs) == max_violation(4, cs)
+
+    @pytest.mark.parametrize("row_index", [True, 1.0, 4.0, -1, 5])
+    def test_row_index_must_be_an_integer_in_range(self, row_index):
+        # a bool would index numpy as a mask, not as row 1
+        rows = np.vstack([box().rows, [[0.5, 0.0]]])
+        cs = AffineConstraintSet(rows=rows, labels=np.arange(5))
+        with pytest.raises(ParameterError):
+            max_violation(row_index, cs)
 
     def test_orthogonal_direction_unbounded(self):
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])

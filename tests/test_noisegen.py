@@ -104,6 +104,15 @@ class TestSampleProcess:
         with pytest.raises(ParameterError):
             sample_many(FLAT, 64, 1e-8, seed=seed, indices=indices)
 
+    @pytest.mark.parametrize("n", [100.0, True, 0])
+    def test_length_must_be_a_positive_integer(self, n):
+        with pytest.raises(ParameterError):
+            sample_many(FLAT, n, 1e-8, seed=0, indices=[0])
+
+    def test_numpy_integer_length_is_accepted(self):
+        assert np.array_equal(sample_many(FLAT, np.int64(100), 1e-8, seed=0, indices=[0]),
+                              sample_many(FLAT, 100, 1e-8, seed=0, indices=[0]))
+
     def test_nyquist_guard(self):
         with pytest.raises(ParameterError):
             sample_many(FLAT, 64, 1e-6, seed=0, indices=[0])  # Nyquist 0.5 MHz < cutoff
