@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from ._table import read_table, write_table
 from .errors import (GridError, NonConvergenceError, ParameterError, UndefinedRatioError,
-                     _integer, _real)
+                     _integer, _positive, _real)
 from .filterfn import (
     _MAX_DFT_BIN,
     _MAX_GZ_CELLS,
@@ -103,12 +103,12 @@ def _flags(args) -> dict:
 def _sweep_waveform(family: str, lam: float, n: int, dt: float, amp: float,
                     time_bandwidth: float) -> PiecewiseConstantWaveform:
     """One probe waveform at modulation frequency lam (rad/s)."""
-    if not 0.0 < amp < np.inf:
-        raise ParameterError(f"need a positive finite peak rate, got {amp} rad/s")
+    amp = _positive(amp, "the peak rate (rad/s)")
     total_time = n * dt
     if family == "dr":
         # lam and its period count are checked before any J0 root search
-        periods = int(round(lam * total_time / (2.0 * np.pi))) if 0.0 < lam < np.inf else 0
+        cycles = lam * total_time / (2.0 * np.pi)
+        periods = int(round(cycles)) if 0.0 < cycles < np.inf else 0
         if periods < 1:
             raise ParameterError(f"need a positive finite modulation frequency with at least "
                                  f"one period in T, got {lam} rad/s and T = {total_time} s")
@@ -120,9 +120,7 @@ def _sweep_waveform(family: str, lam: float, n: int, dt: float, amp: float,
 
 def _segment_length(t_us: float, n: int) -> float:
     """dt = T/n in seconds for a duration T given in microseconds."""
-    if n < 1 or not 0.0 < t_us < np.inf:
-        raise ParameterError(f"need n >= 1 and a positive finite T, got n = {n}, T = {t_us} us")
-    return t_us * 1e-6 / n
+    return _positive(t_us, "--t-us") * 1e-6 / _integer(n, "--n", 1)
 
 
 def _waveform_from_config(cfg: dict, lam: float) -> PiecewiseConstantWaveform:
@@ -156,9 +154,8 @@ def _lambdas_from_config(cfg) -> np.ndarray:
 
 def _dpss_of(args):
     """The --k DPSS of length --n and time-bandwidth --nw; n is checked before NW/n."""
-    if args.n < 2:
-        raise ParameterError(f"need n >= 2, got {args.n}")
-    return dpss(args.n, args.nw / args.n, args.k)
+    n = _integer(args.n, "--n", 2)
+    return dpss(n, args.nw / n, args.k)
 
 
 def _cmd_dpss(args):
@@ -191,10 +188,8 @@ def _cmd_waveform(args):
 def _cmd_ff(args):
     out = _outdir(args)
     wf = _probe(args, args.waveform)
-    if args.points < 1 or not 0.0 < args.max_mhz < np.inf:
-        raise ParameterError(f"need --points >= 1 and a positive finite --max-mhz, got "
-                             f"{args.points} and {args.max_mhz}")
-    omegas = np.linspace(0.0, args.max_mhz * MHZ, args.points)
+    omegas = np.linspace(0.0, _positive(args.max_mhz, "--max-mhz") * MHZ,
+                         _integer(args.points, "--points", 1))
     # both grids before any file, so that a rejected grid leaves none behind
     amp, deph = amplitude_ff(wf, omegas), dephasing_ff(wf, omegas)
     ff_to_csv(amp, out / "amplitude_ff.csv")
@@ -457,10 +452,10 @@ def _load_config(path) -> dict:
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except FileNotFoundError:
-        raise ParameterError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ParameterError(f"config file {path} is not valid JSON: {exc}")
+        raise ParameterError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ParameterError(f"config file {path} holds no JSON object")
     return config

@@ -1,7 +1,10 @@
 """Exception types shared across the package, and the checks that raise them on
 integers and numbers arriving from callers or configuration files."""
 
+import math
 import numbers
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -40,8 +43,34 @@ def _integer(value, what: str, minimum: int | None = None) -> int:
 
 
 def _real(value, what: str) -> float:
-    """``float(value)``, or ParameterError where float() refuses it (a string, list or None)."""
+    """``value`` as a finite float, or ParameterError.
+
+    A value float() refuses (a non-numeric string, a list, None, an int past the
+    float range), a bool, NaN and +-inf raise; a numeric string reads as its float.
+    """
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{what} must be a number, got {value!r}") from None
+        number = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ParameterError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _positive(value, what: str) -> float:
+    """``value`` as a finite float > 0, or ParameterError."""
+    number = _real(value, what)
+    if not number > 0.0:
+        raise ParameterError(f"{what} must be positive, got {value!r}")
+    return number
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """``values`` as a float ndarray of finite entries, or ParameterError."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        array = np.array(math.nan)
+    if not np.all(np.isfinite(array)):
+        raise ParameterError(f"{what} must be finite numbers")
+    return array

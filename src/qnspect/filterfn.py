@@ -22,7 +22,7 @@ follows from the frequency grid alone:
   Bluestein's convolution, O((N + M) log(N + M)) for M points.  The private
   ``_zoom_fft`` builds it on ``scipy.fft`` and reproduces
   ``scipy.signal.ZoomFFT(N, [f1, f2], M, fs=1, endpoint=True)`` bit for bit;
-* any other grid (scattered or single points): the direct sum, one
+* an uneven increasing grid or a single point: the direct sum, one
   frequency at a time.
 
 F_Omega is S of the samples times the segment factor
@@ -68,7 +68,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from ._table import write_table
-from .errors import GridError, ParameterError
+from .errors import GridError, ParameterError, _finite, _positive
 from .waveform import PiecewiseConstantWaveform, rotation_angle
 
 __all__ = [
@@ -108,14 +108,13 @@ class FilterFunctionGrid:
     total_time: float
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        omegas = _finite(self.omegas, "frequencies")
+        values = _finite(self.values, "filter values")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "values", values)
         if omegas.shape != values.shape or omegas.ndim != 1:
             raise ParameterError("omega and value grids must be 1-D and congruent")
-        if omegas.size > 1 and not np.all(np.diff(omegas) > 0):
-            raise GridError("frequency grid must be strictly increasing")
+        _increasing(omegas)
 
 
 @dataclass(frozen=True)
@@ -253,17 +252,22 @@ def _segment_nodes(phase: float):
 
 def _frequencies(omegas) -> np.ndarray:
     """Angular frequencies as a finite 1-D float array; a scalar becomes one point."""
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    omegas = np.atleast_1d(_finite(omegas, "frequencies"))
     if omegas.ndim > 1:
         raise ParameterError("frequencies must be a scalar or a 1-D array")
-    if not np.all(np.isfinite(omegas)):
-        raise ParameterError("frequencies must be finite")
+    return omegas
+
+
+def _increasing(omegas: np.ndarray) -> np.ndarray:
+    """The grid of a first-order filter function, or GridError unless strictly increasing."""
+    if omegas.size > 1 and not np.all(np.diff(omegas) > 0):
+        raise GridError("frequency grid must be strictly increasing")
     return omegas
 
 
 def amplitude_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionGrid:
-    """Amplitude filter function F_Omega on the given angular-frequency grid."""
-    omegas = _frequencies(omegas)
+    """Amplitude filter function F_Omega on a strictly increasing angular-frequency grid."""
+    omegas = _increasing(_frequencies(omegas))
     transform = (_fourier_sums(waveform.samples, waveform.dt, omegas)
                  * _segment_factor(omegas, waveform.dt, order=0)[0])
     values = 0.25 * np.abs(transform) ** 2
@@ -283,14 +287,10 @@ def amplitude_ff_integral(samples, dt: float, edges) -> np.ndarray:
     bounds the temporaries of a large stack.  Returns shape
     samples.shape[:-1] + (E,).
     """
-    samples = np.asarray(samples, dtype=float)
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ParameterError(f"dt must be positive and finite, got {dt}")
-    if samples.ndim == 0 or samples.shape[-1] == 0 or not np.all(np.isfinite(samples)):
-        raise ParameterError("samples must be finite, at least one along the last axis")
-    edges = np.atleast_1d(np.asarray(edges, dtype=float))
-    if not np.all(np.isfinite(edges)):
-        raise ParameterError("band edges must be finite")
+    samples, dt = _finite(samples, "samples"), _positive(dt, "dt")
+    if samples.ndim == 0 or samples.shape[-1] == 0:
+        raise ParameterError("samples need at least one entry along the last axis")
+    edges = np.atleast_1d(_finite(edges, "band edges"))
     n = samples.shape[-1]
     rows = samples.reshape(-1, n)
     lags = np.empty(rows.shape)
@@ -344,8 +344,8 @@ def _exp_theta_transforms(waveform: PiecewiseConstantWaveform, omegas: np.ndarra
 
 
 def dephasing_ff(waveform: PiecewiseConstantWaveform, omegas) -> FilterFunctionGrid:
-    """Dephasing filter function F_Z on the given angular-frequency grid."""
-    omegas = _frequencies(omegas)
+    """Dephasing filter function F_Z on a strictly increasing angular-frequency grid."""
+    omegas = _increasing(_frequencies(omegas))
     i_plus, i_minus = _exp_theta_transforms(waveform, omegas)
     cos_tr = 0.5 * (i_plus + i_minus)
     sin_tr = (i_plus - i_minus) / 2j

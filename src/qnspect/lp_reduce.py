@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import read_table, write_table
-from .errors import NonConvergenceError, ParameterError, _integer
+from .errors import NonConvergenceError, ParameterError, _finite, _integer, _positive
 
 __all__ = [
     "AffineConstraintSet",
@@ -52,7 +52,7 @@ class AffineConstraintSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
+        rows = np.atleast_2d(_finite(self.rows, "constraint rows"))
         if rows.size == 0:
             rows = rows.reshape(0, 0)
         labels = np.asarray(self.labels, dtype=int)
@@ -62,8 +62,6 @@ class AffineConstraintSet:
             raise ParameterError("one label per constraint row required")
         if rows.shape[0] and not np.all(np.any(rows != 0.0, axis=1)):
             raise ParameterError("all-zero constraint rows are not allowed")
-        if rows.size and not np.all(np.isfinite(rows)):
-            raise ParameterError("constraint rows must be finite")
 
     @classmethod
     def from_inequalities(cls, coefficients, rhs) -> "AffineConstraintSet":
@@ -72,8 +70,8 @@ class AffineConstraintSet:
         Rows with nonpositive constant term have no natural violation scale
         and are rejected.
         """
-        coefficients = np.atleast_2d(np.asarray(coefficients, dtype=float))
-        rhs = np.asarray(rhs, dtype=float)
+        coefficients = np.atleast_2d(_finite(coefficients, "constraint coefficients"))
+        rhs = _finite(rhs, "constraint right-hand sides")
         if np.any(rhs <= 0.0):
             raise ParameterError("constraints must have a positive constant term")
         rows = coefficients / rhs[:, None]
@@ -122,9 +120,7 @@ def lp_max(objective, constraints: AffineConstraintSet) -> LpOutcome:
     Infeasibility cannot occur (x = 0 always satisfies a.x <= 1); the
     outcome is either optimal or unbounded.
     """
-    objective = np.asarray(objective, dtype=float)
-    if not np.all(np.isfinite(objective)):
-        raise ParameterError("the objective must be finite")
+    objective = _finite(objective, "the objective")
     if constraints.num_rows and objective.size != constraints.dimension:
         raise ParameterError("objective dimension does not match the constraints")
     return _highs_max(objective, constraints.rows)
@@ -206,9 +202,8 @@ def prune_constraints(full: AffineConstraintSet, eps: float,
     to 1 -- and a second shuffled pass removes rows that became exactly
     redundant.  The returned region is a subset of the input region.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ParameterError(f"eps must be positive and finite, got {eps}")
-    rng = np.random.default_rng(rng_seed)
+    eps = _positive(eps, "eps")
+    rng = np.random.default_rng(_integer(rng_seed, "rng_seed", 0))
     rows = full.rows
 
     active = _first_pass(rows, rng.permutation(full.num_rows), eps)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, ParameterError, _integer, _real
+from .errors import GridError, ParameterError, _finite, _integer, _positive, _real
 
 __all__ = [
     "SpectrumModel",
@@ -69,9 +69,8 @@ class SpectrumModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown spectrum kind {self.kind!r}")
-        values = (self.a_omega, self.c, self.a_z, self.omega_l, self.omega_h, self.mean)
-        if not all(math.isfinite(v) for v in values):
-            raise ParameterError(f"spectrum parameters must be finite, got {self}")
+        for name in ("a_omega", "c", "a_z", "omega_l", "omega_h", "mean"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.kind == FLAT_CUTOFF:
             if self.a_omega < 0 or self.omega_h <= 0:
                 raise ParameterError("flat_cutoff needs a_omega >= 0 and omega_h > 0")
@@ -103,8 +102,8 @@ class SpectrumModel:
 
 def psd_eval(model: SpectrumModel, omega) -> np.ndarray:
     """One-sided PSD S(w) of the stochastic part, for w >= 0."""
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(omega >= 0):  # NaN fails too
+    omega = _finite(omega, "omega")
+    if not np.all(omega >= 0):
         raise ParameterError("psd_eval expects omega >= 0 (the PSD is one-sided)")
     if model.kind == DC_DELTA:
         return np.zeros_like(omega)
@@ -228,10 +227,8 @@ class _Synthesis:
     """
 
     def __init__(self, model: SpectrumModel, n: int, dt: float):
-        n = _integer(n, "n", 1)
-        if not (math.isfinite(dt) and dt > 0):
-            raise ParameterError(f"need a positive finite dt, got {dt}")
-        self.n, self.mean, self.bins = n, float(model.mean), None
+        n, dt = _integer(n, "n", 1), _positive(dt, "dt")
+        self.n, self.mean, self.bins = n, model.mean, None
         if model.kind != DC_DELTA:
             self.bins, amps = _harmonic_amplitudes(model, n, dt)
             # irfft sums X_0 + 2 Re sum_j X_j e^{2 pi i j m/n}, except that
@@ -305,13 +302,12 @@ def free_induction_chi(model: SpectrumModel, t: float) -> float:
     """Attenuation exponent chi(t) = (1/pi) int_0^inf S(w) 4 sin^2(wt/2)/w^2 dw.
 
     The filter is (t sinc(wt/2 pi))^2, integrated by the panel rule with
-    panels no wider than its 2*pi/t period.  A non-finite t raises
-    ParameterError.
+    panels no wider than its 2*pi/t period.  A t that is not a finite number
+    raises ParameterError.
     """
     if model.kind == DC_DELTA:
         raise TypeError("free-induction decay needs a stochastic dephasing spectrum")
-    if not math.isfinite(t):
-        raise ParameterError(f"free-induction time must be finite, got {t!r}")
+    t = _real(t, "free-induction time")
     if t <= 0:
         return 0.0
     return _panel_overlap(model, lambda w: (t * np.sinc(w * t / (2.0 * np.pi))) ** 2,
@@ -327,15 +323,14 @@ def t2_estimate(model: SpectrumModel, t_max: float = 1e-2) -> float:
     2*beta_z, so the free-induction coherence decays as exp(-2*chi) and the
     1/e point sits at chi = 1/2.  (This choice reproduces the 4 us and
     100 us decay times quoted for the scale factors 299.1 and 3.18 of the
-    reference one-over-f model to within a few percent.)  A non-finite or
-    non-positive t_max raises ParameterError.
+    reference one-over-f model to within a few percent.)  A t_max that is not
+    a positive finite number raises ParameterError.
     """
     from scipy.optimize import brentq  # deferred: keeps scipy.optimize out of a cold start
 
     if model.kind == DC_DELTA:
         raise TypeError("t2_estimate needs a stochastic dephasing spectrum")
-    if t_max <= 0:
-        raise ParameterError(f"t2_estimate horizon must be positive, got {t_max!r}")
+    t_max = _positive(t_max, "t2_estimate horizon")
     if free_induction_chi(model, t_max) < 0.5:
         return math.inf
     return brentq(lambda t: free_induction_chi(model, t) - 0.5, 0.0, t_max,

@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import sici
 
-from .errors import NonConvergenceError, ParameterError
+from .errors import NonConvergenceError, ParameterError, _integer, _positive, _real
 from .filterfn import _exp_theta_segments
 from .lp_reduce import AffineConstraintSet
 from .slepian import DpssSet, dpss
@@ -97,12 +97,9 @@ class DesignProblem:
     eps: float
 
     def __post_init__(self):
-        if not np.isfinite(self.omega0):
-            raise ParameterError(f"omega0 must be finite, got {self.omega0}")
+        object.__setattr__(self, "omega0", _real(self.omega0, "omega0"))
         for name in ("dt", "max_rate", "eps"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ParameterError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
 
     @property
     def total_time(self) -> float:
@@ -165,8 +162,6 @@ class DesignProblem:
 def amplitude_constraints(dpss_set: DpssSet, omega0: float, dt: float,
                           max_rate: float, num_orders: int) -> AffineConstraintSet:
     """The full 2N-row family |Omega_m(x)| <= max_rate in standard form."""
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ParameterError(f"dt must be positive and finite, got {dt}")
     basis = modulation_basis(dpss_set, omega0, dt, num_orders)
     coeffs = np.vstack([basis, -basis])
     return AffineConstraintSet.from_inequalities(coeffs, np.full(2 * dpss_set.n, max_rate))
@@ -204,9 +199,9 @@ def build_design_problem(omega0: float, n: int, dt: float, max_rate: float,
     ``seed`` is unused (nothing here is random); it stays while existing
     callers pass it.
     """
-    if n < 2:
+    if _integer(n, "n") < 2:
         raise ParameterError(f"need n >= 2, got {n}")
-    dpss_set = dpss(n, time_bandwidth / n, num_orders)
+    dpss_set = dpss(n, _real(time_bandwidth, "time_bandwidth") / n, num_orders)
     return DesignProblem(
         dpss_set=dpss_set, omega0=omega0, dt=dt, n=n, num_orders=num_orders,
         max_rate=max_rate, eps=eps,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _integer
+from .errors import ParameterError, _finite, _integer
 from .filterfn import (_exp_theta_segments, _ordered_sines, amplitude_ff, amplitude_ff_integral,
                        dephasing_ff, dephasing_ff_dc)
 from .noisegen import (SpectrumModel, _harmonic_amplitudes, _panel_overlap, _seed_words,
@@ -245,9 +245,9 @@ def propagate(waveform: PiecewiseConstantWaveform, amp_noise: np.ndarray,
     held constant across each segment (zero-order hold).  The pair runs as a
     one-row _Workspace block: the bits of that row in survival_probabilities.
     """
-    if np.shape(amp_noise) != (waveform.n,) or np.shape(deph_noise) != (waveform.n,):
+    amp_noise, deph_noise = _trajectories(waveform, amp_noise, deph_noise)
+    if amp_noise.ndim != 1 or deph_noise.ndim != 1:
         raise ParameterError("propagate takes one trajectory per channel on the waveform grid")
-    _check_grid(waveform, amp_noise, deph_noise)
     work = _Workspace(1, waveform.n)
     amp, deph = work.noise(1)
     amp[0], deph[0] = amp_noise, deph_noise
@@ -306,11 +306,12 @@ def tomographic_estimator(triple: SurvivalTriple) -> EstimatorValue:
 # ---------------------------------------------------------------------------
 
 
-def _check_grid(waveform: PiecewiseConstantWaveform, *trajectories) -> None:
-    if any(np.shape(b)[-1:] != (waveform.n,) for b in trajectories):
+def _trajectories(waveform: PiecewiseConstantWaveform, *trajectories) -> list[np.ndarray]:
+    """The noise trajectories as finite float arrays on the waveform grid."""
+    trajectories = [_finite(b, "noise trajectories") for b in trajectories]
+    if any(b.shape[-1:] != (waveform.n,) for b in trajectories):
         raise ParameterError("noise trajectories must match the waveform grid")
-    if not all(np.all(np.isfinite(b)) for b in trajectories):
-        raise ParameterError("noise trajectories must be finite")
+    return trajectories
 
 
 def error_vector_first_order(waveform: PiecewiseConstantWaveform, amp_noise: np.ndarray,
@@ -323,7 +324,7 @@ def error_vector_first_order(waveform: PiecewiseConstantWaveform, amp_noise: np.
     argument is one (N,) trajectory or an (R, N) batch; a batch row gives the
     same bits as a call on that row alone.
     """
-    _check_grid(waveform, amp_noise, deph_noise)
+    amp_noise, deph_noise = _trajectories(waveform, amp_noise, deph_noise)
     dt = waveform.dt
     omega = waveform.samples
     a1 = 0.5 * dt * np.sum(omega * amp_noise, axis=-1)
@@ -344,7 +345,7 @@ def magnus_second_order_a1(waveform: PiecewiseConstantWaveform,
     filterfn._ordered_sines.  A scalar for one (N,) trajectory, shape (R,)
     for an (R, N) batch.
     """
-    _check_grid(waveform, deph_noise)
+    deph_noise, = _trajectories(waveform, deph_noise)
     dt = waveform.dt
     theta = rotation_angle(waveform)[:-1]
     # diagonal j2 = j1 contributes sin(0) = 0, so the full prefix is safe

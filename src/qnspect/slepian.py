@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .errors import ParameterError, UndefinedRatioError, _integer
+from .errors import ParameterError, UndefinedRatioError, _integer, _positive, _real
 
 __all__ = ["DpssSet", "dpss", "spectral_concentration", "toeplitz_kernel"]
 
@@ -80,6 +80,7 @@ def dpss(n: int, half_bandwidth: float, num_sequences: int = 1) -> DpssSet:
     """
     n = _integer(n, "n", 2)
     num_sequences = _integer(num_sequences, "num_sequences", 1)
+    half_bandwidth = _real(half_bandwidth, "half_bandwidth")
     if not 0.0 < half_bandwidth < 0.5:
         raise ParameterError(f"half_bandwidth must lie in (0, 1/2), got {half_bandwidth}")
     if num_sequences > n:
@@ -104,7 +105,7 @@ def dpss(n: int, half_bandwidth: float, num_sequences: int = 1) -> DpssSet:
 
     return DpssSet(
         n=n,
-        half_bandwidth=float(half_bandwidth),
+        half_bandwidth=half_bandwidth,
         sequences=seqs,
         eigenvalues=np.asarray(ratios, dtype=float),
     )
@@ -201,14 +202,12 @@ def spectral_concentration(waveform, band_center: float, band_halfwidth: float) 
     power = float(np.sum(np.square(waveform.samples)))
     if power == 0.0:
         raise UndefinedRatioError("spectral concentration is undefined for a zero waveform")
-    if not np.isfinite(band_center):
-        raise ParameterError(f"band_center must be finite, got {band_center}")
-    if not band_halfwidth > 0.0:
-        raise ParameterError(f"band_halfwidth must be positive, got {band_halfwidth}")
-    denominator = 0.5 * np.pi * waveform.dt * power
-    if np.isinf(band_halfwidth):
+    band_center = _real(band_center, "band_center")
+    if band_halfwidth == np.inf:
         return 1.0
+    band_halfwidth = _positive(band_halfwidth, "band_halfwidth")
 
+    denominator = 0.5 * np.pi * waveform.dt * power
     lo = band_center - band_halfwidth
     hi = band_center + band_halfwidth
     # union with the mirror band; reduce to the positive half line (F even)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError, ParameterError, _integer
+from .errors import NonConvergenceError, ParameterError, _finite, _integer, _positive
 from .filterfn import amplitude_ff_integral
 
 __all__ = ["OverlapMatrix", "ReconstructionResult", "overlap_matrix", "nnls", "reconstruct"]
@@ -70,8 +70,7 @@ def overlap_matrix(waveforms, num_bands: int, delta_omega: float) -> OverlapMatr
         if wf.n != n or abs(wf.dt - dt) > 1e-12 * dt:
             raise ParameterError("all probe waveforms must share one grid (n and dt)")
     num_bands = _integer(num_bands, "num_bands", 1)
-    if not 0.0 < delta_omega < np.inf:
-        raise ParameterError(f"delta_omega must be positive and finite, got {delta_omega}")
+    delta_omega = _positive(delta_omega, "delta_omega")
     if num_bands * delta_omega > np.pi / dt * (1 + 1e-12):
         raise ParameterError("num_bands * delta_omega exceeds the Nyquist frequency")
 
@@ -94,8 +93,7 @@ def nnls(matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     import scipy.optimize  # deferred: keeps scipy.optimize out of a cold start
 
-    a = np.asarray(matrix, dtype=float)
-    y = np.asarray(y, dtype=float)
+    a, y = _finite(matrix, "the matrix"), _finite(y, "measurements")
     if a.ndim != 2 or y.shape != (a.shape[0],):
         raise ParameterError("matrix and measurement vector dimensions disagree")
     try:
@@ -119,12 +117,10 @@ def reconstruct(measurements, matrix: OverlapMatrix, true_spectrum=None) -> Reco
     ParameterError
         If a measurement is not finite, or a shape disagrees.
     """
-    y = np.asarray(measurements, dtype=float)
+    y = _finite(measurements, "measurements")
     a = matrix.matrix
     if y.shape != (a.shape[0],):
         raise ParameterError("need exactly one measurement per matrix row")
-    if not np.all(np.isfinite(y)):
-        raise ParameterError("measurements must be finite")
 
     estimates = nnls(a, y)
     residual = float(np.linalg.norm(a @ estimates - y))
@@ -132,7 +128,7 @@ def reconstruct(measurements, matrix: OverlapMatrix, true_spectrum=None) -> Reco
     rel = None
     truth = None
     if true_spectrum is not None:
-        truth = np.asarray(true_spectrum, dtype=float)
+        truth = _finite(true_spectrum, "the true spectrum")
         if truth.shape != estimates.shape:
             raise ParameterError("true spectrum must have one value per band")
         with np.errstate(divide="ignore", invalid="ignore"):

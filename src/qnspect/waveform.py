@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from ._table import read_table, write_table
-from .errors import ParameterError, _integer, _real
+from .errors import ParameterError, _finite, _integer, _positive, _real
 from .slepian import DpssSet, _tapers, dpss
 
 __all__ = [
@@ -51,14 +51,11 @@ class PiecewiseConstantWaveform:
     dt: float
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _finite(self.samples, "waveform samples")
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "dt", _positive(self.dt, "dt"))
         if samples.ndim != 1 or samples.size < 1:
             raise ParameterError("waveform needs at least one sample")
-        if not np.all(np.isfinite(samples)):
-            raise ParameterError("waveform samples must be finite")
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
 
     @property
     def n(self) -> int:
@@ -94,14 +91,13 @@ class WaveformCoefficients:
     sin_coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.cos_coeffs, dtype=float))
-        s = np.atleast_1d(np.asarray(self.sin_coeffs, dtype=float))
+        c = np.atleast_1d(_finite(self.cos_coeffs, "cos_coeffs"))
+        s = np.atleast_1d(_finite(self.sin_coeffs, "sin_coeffs"))
+        object.__setattr__(self, "omega0", _real(self.omega0, "omega0"))
         object.__setattr__(self, "cos_coeffs", c)
         object.__setattr__(self, "sin_coeffs", s)
         if c.shape != s.shape or c.ndim != 1 or c.size < 1:
             raise ParameterError("cos/sin coefficient arrays must be 1-D and equal length")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(s))):
-            raise ParameterError("coefficients must be finite")
 
     @property
     def num_orders(self) -> int:
@@ -113,7 +109,7 @@ class WaveformCoefficients:
 
     @classmethod
     def from_vector(cls, omega0: float, x: np.ndarray) -> "WaveformCoefficients":
-        x = np.asarray(x, dtype=float)
+        x = _finite(x, "coefficient vector")
         if x.size % 2:
             raise ParameterError("coefficient vector must have even length 2K")
         k = x.size // 2
@@ -143,10 +139,10 @@ def root_index_for_peak_rate(modulation_freq: float, target_rate: float) -> int:
     Used to sweep modulation frequency at (approximately) fixed peak Rabi
     rate: larger roots for smaller modulation frequencies.
     """
-    if not (0.0 < modulation_freq < np.inf and 0.0 < target_rate < np.inf):
-        raise ParameterError("modulation_freq and target_rate must be positive and finite")
+    modulation_freq = _positive(modulation_freq, "modulation_freq")
+    target_rate = _positive(target_rate, "target_rate")
     # j_k is about pi (k - 1/4); Python floats reach inf here without a warning
-    ratio = float(target_rate) / (np.pi * float(modulation_freq)) + 0.25
+    ratio = target_rate / (np.pi * modulation_freq) + 0.25
     if not ratio < _MAX_J0_ROOTS - 1:
         raise ParameterError(f"target_rate needs J0 root {ratio:.3g}, past {_MAX_J0_ROOTS}")
     guess = max(1, int(round(ratio)))
@@ -192,12 +188,11 @@ def dephasing_robust(total_time: float, periods: int, root_index: int,
     """
     n_samples, periods = _integer(n_samples, "n_samples"), _integer(periods, "periods", 1)
     root_index = _integer(root_index, "root_index", 1)
+    total_time = _positive(total_time, "total_time")
     if n_samples < 2 * periods:
         raise ParameterError(
             f"need n_samples >= 2*periods to sample the modulation, got {n_samples} < {2 * periods}"
         )
-    if not 0.0 < total_time < np.inf:
-        raise ParameterError(f"total_time must be positive and finite, got {total_time}")
     dt = total_time / n_samples
     lam = 2.0 * np.pi * periods / total_time
     x = 0.5 * lam * dt
@@ -225,13 +220,12 @@ def modulated_dpss_waveform(n: int, half_bandwidth: float, peak_rate: float,
     factor M^2/(M^2 + NW), so the samples are those of
     ``scipy.signal.windows.dpss(N, N*W, sym=False)``, bit for bit.
     """
-    n = _integer(n, "n")
+    n, half_bandwidth = _integer(n, "n"), _real(half_bandwidth, "half_bandwidth")
+    peak_rate, dt = _real(peak_rate, "peak_rate"), _positive(dt, "dt")
+    modulation_freq = _real(modulation_freq, "modulation_freq")
     if not 1.0 <= n * half_bandwidth < n / 2:
         raise ParameterError(
             f"need a time-bandwidth product 1 <= N*W < N/2, got N*W = {n * half_bandwidth}")
-    if not (np.isfinite(modulation_freq) and 0.0 < dt < np.inf):
-        raise ParameterError(
-            f"need a finite modulation_freq and a positive finite dt, got {modulation_freq}, {dt}")
     total_time = n * dt
     cycles = modulation_freq * total_time / (2.0 * np.pi)
     if abs(cycles - round(cycles)) > 1e-9 * max(1.0, abs(cycles)):
@@ -265,7 +259,7 @@ def synthesize(coeffs: WaveformCoefficients, dpss_set: DpssSet,
 def modulation_basis(dpss_set: DpssSet, omega0: float, dt: float,
                      num_orders: int) -> np.ndarray:
     """(N, 2K) matrix whose columns are cos- then sin-modulated DPSS, K = num_orders."""
-    phase = omega0 * np.arange(dpss_set.n) * dt
+    phase = _real(omega0, "omega0") * np.arange(dpss_set.n) * _positive(dt, "dt")
     v = dpss_set.sequences[:num_orders]
     cos_cols = v * np.cos(phase)[None, :]
     sin_cols = v * np.sin(phase)[None, :]

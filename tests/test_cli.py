@@ -222,6 +222,18 @@ class TestErrorPaths:
         assert run_cli("simulate", "--config", tmp_path / "nope.json",
                        "--out", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    @pytest.mark.parametrize("case", ["directory", "not-utf-8"])
+    def test_unreadable_config_is_exit_2_without_artifacts(self, tmp_path, command, case):
+        path = tmp_path / "config.json"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"seed": "\xff\xfe"}')
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", path, "--out", out) == 2
+        assert not out.exists()
+
     def test_bad_spectrum_kind_is_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -345,6 +357,9 @@ class TestErrorPaths:
     ] + [
         pytest.param(["ff", "--waveform", "dr", "--lambda-mhz", 0.25, "--t-us", "nan",
                       "--n", 800], id="ff-nan-duration"),
+        # a finite lambda whose period count lambda T / 2 pi overflows to inf
+        pytest.param(["waveform", "--family", "dr", "--lambda-mhz", 1e300, "--t-us", 1e10,
+                      "--n", 10], id="waveform-dr-overflowing-periods"),
         pytest.param(["gz", "--waveform", "dr", "--lambda-mhz", 0.2, "--t-us", 20, "--n", 500,
                       "--max-mhz", "nan"], id="gz-nan-max"),
         pytest.param(["gz", "--waveform", "dr", "--lambda-mhz", 0.2, "--t-us", 20, "--n", 500,
@@ -429,11 +444,13 @@ class TestErrorPaths:
         for key, values in BAD_CONFIG_COUNTS.items() for i, value in enumerate(values)
     ]
 
-    # config values float() refuses, and a config that is not a JSON object;
+    # config values that are not one float (float() refuses them or cannot hold
+    # them), and a config that is not a JSON object;
     # the measurements path only exists in a reconstruct config
     WRONG_TYPES = {"dt-string": ("waveform", "dt_ns", "abc"),
                    "dt-null": ("waveform", "dt_ns", None),
                    "amp-list": ("waveform", "amp_mhz", [1]),
+                   "amp-int-past-float-range": ("waveform", "amp_mhz", 10 ** 400),
                    "a-omega-string": ("noise", "a_omega", "big"),
                    "waveform-list": (None, "waveform", [1]),
                    "top-level-array": None}
@@ -472,6 +489,34 @@ class TestErrorPaths:
         out = tmp_path / "out"
         assert run_cli(command, "--config", path, "--out", out) == 2
         assert not out.exists()
+
+    def test_boolean_config_number_is_exit_2_without_artifacts(self, tmp_path):
+        # read as 1 ns, this grid would hold one period at 2 MHz and run
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "waveform": {"family": "dr", "n": 500, "dt_ns": True, "amp_mhz": 5.0},
+            "amplitude_noise": {"kind": "flat_cutoff", "a_omega": 1.04e-11, "omega_h_mhz": 2.0},
+            "dephasing_noise": {"kind": "dc_delta", "mu_z_mhz": 0.0},
+            "lambdas_mhz": [2.0], "realizations": 3}))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", path, "--out", out) == 2
+        assert not out.exists()
+
+    def test_numeric_string_config_value_reads_as_its_float(self, tmp_path):
+        config = {"waveform": {"family": "dr", "n": 400, "dt_ns": 50.0, "amp_mhz": 5.0},
+                  "amplitude_noise": {"kind": "flat_cutoff", "a_omega": 1.04e-11,
+                                      "omega_h_mhz": 2.0},
+                  "dephasing_noise": {"kind": "dc_delta", "mu_z_mhz": 0.0},
+                  "lambdas_mhz": [0.1], "realizations": 3}
+        tables = []
+        for amp in (5.0, "5.0"):
+            config["waveform"]["amp_mhz"] = amp
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"out-{len(tables)}"
+            assert run_cli("simulate", "--config", path, "--out", out) == 0
+            tables.append((out / "survival.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("count", [2.9, True, -1, 0])
     def test_bad_lambda_count_is_exit_2_without_artifacts(self, tmp_path, count):

@@ -326,6 +326,25 @@ def test_two_dimensional_frequencies_rejected(call):
     assert TWO_D_CALLS[call](wf, 0.0).values.size == 1
 
 
+@pytest.mark.parametrize("call", [amplitude_ff, dephasing_ff], ids=["amplitude", "dephasing"])
+@pytest.mark.parametrize("grid", [np.linspace(2e6, 0.0, 1000), [0.0, 1e6, 1e6]],
+                         ids=["decreasing", "repeated"])
+def test_first_order_grid_not_increasing_rejected_before_transform(monkeypatch, call, grid):
+    from qnspect import filterfn
+
+    calls = []
+    monkeypatch.setattr(filterfn, "_fourier_sums", lambda *args: calls.append(args))
+    with pytest.raises(GridError):
+        call(PiecewiseConstantWaveform(np.ones(16), 1e-8), grid)
+    assert len(calls) == 0
+
+
+def test_higher_order_grid_need_not_increase():
+    wf = PiecewiseConstantWaveform(np.ones(16), 1e-8)
+    base = 2 * np.pi / wf.total_time
+    assert higher_order_ff(wf, [2 * base, 0.0, 0.0], [base]).values.shape == (3, 1)
+
+
 # ---------------------------------------------------------------------------
 # Transform-kernel paths against direct segment-exact sums
 # ---------------------------------------------------------------------------
