@@ -48,6 +48,7 @@ from .slepian import dpss
 from .spectro import overlap_matrix, reconstruct
 from .waveform import (
     PiecewiseConstantWaveform,
+    _whole_periods,
     dephasing_robust,
     modulated_dpss_waveform,
     root_index_for_peak_rate,
@@ -103,24 +104,13 @@ def _flags(args) -> dict:
 def _sweep_waveform(family: str, lam: float, n: int, dt: float, amp: float,
                     time_bandwidth: float) -> PiecewiseConstantWaveform:
     """One probe waveform at modulation frequency lam (rad/s)."""
-    amp = _positive(amp, "the peak rate (rad/s)")
-    total_time = n * dt
     if family == "dr":
-        # lam and its period count are checked before any J0 root search
-        cycles = lam * total_time / (2.0 * np.pi)
-        periods = int(round(cycles)) if 0.0 < cycles < np.inf else 0
-        if periods < 1:
-            raise ParameterError(f"need a positive finite modulation frequency with at least "
-                                 f"one period in T, got {lam} rad/s and T = {total_time} s")
-        return dephasing_robust(total_time, periods, root_index_for_peak_rate(lam, amp), n)
+        # the period count is checked before any J0 root search
+        periods = _whole_periods(lam, n * dt, n)
+        return dephasing_robust(n * dt, periods, root_index_for_peak_rate(lam, amp), n)
     if family == "dpss":
         return modulated_dpss_waveform(n, time_bandwidth / n, amp, lam, dt)
     raise ParameterError(f"unknown waveform family {family!r} (use 'dr' or 'dpss')")
-
-
-def _segment_length(t_us: float, n: int) -> float:
-    """dt = T/n in seconds for a duration T given in microseconds."""
-    return _positive(t_us, "--t-us") * 1e-6 / _integer(n, "--n", 1)
 
 
 def _waveform_from_config(cfg: dict, lam: float) -> PiecewiseConstantWaveform:
@@ -172,8 +162,9 @@ def _cmd_dpss(args):
 
 def _probe(args, family: str) -> PiecewiseConstantWaveform:
     """The probe waveform of the probe flags (--lambda-mhz, --t-us, --n, --amp-mhz, --nw)."""
-    return _sweep_waveform(family, args.lambda_mhz * MHZ, args.n,
-                           _segment_length(args.t_us, args.n), args.amp_mhz * MHZ, args.nw)
+    dt = _positive(args.t_us, "--t-us") * 1e-6 / _integer(args.n, "--n", 1)
+    return _sweep_waveform(family, args.lambda_mhz * MHZ, args.n, dt, args.amp_mhz * MHZ,
+                           args.nw)
 
 
 def _cmd_waveform(args):

@@ -84,7 +84,8 @@ class QubitPropagator:
 
 @dataclass(frozen=True)
 class SurvivalTriple:
-    """Ensemble-averaged survival probabilities and their standard errors."""
+    """Ensemble-averaged survival probabilities and their standard errors, with the
+    standard error ``estimator_err`` of the tomographic estimator (1 + p1 - p2 - p3)/2."""
 
     p1: float
     p2: float
@@ -92,6 +93,7 @@ class SurvivalTriple:
     err1: float
     err2: float
     err3: float
+    estimator_err: float
     n_realizations: int
 
 
@@ -285,20 +287,22 @@ def survival_probabilities(waveform: PiecewiseConstantWaveform, amp_model: Spect
         rng = np.random.default_rng([seed, 0xB10])
         probs = rng.binomial(shots, np.clip(probs, 0.0, 1.0)) / float(shots)
     mean = probs.mean(axis=0)
-    err = probs.std(axis=0, ddof=1) / np.sqrt(n_realizations) if n_realizations > 1 \
-        else np.zeros(3)
+    # p1, p2 and p3 share their realizations, so the estimator's error is the spread
+    # of each realization's own (1 + p1 - p2 - p3)/2, which is ux^2 without shots
+    values = np.column_stack([probs, 0.5 * (1.0 + probs[:, 0] - probs[:, 1] - probs[:, 2])])
+    err = values.std(axis=0, ddof=1) / np.sqrt(n_realizations) if n_realizations > 1 \
+        else np.zeros(4)
     return SurvivalTriple(
         p1=float(mean[0]), p2=float(mean[1]), p3=float(mean[2]),
         err1=float(err[0]), err2=float(err[1]), err3=float(err[2]),
-        n_realizations=n_realizations,
+        estimator_err=float(err[3]), n_realizations=n_realizations,
     )
 
 
 def tomographic_estimator(triple: SurvivalTriple) -> EstimatorValue:
-    """P = (1 + p1 - p2 - p3)/2 with the propagated standard error."""
+    """P = (1 + p1 - p2 - p3)/2 with the triple's estimator_err as its standard error."""
     value = 0.5 * (1.0 + triple.p1 - triple.p2 - triple.p3)
-    stderr = 0.5 * float(np.sqrt(triple.err1**2 + triple.err2**2 + triple.err3**2))
-    return EstimatorValue(value=value, stderr=stderr)
+    return EstimatorValue(value=value, stderr=triple.estimator_err)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,7 @@ def toeplitz_kernel(n: int, half_bandwidth: float) -> np.ndarray:
 
     Intended for validation and Rayleigh-quotient checks at small ``n``.
     """
+    n, half_bandwidth = _integer(n, "n", 1), _real(half_bandwidth, "half_bandwidth")
     idx = np.arange(n)
     diff = idx[:, None] - idx[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):

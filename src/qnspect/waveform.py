@@ -201,14 +201,28 @@ def dephasing_robust(total_time: float, periods: int, root_index: int,
     return PiecewiseConstantWaveform(samples=omega0 * np.sin(lam * m * dt), dt=dt)
 
 
+def _whole_periods(modulation_freq: float, total_time: float, n: int) -> int:
+    """M with modulation_freq = 2*pi*M/total_time (to 1e-9 M) and 1 <= M <= n/2.
+
+    Then the sine closes over the waveform and n samples resolve it.  Any other
+    value, including a NaN or overflowing period count, raises ParameterError.
+    """
+    cycles = float(modulation_freq) * total_time / (2.0 * np.pi)  # inf, unwarned, on overflow
+    periods = round(cycles) if np.isfinite(cycles) else 0
+    if not 1 <= periods <= n / 2 or abs(cycles - periods) > 1e-9 * periods:
+        raise ParameterError(f"modulation_freq must be 2*pi*M/T for a whole number M of periods "
+                             f"from 1 to N/2, got {cycles:.6g} periods in T = {total_time} s")
+    return periods
+
+
 def modulated_dpss_waveform(n: int, half_bandwidth: float, peak_rate: float,
                             modulation_freq: float, dt: float) -> PiecewiseConstantWaveform:
     """Sine-modulated order-0 Slepian waveform.
 
     Omega_m = peak_rate * v_m * sin(modulation_freq * m * dt) where v is the
     k=0 DPSS rescaled so its maximum element is 1 (peak_rate is then the
-    literal peak Rabi rate).  The modulation frequency must be an integer
-    multiple of 2*pi/T so the sine closes over the waveform.
+    literal peak Rabi rate, > 0).  modulation_freq must be 2*pi*M/T for a
+    whole number M of periods from 1 to N/2 (_whole_periods).
 
     The envelope is sampled in the periodic convention (a length N+1
     symmetric sequence with the last point dropped), which has the exact
@@ -221,18 +235,12 @@ def modulated_dpss_waveform(n: int, half_bandwidth: float, peak_rate: float,
     ``scipy.signal.windows.dpss(N, N*W, sym=False)``, bit for bit.
     """
     n, half_bandwidth = _integer(n, "n"), _real(half_bandwidth, "half_bandwidth")
-    peak_rate, dt = _real(peak_rate, "peak_rate"), _positive(dt, "dt")
+    peak_rate, dt = _positive(peak_rate, "peak_rate"), _positive(dt, "dt")
     modulation_freq = _real(modulation_freq, "modulation_freq")
     if not 1.0 <= n * half_bandwidth < n / 2:
         raise ParameterError(
             f"need a time-bandwidth product 1 <= N*W < N/2, got N*W = {n * half_bandwidth}")
-    total_time = n * dt
-    cycles = modulation_freq * total_time / (2.0 * np.pi)
-    if abs(cycles - round(cycles)) > 1e-9 * max(1.0, abs(cycles)):
-        raise ParameterError(
-            "modulation_freq must be an integer multiple of 2*pi/total_time "
-            f"(got {cycles} cycles)"
-        )
+    _whole_periods(modulation_freq, n * dt, n)
     nw, size = half_bandwidth * n, n + 1
     envelope = _tapers(size, nw, 1)[0]
     envelope /= envelope.max()

@@ -177,6 +177,39 @@ class TestFigureData:
         manifest = read_manifest(out)
         assert manifest["artifacts"] == ["gz_dpss.csv", "gz_dr.csv"]
 
+    # the header of each figure-set file, by file-name prefix, as the README lists them
+    FIGURE_HEADERS = {
+        "waveform_": "t_start_s,omega_rad_per_s",
+        "amplitude_ff_": "omega_rad_per_s,value",
+        "dephasing_ff_": "omega_rad_per_s,value",
+        "bias_vs_detuning": "family,delta_mhz,estimator,estimator_err,i_omega,i_z,a12_sq,"
+                            "i_om_i_z_over_3,predicted",
+        "reconstruction_vs_c_scale": "family,c_scale,omega_over_2pi_mhz,s_omega_est,"
+                                     "s_omega_true",
+    }
+
+    @pytest.mark.parametrize("name, realizations, count", [
+        ("waveforms-and-ffs", 20, 12), ("bias-vs-detuning", 20, 1),
+        ("reconstruction-dephasing", 5, 1)])
+    def test_figure_set_writes_finite_tables(self, tmp_path, name, realizations, count):
+        out = tmp_path / "fig"
+        assert run_cli("figure-data", "--set", name, "--realizations", realizations,
+                       "--out", out) == 0
+        artifacts = read_manifest(out)["artifacts"]
+        assert len(artifacts) == count
+        for artifact in artifacts:
+            lines = [line for line in (out / artifact).read_text().splitlines()
+                     if not line.startswith("#")]
+            header = next(h for prefix, h in self.FIGURE_HEADERS.items()
+                          if artifact.startswith(prefix))
+            assert lines[0] == header, artifact
+            assert len(lines) > 1, artifact
+            for line in lines[1:]:
+                cells = line.split(",")
+                if header.startswith("family,"):
+                    assert cells.pop(0) in ("dr", "dpss")
+                assert np.all(np.isfinite([float(cell) for cell in cells])), (artifact, line)
+
 
     def test_reconstruction_set_computes_no_overlap_predictions(self, tmp_path, monkeypatch):
         # simulate's i_omega_pred column is the only reader of these overlaps
@@ -223,13 +256,15 @@ class TestErrorPaths:
                        "--out", tmp_path / "x") == 2
 
     @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
-    @pytest.mark.parametrize("case", ["directory", "not-utf-8"])
+    @pytest.mark.parametrize("case", ["directory", "not-utf-8", "not-json"])
     def test_unreadable_config_is_exit_2_without_artifacts(self, tmp_path, command, case):
         path = tmp_path / "config.json"
         if case == "directory":
             path.mkdir()
-        else:
+        elif case == "not-utf-8":
             path.write_bytes(b'{"seed": "\xff\xfe"}')
+        else:
+            path.write_text('{"seed": 3,')
         out = tmp_path / "out"
         assert run_cli(command, "--config", path, "--out", out) == 2
         assert not out.exists()
@@ -292,8 +327,10 @@ class TestErrorPaths:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("table", [None, "lambda_mhz,estimator\n0.05,abc\n", "",
-                                       "lambda_mhz,estimator\n0.05,1e-12,7\n"],
-                             ids=["missing", "non-numeric", "empty", "long-row"])
+                                       "lambda_mhz,estimator\n0.05,1e-12,7\n",
+                                       "lambda_mhz,p1\n0.05,1e-12\n"],
+                             ids=["missing", "non-numeric", "empty", "long-row",
+                                  "no-estimator-column"])
     def test_bad_measurements_file_is_exit_2_without_artifacts(self, tmp_path, table):
         path = self._reconstruct_config(tmp_path, [1e-12, 2e-12, 1e-12])
         measurements = tmp_path / "survival.csv"
@@ -316,6 +353,8 @@ class TestErrorPaths:
         table.write_text(f"lambda_mhz,estimator\n{delta_mhz!r},1e-12\n")
         nan_table = tmp_path / "nan_table.csv"
         nan_table.write_text("lambda_mhz,estimator\nnan,1e-12\n")
+        zero_table = tmp_path / "zero_table.csv"
+        zero_table.write_text("lambda_mhz,estimator\n0.0,1e-12\n")
         configs = {}
         for family in ("dr", "dpss"):
             waveform = {"family": family, "n": n, "dt_ns": dt_ns, "amp_mhz": 5.0}
@@ -345,6 +384,7 @@ class TestErrorPaths:
         configs["dpss_zero_amp"] = {**configs["rec_dpss"], "measurements_csv": str(table),
                                     "waveform": {**configs["rec_dpss"]["waveform"],
                                                  "amp_mhz": 0.0}}
+        configs["dpss_zero_lambda"] = {**configs["rec_dpss"], "measurements_csv": str(zero_table)}
         paths = {}
         for name, payload in configs.items():
             paths[name] = tmp_path / f"{name}.json"
@@ -421,7 +461,13 @@ class TestErrorPaths:
     ] + [
         pytest.param(["reconstruct", "--config", f"{{{name}}}"], id=f"reconstruct-{name}")
         for name in ("bands_zero", "bands_negative", "bands_fractional", "delta_nan",
-                     "delta_zero", "dpss_zero_amp")
+                     "delta_zero", "dpss_zero_amp", "dpss_zero_lambda")
+    ] + [
+        # not a whole number of periods from 1 to N/2 = 100 in T: 2.6, 150, 0
+        # and -5 periods, one rule for both families
+        pytest.param(["waveform", "--family", family, "--lambda-mhz", lam, "--t-us", 20,
+                      "--n", 200], id=f"waveform-{family}-{lam}-lambda")
+        for family in ("dr", "dpss") for lam in (0.13, 7.5, 0, -0.25)
     ] + [
         pytest.param(["simulate", "--config", "{sim_zero_shots}"], id="simulate-zero-shots"),
         pytest.param(["simulate", "--config", "{sim_scalar_lambdas}"],
@@ -555,6 +601,8 @@ class TestErrorPaths:
         assert run_cli("simulate", "--config", config, "--out", tmp_path / "sim") == 2
         assert run_cli("waveform", "--family", "dr", "--lambda-mhz", 1e-6, "--t-us", 100,
                        "--n", 10, "--out", tmp_path / "wf") == 2
+        assert run_cli("waveform", "--family", "dr", "--lambda-mhz", 0.13, "--t-us", 20,
+                       "--n", 200, "--out", tmp_path / "wf") == 2
 
     def test_rejected_command_keeps_a_directory_it_did_not_make(self, tmp_path):
         out = tmp_path / "kept"

@@ -33,6 +33,7 @@ from qnspect import (
 )
 from qnspect.errors import _finite, _positive, _real
 from qnspect.optimize import amplitude_constraints
+from qnspect.slepian import toeplitz_kernel
 
 MHZ = 2 * np.pi * 1e6
 N = 64
@@ -76,6 +77,9 @@ PROBES = {
                                                            5 * MHZ, 1),
     "dpss_waveform-bandwidth-string": lambda: modulated_dpss_waveform(N, "x", 5 * MHZ, 0.0,
                                                                       1e-8),
+    "toeplitz_kernel-length-string": lambda: toeplitz_kernel("x", 0.1),
+    "toeplitz_kernel-bandwidth-string": lambda: toeplitz_kernel(8, "x"),
+    "toeplitz_kernel-bandwidth-nan": lambda: toeplitz_kernel(8, np.nan),
     "propagate-noise-string": lambda: propagate(WF, ["a"] * N, ZEROS),
     "error_vector-noise-string": lambda: error_vector_first_order(WF, ZEROS, ["a"] * N),
 }

@@ -188,9 +188,9 @@ class TestSurvival:
             assert abs(p - 1.0) < 1e-12
 
     def test_estimator_algebra(self):
-        triple = SurvivalTriple(1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1)
+        triple = SurvivalTriple(1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1)
         assert tomographic_estimator(triple).value == 0.0
-        triple = SurvivalTriple(1.0, 1.0 - 2 * 0.037, 1.0, 0.0, 0.0, 0.0, 1)
+        triple = SurvivalTriple(1.0, 1.0 - 2 * 0.037, 1.0, 0.0, 0.0, 0.0, 0.0, 1)
         assert abs(tomographic_estimator(triple).value - 0.037) < 1e-15
 
     def test_dephasing_only_matches_overlap(self):
@@ -246,8 +246,10 @@ class TestSurvival:
         probs = np.stack([u[:, 0] ** 2 + u[:, k] ** 2 for k in (1, 2, 3)], axis=1)
         mean = probs.mean(axis=0)
         err = probs.std(axis=0, ddof=1) / np.sqrt(r)
+        estimator = 0.5 * (1.0 + probs[:, 0] - probs[:, 1] - probs[:, 2])
+        estimator_err = estimator.std(ddof=1) / np.sqrt(r)
         assert survival_probabilities(wf, FLAT_AMP, deph, r, seed) == SurvivalTriple(
-            *(float(v) for v in (*mean, *err)), n_realizations=r)
+            *(float(v) for v in (*mean, *err, estimator_err)), n_realizations=r)
 
     @pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, True, "4"])
     def test_bad_realization_count_raises(self, count):
@@ -263,6 +265,22 @@ class TestSurvival:
         arguments = {"seed": 0, **keyword}
         with pytest.raises(ParameterError):
             survival_probabilities(wf, FLAT_AMP, NO_NOISE, 4, **arguments)
+
+    @pytest.mark.parametrize("family, detuning_mhz", [("dr", 0.0), ("dpss", 0.10)])
+    def test_estimator_error_matches_its_spread_over_seeds(self, family, detuning_mhz):
+        # p1, p2 and p3 share their realizations, so the estimator's error is
+        # the spread of its per-realization values, not the three errors in
+        # quadrature (0.7x the spread for dr, 2.7x for detuned dpss)
+        n, dt, lam, amp = 200, 100e-9, 1 * MHZ, 5 * MHZ
+        wf = (dephasing_robust(n * dt, 20, 2, n) if family == "dr"
+              else modulated_dpss_waveform(n, 1.0 / n, amp, lam, dt))
+        deph = SpectrumModel.dc_delta(detuning_mhz * MHZ)
+        ests = [tomographic_estimator(survival_probabilities(wf, FLAT_AMP, deph, 40, seed))
+                for seed in range(300)]
+        values = np.array([e.value for e in ests])
+        reported = np.sqrt(np.mean([e.stderr ** 2 for e in ests]))
+        # 300 seeds measure the spread to about 4 %
+        assert abs(reported / values.std(ddof=1) - 1.0) < 0.2
 
     def test_estimator_matches_amplitude_overlap(self):
         wf = dephasing_robust(20e-6, 20, 2, 2000)

@@ -15,7 +15,7 @@ from qnspect import (
     synthesize,
 )
 from qnspect.errors import ParameterError
-from qnspect.waveform import waveform_from_csv, waveform_to_csv
+from qnspect.waveform import _whole_periods, waveform_from_csv, waveform_to_csv
 
 
 class TestBesselRoots:
@@ -130,6 +130,23 @@ class TestDephasingRobust:
             dephasing_robust(1e-4, *args)
 
 
+class TestWholePeriods:
+    @pytest.mark.parametrize("periods", [1, 7, 1000])
+    def test_returns_the_period_count_up_to_n_over_2(self, periods):
+        total_time = 20e-6
+        assert _whole_periods(2 * np.pi * periods / total_time, total_time, 2000) == periods
+
+    # counts that overflow (a numpy scalar must not warn), are off a whole number
+    # by 1e-8, or are past N/2
+    @pytest.mark.parametrize("modulation_freq, total_time", [
+        (1e300, 1e10), (np.float64(1e300), 1e10), (2 * np.pi * (7 + 1e-8) / 20e-6, 20e-6),
+        (2 * np.pi * 1001 / 20e-6, 20e-6)])
+    def test_rejects_counts_that_are_not_whole_periods_in_range(self, modulation_freq,
+                                                                 total_time):
+        with pytest.raises(ParameterError, match="whole number M of periods"):
+            _whole_periods(modulation_freq, total_time, 2000)
+
+
 class TestModulatedDpss:
     def test_net_rotation_zero(self):
         wf = modulated_dpss_waveform(4000, 1.0 / 4000, 2 * np.pi * 5e6,
@@ -146,6 +163,19 @@ class TestModulatedDpss:
         with pytest.raises(ParameterError):
             modulated_dpss_waveform(1000, 1.0 / 1000, 1e6, 2 * np.pi * 0.123e6 * 1.0371,
                                     10e-9)
+
+    # 0, -3, 2.5 and 1001 periods in T = 20 us at N = 2000, and a NaN or infinite frequency
+    @pytest.mark.parametrize("modulation_freq", [0.0, -2 * np.pi * 3 / 20e-6,
+                                                 2 * np.pi * 2.5 / 20e-6,
+                                                 2 * np.pi * 1001 / 20e-6, np.nan, np.inf])
+    def test_rejects_modulation_without_whole_periods(self, modulation_freq):
+        with pytest.raises(ParameterError, match="modulation_freq must be"):
+            modulated_dpss_waveform(2000, 1.0 / 2000, 1e6, modulation_freq, 10e-9)
+
+    @pytest.mark.parametrize("peak_rate", [0.0, -1e6, np.nan])
+    def test_rejects_a_peak_rate_that_is_not_positive(self, peak_rate):
+        with pytest.raises(ParameterError, match="peak_rate"):
+            modulated_dpss_waveform(2000, 1.0 / 2000, peak_rate, 2 * np.pi * 5 / 20e-6, 10e-9)
 
     def test_rejects_small_time_bandwidth(self):
         with pytest.raises(ParameterError):
