@@ -14,6 +14,7 @@ from .filterfn import (
     dephasing_ff,
     dephasing_ff_dc,
     higher_order_ff,
+    spectral_concentration,
 )
 from .lp_reduce import AffineConstraintSet, LpOutcome, lp_max, max_violation, prune_constraints
 from .noisegen import (
@@ -43,7 +44,7 @@ from .qsim import (
     survival_probabilities,
     tomographic_estimator,
 )
-from .slepian import DpssSet, dpss, spectral_concentration
+from .slepian import DpssSet, dpss
 from .spectro import OverlapMatrix, ReconstructionResult, nnls, overlap_matrix, reconstruct
 from .waveform import (
     PiecewiseConstantWaveform,

@@ -127,14 +127,16 @@ def _waveform_from_config(cfg: dict, lam: float) -> PiecewiseConstantWaveform:
 
 
 def _lambdas_from_config(cfg) -> np.ndarray:
+    # a lambda past the float range is inf, unwarned, which _whole_periods rejects
     if isinstance(cfg, dict):
         start = _real(cfg["start_mhz"], "start_mhz")
         step = _real(cfg["step_mhz"], "step_mhz")
         count = _integer(cfg["count"], "lambdas_mhz count", 1)
-        return (start + step * np.arange(count)) * MHZ
-    if not isinstance(cfg, list):
-        raise ParameterError(f"lambdas_mhz must be a list or an object, got {cfg!r}")
-    return np.asarray([_real(v, "lambdas_mhz") for v in cfg]) * MHZ
+        with np.errstate(over="ignore"):
+            return (start + step * np.arange(count)) * MHZ
+    if not isinstance(cfg, list) or not cfg:
+        raise ParameterError(f"lambdas_mhz must be a nonempty list or an object, got {cfg!r}")
+    return np.array([_real(v, "lambdas_mhz") * MHZ for v in cfg])
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from ._table import write_table
-from .errors import GridError, ParameterError, _finite, _positive
+from .errors import GridError, ParameterError, UndefinedRatioError, _finite, _positive, _real
 from .waveform import PiecewiseConstantWaveform, rotation_angle
 
 __all__ = [
@@ -79,6 +79,7 @@ __all__ = [
     "dephasing_ff",
     "dephasing_ff_dc",
     "higher_order_ff",
+    "spectral_concentration",
     "ff_to_csv",
     "higher_order_ff_to_csv",
 ]
@@ -313,6 +314,53 @@ def amplitude_ff_integral(samples, dt: float, edges) -> np.ndarray:
         kernel -= np.cos(phase, out=phase) * ((s * scale) @ sin_se)
         out += lags[..., start:start + step] @ kernel
     return 0.25 * out
+
+
+def spectral_concentration(waveform: PiecewiseConstantWaveform, band_center: float,
+                           band_halfwidth: float) -> float:
+    """Fraction of a waveform's amplitude-filter weight inside a band.
+
+    Computes R = integral of F_Omega over the band, divided by the integral
+    over the whole real line.  Because the waveform is real, F_Omega is even
+    and the band is counted together with its mirror image at negative
+    frequencies (the union of the two intervals, so the full real line still
+    gives R = 1).  The denominator is evaluated by Parseval's theorem on the
+    time-domain samples,
+
+        integral F_Omega d omega = (pi/2) * dt * sum |Omega_m|^2,
+
+    which avoids truncating an infinite frequency integral.  The numerator
+    is exact: one :func:`amplitude_ff_integral` call at the two band edges on
+    the positive half line.
+
+    Parameters
+    ----------
+    waveform : PiecewiseConstantWaveform
+    band_center, band_halfwidth : float
+        The band [center - halfwidth, center + halfwidth] in rad/s; the
+        center must be finite.  ``band_halfwidth = inf`` denotes the entire
+        real line.
+
+    Returns
+    -------
+    float in [0, 1]
+    """
+    power = float(np.sum(np.square(waveform.samples)))
+    if power == 0.0:
+        raise UndefinedRatioError("spectral concentration is undefined for a zero waveform")
+    band_center = _real(band_center, "band_center")
+    if band_halfwidth == np.inf:
+        return 1.0
+    band_halfwidth = _positive(band_halfwidth, "band_halfwidth")
+
+    denominator = 0.5 * np.pi * waveform.dt * power
+    lo = band_center - band_halfwidth
+    hi = band_center + band_halfwidth
+    # union with the mirror band; reduce to the positive half line (F even)
+    edges = [0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)), max(abs(lo), abs(hi))]
+    below, above = amplitude_ff_integral(waveform.samples, waveform.dt, edges)
+    numerator = 2.0 * (above - below)  # both signs of omega
+    return float(np.clip(numerator / denominator, 0.0, 1.0))
 
 
 def _exp_theta_transforms(waveform: PiecewiseConstantWaveform, omegas: np.ndarray):

@@ -1,4 +1,4 @@
-"""Discrete prolate spheroidal sequences and spectral concentration.
+"""Discrete prolate spheroidal sequences.
 
 The DPSS of order k maximizes, among all length-N sequences orthogonal to
 the lower orders, the fraction of its energy inside the frequency band
@@ -7,17 +7,18 @@ of the sinc-kernel Toeplitz matrix
 
     A[n, m] = sin(2*pi*W*(n - m)) / (pi*(n - m)),   A[n, n] = 2*W.
 
-The sequences are computed through the commuting symmetric tridiagonal
-matrix of Percival & Walden (1993, ch. 8; the dense N x N eigenproblem is
-intractable at the N ~ 2e4 used for waveform design), solved for its K
-largest eigenpairs by ``scipy.linalg.eigh_tridiagonal``, and validated
-against the dense kernel at small N in the test suite.  The private
-``_tapers`` and ``_concentrations`` reproduce
-``scipy.signal.windows.dpss(N, NW, Kmax=K, sym=True, norm=2,
-return_ratios=True)`` bit for bit: the same tridiagonal, the same sign
-conventions, and the ratios lambda_k from the same zero-padded
-``scipy.fft.rfft``/``irfft`` autocorrelation.  ``waveform`` builds its
-periodic DPSS envelope from ``_tapers`` too.
+The sequences are computed at every N by one algorithm: the commuting
+symmetric tridiagonal matrix of Percival & Walden (1993, ch. 8; the dense
+N x N eigenproblem is intractable at the N ~ 2e4 used for waveform design),
+solved for its K largest eigenpairs by ``scipy.linalg.eigh_tridiagonal``,
+and validated against the dense kernel at small N in the test suite.  The
+tridiagonal's eigenvalues are distinct, so every order is defined even
+where lambda_k has fallen to roundoff.  The private ``_tapers`` and
+``_concentrations`` reproduce ``scipy.signal.windows.dpss(N, NW, Kmax=K,
+sym=True, norm=2, return_ratios=True)`` bit for bit wherever scipy returns:
+the same tridiagonal, the same sign conventions, and the ratios lambda_k
+from the same zero-padded ``scipy.fft.rfft``/``irfft`` autocorrelation.
+``waveform`` builds its periodic DPSS envelope from ``_tapers`` too.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .errors import ParameterError, UndefinedRatioError, _integer, _positive, _real
+from .errors import ParameterError, _integer, _real
 
-__all__ = ["DpssSet", "dpss", "spectral_concentration", "toeplitz_kernel"]
+__all__ = ["DpssSet", "dpss", "toeplitz_kernel"]
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,9 @@ class DpssSet:
         Sign convention: the first nonzero element of each sequence is
         positive.
     eigenvalues : ndarray, shape (K,)
-        In-band energy concentrations lambda_k in (0, 1), strictly
-        decreasing in k.
+        In-band energy concentrations lambda_k.  They lie in (0, 1) and
+        decrease in k while they are above roundoff; for k near N they reach
+        about +-1e-16, in any order, at every N.
     """
 
     n: int
@@ -86,16 +88,8 @@ def dpss(n: int, half_bandwidth: float, num_sequences: int = 1) -> DpssSet:
     if num_sequences > n:
         raise ParameterError(f"num_sequences must lie in [1, {n}], got {num_sequences}")
 
-    if n <= 16:
-        # tiny problems: the dense Toeplitz eigenproblem is exact and avoids
-        # edge cases in the tridiagonal route
-        evals, evecs = np.linalg.eigh(toeplitz_kernel(n, half_bandwidth))
-        order = np.argsort(evals)[::-1][:num_sequences]
-        seqs = evecs[:, order].T.copy()
-        ratios = evals[order]
-    else:
-        seqs = _tapers(n, half_bandwidth * n, num_sequences)
-        ratios = _concentrations(seqs, half_bandwidth * n)
+    seqs = _tapers(n, half_bandwidth * n, num_sequences)
+    ratios = _concentrations(seqs, half_bandwidth * n)
 
     # deterministic sign: first element of appreciable magnitude positive
     for row in seqs:
@@ -118,8 +112,9 @@ def _tapers(m: int, nw: float, k: int) -> np.ndarray:
     ((m - 1 - 2t)/2)^2 cos(2 pi W), W = nw/m, and off-diagonal t(m - t)/2,
     most concentrated first.  Symmetric tapers (k = 0, 2, ...) have a positive
     sum, antisymmetric ones begin with a positive lobe: the first point with
-    v^2 > max(1e-7, 1/m) is positive.  The same arithmetic as
-    ``scipy.signal.windows.dpss(m, nw, Kmax=k, sym=True, norm=2)``.
+    v^2 > max(1e-7, 1/m), or the first point if none is (m = 2), is positive.
+    The same arithmetic as ``scipy.signal.windows.dpss(m, nw, Kmax=k, sym=True,
+    norm=2)``, which raises IndexError at m = 2.
     """
     from scipy.linalg import eigh_tridiagonal  # deferred: keeps scipy.linalg out of a cold start
 
@@ -134,7 +129,7 @@ def _tapers(m: int, nw: float, k: int) -> np.ndarray:
     symmetric[symmetric.sum(axis=1) < 0] *= -1
     threshold = max(1e-7, 1. / m)
     for taper in tapers[1::2]:
-        if taper[taper * taper > threshold][0] < 0:
+        if taper[np.argmax(taper * taper > threshold)] < 0:
             taper *= -1
     return tapers
 
@@ -168,51 +163,3 @@ def toeplitz_kernel(n: int, half_bandwidth: float) -> np.ndarray:
         a = np.sin(2.0 * np.pi * half_bandwidth * diff) / (np.pi * diff)
     a[diff == 0] = 2.0 * half_bandwidth
     return a
-
-
-def spectral_concentration(waveform, band_center: float, band_halfwidth: float) -> float:
-    """Fraction of a waveform's amplitude-filter weight inside a band.
-
-    Computes R = integral of F_Omega over the band, divided by the integral
-    over the whole real line.  Because the waveform is real, F_Omega is even
-    and the band is counted together with its mirror image at negative
-    frequencies (the union of the two intervals, so the full real line still
-    gives R = 1).  The denominator is evaluated by Parseval's theorem on the
-    time-domain samples,
-
-        integral F_Omega d omega = (pi/2) * dt * sum |Omega_m|^2,
-
-    which avoids truncating an infinite frequency integral.  The numerator
-    is exact: one ``filterfn.amplitude_ff_integral`` call at the two band
-    edges on the positive half line.
-
-    Parameters
-    ----------
-    waveform : PiecewiseConstantWaveform
-    band_center, band_halfwidth : float
-        The band [center - halfwidth, center + halfwidth] in rad/s; the
-        center must be finite.  ``band_halfwidth = inf`` denotes the entire
-        real line.
-
-    Returns
-    -------
-    float in [0, 1]
-    """
-    from .filterfn import amplitude_ff_integral  # deferred: filterfn imports waveform types
-
-    power = float(np.sum(np.square(waveform.samples)))
-    if power == 0.0:
-        raise UndefinedRatioError("spectral concentration is undefined for a zero waveform")
-    band_center = _real(band_center, "band_center")
-    if band_halfwidth == np.inf:
-        return 1.0
-    band_halfwidth = _positive(band_halfwidth, "band_halfwidth")
-
-    denominator = 0.5 * np.pi * waveform.dt * power
-    lo = band_center - band_halfwidth
-    hi = band_center + band_halfwidth
-    # union with the mirror band; reduce to the positive half line (F even)
-    edges = [0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)), max(abs(lo), abs(hi))]
-    below, above = amplitude_ff_integral(waveform.samples, waveform.dt, edges)
-    numerator = 2.0 * (above - below)  # both signs of omega
-    return float(np.clip(numerator / denominator, 0.0, 1.0))

@@ -156,6 +156,21 @@ def root_index_for_peak_rate(modulation_freq: float, target_rate: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _whole_periods(modulation_freq: float, total_time: float, n: int) -> int:
+    """M with modulation_freq = 2*pi*M/total_time (to 1e-9 M) and 1 <= M < n/2.
+
+    Then the sine closes over the waveform and n samples resolve it; at
+    M = n/2 every sample would be sin(pi*m), zero but for roundoff.  Any other
+    value, including a NaN or overflowing period count, raises ParameterError.
+    """
+    cycles = float(modulation_freq) * total_time / (2.0 * np.pi)  # inf, unwarned, on overflow
+    periods = round(cycles) if np.isfinite(cycles) else 0
+    if not 1 <= periods < n / 2 or abs(cycles - periods) > 1e-9 * periods:
+        raise ParameterError(f"modulation_freq must be 2*pi*M/T for a whole number M of periods "
+                             f"with 1 <= M < N/2, got {cycles:.6g} in T = {total_time} s, N = {n}")
+    return periods
+
+
 def dephasing_robust(total_time: float, periods: int, root_index: int,
                      n_samples: int) -> PiecewiseConstantWaveform:
     """Discretized dephasing-robust waveform Omega_0 * sin(lambda * t).
@@ -180,7 +195,7 @@ def dephasing_robust(total_time: float, periods: int, root_index: int,
     total_time : float
         Duration T in seconds.
     periods : int
-        Number M of full sine periods; lambda = 2*pi*M/T.
+        Number M of full sine periods, 1 <= M < N/2; lambda = 2*pi*M/T.
     root_index : int
         1-based index of the J0 root setting Omega_0/lambda.
     n_samples : int
@@ -189,30 +204,14 @@ def dephasing_robust(total_time: float, periods: int, root_index: int,
     n_samples, periods = _integer(n_samples, "n_samples"), _integer(periods, "periods", 1)
     root_index = _integer(root_index, "root_index", 1)
     total_time = _positive(total_time, "total_time")
-    if n_samples < 2 * periods:
-        raise ParameterError(
-            f"need n_samples >= 2*periods to sample the modulation, got {n_samples} < {2 * periods}"
-        )
+    # _real: an int past the float range is a ParameterError, not an OverflowError
+    lam = 2.0 * np.pi * _real(periods, "periods") / total_time
+    _whole_periods(lam, total_time, n_samples)
     dt = total_time / n_samples
-    lam = 2.0 * np.pi * periods / total_time
     x = 0.5 * lam * dt
     omega0 = lam * bessel_j0_roots(root_index)[-1] * x / np.sin(x)
     m = np.arange(n_samples)
     return PiecewiseConstantWaveform(samples=omega0 * np.sin(lam * m * dt), dt=dt)
-
-
-def _whole_periods(modulation_freq: float, total_time: float, n: int) -> int:
-    """M with modulation_freq = 2*pi*M/total_time (to 1e-9 M) and 1 <= M <= n/2.
-
-    Then the sine closes over the waveform and n samples resolve it.  Any other
-    value, including a NaN or overflowing period count, raises ParameterError.
-    """
-    cycles = float(modulation_freq) * total_time / (2.0 * np.pi)  # inf, unwarned, on overflow
-    periods = round(cycles) if np.isfinite(cycles) else 0
-    if not 1 <= periods <= n / 2 or abs(cycles - periods) > 1e-9 * periods:
-        raise ParameterError(f"modulation_freq must be 2*pi*M/T for a whole number M of periods "
-                             f"from 1 to N/2, got {cycles:.6g} periods in T = {total_time} s")
-    return periods
 
 
 def modulated_dpss_waveform(n: int, half_bandwidth: float, peak_rate: float,
@@ -222,7 +221,7 @@ def modulated_dpss_waveform(n: int, half_bandwidth: float, peak_rate: float,
     Omega_m = peak_rate * v_m * sin(modulation_freq * m * dt) where v is the
     k=0 DPSS rescaled so its maximum element is 1 (peak_rate is then the
     literal peak Rabi rate, > 0).  modulation_freq must be 2*pi*M/T for a
-    whole number M of periods from 1 to N/2 (_whole_periods).
+    whole number M of periods with 1 <= M < N/2 (_whole_periods).
 
     The envelope is sampled in the periodic convention (a length N+1
     symmetric sequence with the last point dropped), which has the exact

@@ -345,8 +345,9 @@ class TestErrorPaths:
     @staticmethod
     def _bad_number_configs(tmp_path):
         """Config files, by the names BAD_NUMBERS uses: a NaN modulation
-        frequency for each family, reconstructions with bad bands or a
-        zero-amplitude probe, and a valid sweep with and without ``"shots": 0``."""
+        frequency for each family, reconstructions with bad bands, a zero-amplitude
+        probe or a measurement at 0 or N/2 periods, and a valid sweep with and
+        without ``"shots": 0``."""
         n, dt_ns = 500, 40.0
         delta_mhz = 1e3 / (n * dt_ns)  # one linewidth per band
         table = tmp_path / "table.csv"
@@ -355,6 +356,8 @@ class TestErrorPaths:
         nan_table.write_text("lambda_mhz,estimator\nnan,1e-12\n")
         zero_table = tmp_path / "zero_table.csv"
         zero_table.write_text("lambda_mhz,estimator\n0.0,1e-12\n")
+        half_n_table = tmp_path / "half_n_table.csv"  # 250 periods in T, N = 500
+        half_n_table.write_text("lambda_mhz,estimator\n12.5,1e-12\n")
         configs = {}
         for family in ("dr", "dpss"):
             waveform = {"family": family, "n": n, "dt_ns": dt_ns, "amp_mhz": 5.0}
@@ -370,6 +373,7 @@ class TestErrorPaths:
         configs["sim_ok"] = {**configs["sim_dr"], "lambdas_mhz": [0.1]}
         configs["sim_zero_shots"] = {**configs["sim_ok"], "shots": 0}
         configs["sim_scalar_lambdas"] = {**configs["sim_ok"], "lambdas_mhz": 0.1}
+        configs["sim_empty_lambdas"] = {**configs["sim_ok"], "lambdas_mhz": []}
         configs["sim_fractional_n"] = {**configs["sim_ok"],
                                        "waveform": {**configs["sim_ok"]["waveform"], "n": 200.9}}
         for key, values in BAD_CONFIG_COUNTS.items():
@@ -385,6 +389,8 @@ class TestErrorPaths:
                                     "waveform": {**configs["rec_dpss"]["waveform"],
                                                  "amp_mhz": 0.0}}
         configs["dpss_zero_lambda"] = {**configs["rec_dpss"], "measurements_csv": str(zero_table)}
+        configs["dpss_half_n_lambda"] = {**configs["rec_dpss"],
+                                         "measurements_csv": str(half_n_table)}
         paths = {}
         for name, payload in configs.items():
             paths[name] = tmp_path / f"{name}.json"
@@ -461,17 +467,19 @@ class TestErrorPaths:
     ] + [
         pytest.param(["reconstruct", "--config", f"{{{name}}}"], id=f"reconstruct-{name}")
         for name in ("bands_zero", "bands_negative", "bands_fractional", "delta_nan",
-                     "delta_zero", "dpss_zero_amp", "dpss_zero_lambda")
+                     "delta_zero", "dpss_zero_amp", "dpss_zero_lambda", "dpss_half_n_lambda")
     ] + [
-        # not a whole number of periods from 1 to N/2 = 100 in T: 2.6, 150, 0
-        # and -5 periods, one rule for both families
+        # not a whole number M of periods with 1 <= M < N/2 = 100 in T: 2.6, 150, 0,
+        # -5 and 100 periods, one rule for both families
         pytest.param(["waveform", "--family", family, "--lambda-mhz", lam, "--t-us", 20,
                       "--n", 200], id=f"waveform-{family}-{lam}-lambda")
-        for family in ("dr", "dpss") for lam in (0.13, 7.5, 0, -0.25)
+        for family in ("dr", "dpss") for lam in (0.13, 7.5, 0, -0.25, 5)
     ] + [
         pytest.param(["simulate", "--config", "{sim_zero_shots}"], id="simulate-zero-shots"),
         pytest.param(["simulate", "--config", "{sim_scalar_lambdas}"],
                      id="simulate-scalar-lambdas"),
+        pytest.param(["simulate", "--config", "{sim_empty_lambdas}"],
+                     id="simulate-empty-lambdas"),
         pytest.param(["simulate", "--config", "{sim_fractional_n}"], id="simulate-fractional-n"),
         pytest.param(["simulate", "--config", "{sim_ok}", "--seed", -1],
                      id="simulate-negative-seed"),
@@ -577,6 +585,26 @@ class TestErrorPaths:
         out = tmp_path / "out"
         assert run_cli("simulate", "--config", path, "--out", out) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("lambdas", [[1e308], {"start_mhz": 1e308, "step_mhz": 0.1,
+                                                   "count": 1}], ids=["list", "object"])
+    def test_overflowing_lambda_is_exit_2_without_a_warning(self, tmp_path, lambdas):
+        # 1e308 MHz is inf rad/s, which the period rule rejects; a fresh
+        # interpreter that turns every warning into an error must still exit 2
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "waveform": {"family": "dr", "n": 500, "dt_ns": 40.0, "amp_mhz": 5.0},
+            "amplitude_noise": {"kind": "flat_cutoff", "a_omega": 1.04e-11, "omega_h_mhz": 2.0},
+            "dephasing_noise": {"kind": "dc_delta", "mu_z_mhz": 0.0},
+            "lambdas_mhz": lambdas, "realizations": 3,
+        }))
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(qnspect.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "qnspect.cli", "simulate",
+                               "--config", str(path), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "period" in proc.stderr and not out.exists()
 
     @pytest.mark.parametrize("argv", BAD_NUMBERS)
     def test_bad_number_is_exit_2_without_artifacts(self, tmp_path, argv):

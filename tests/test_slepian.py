@@ -22,6 +22,18 @@ def dense_dpss_oracle(n, half_bandwidth, k):
     return evecs[:, order].T, evals[order]
 
 
+def _first_appreciable(v):
+    return v[np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())[0]]
+
+
+def commuting_tridiagonal(n, nw):
+    """Dense Percival-Walden tridiagonal, which shares its eigenvectors with the kernel."""
+    t = np.arange(n, dtype=float)
+    off_diagonal = t[1:] * (n - t[1:]) / 2
+    return (np.diag(((n - 1 - 2 * t) / 2) ** 2 * np.cos(2 * np.pi * nw / n))
+            + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
+
+
 def test_two_sample_eigenvectors():
     # 2x2 symmetric Toeplitz: eigenvectors are (1,1)/sqrt(2), (1,-1)/sqrt(2)
     ds = dpss(2, 0.2, 2)
@@ -65,8 +77,7 @@ def test_rayleigh_quotient_consistency():
 def test_sign_convention():
     ds = dpss(50, 1.5 / 50, 3)
     for v in ds.sequences:
-        nz = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
-        assert v[nz[0]] > 0
+        assert _first_appreciable(v) > 0
 
 
 def test_large_n_top_concentration():
@@ -94,6 +105,41 @@ def test_tapers_match_scipy_signal_bitwise(n, nw, k):
     tapers = _tapers(n, nw, k)
     assert np.array_equal(tapers, want)
     assert np.array_equal(_concentrations(tapers, nw), want_ratios)
+
+
+@pytest.mark.parametrize("n, nw", [(n, nw) for n in range(2, 17) for nw in (0.8, 1.0, 1.5, 2.0)
+                                   if nw / n < 0.5])
+def test_short_sequences_match_dense_oracle_at_every_order(n, nw):
+    # one algorithm at every length: the orders the kernel separates (concentration
+    # above 1e-6) are its eigenvectors, and every order is orthonormal and signed
+    seq_oracle, eig_oracle = dense_dpss_oracle(n, nw / n, n)
+    for k in range(1, n + 1):
+        ds = dpss(n, nw / n, k)
+        assert np.abs(ds.eigenvalues - eig_oracle[:k]).max() < 1e-14
+        for got, want, lam in zip(ds.sequences, seq_oracle, ds.eigenvalues):
+            assert _first_appreciable(got) > 0
+            if lam > 1e-6:
+                assert np.abs(got - np.sign(got @ want) * want).max() < 1e-9
+        assert np.abs(ds.sequences @ ds.sequences.T - np.eye(k)).max() < 1e-14
+
+
+@pytest.mark.parametrize("nw", [0.8, 1.0, 1.5, 2.0])
+def test_every_order_at_n16_is_an_eigenvector_of_the_commuting_tridiagonal(nw):
+    # a dense eigensolver of the kernel mixes the orders whose concentrations
+    # are within roundoff of each other (residual 0.01-0.2 of max|T| here)
+    ds = dpss(16, nw / 16, 16)
+    tri = commuting_tridiagonal(16, nw)
+    v = ds.sequences
+    rayleigh = np.einsum("ij,jk,ik->i", v, tri, v)
+    assert np.abs(v @ tri - rayleigh[:, None] * v).max() <= 1e-15 * np.abs(tri).max()
+
+
+def test_two_sample_antisymmetric_taper_takes_its_sign_from_the_first_point():
+    # no point of (1, -1)/sqrt(2) has v^2 > max(1e-7, 1/2); scipy raises IndexError
+    from qnspect.slepian import _tapers
+
+    root2 = 1.0 / np.sqrt(2.0)
+    assert np.allclose(_tapers(2, 0.8, 2), [[root2, root2], [root2, -root2]], atol=1e-15)
 
 
 @pytest.mark.parametrize("args", [(100, 0.01, 2.0), (10, 0.1, 2.0), (100.0, 0.01, 1),

@@ -120,6 +120,13 @@ class TestDephasingRobust:
         with pytest.raises(ParameterError):
             dephasing_robust(1e-4, 60, 1, 100)  # under-sampled modulation
 
+    @pytest.mark.parametrize("periods", [100, 10 ** 400])
+    def test_rejects_n_over_2_periods_and_more(self, periods):
+        # at M = N/2 every sample is sin(pi m): the one rule of _whole_periods
+        with pytest.raises(ParameterError):
+            dephasing_robust(20e-6, periods, 1, 200)
+        assert np.abs(dephasing_robust(20e-6, 99, 1, 200).samples).max() > 1e8
+
     @pytest.mark.parametrize("args", [(10, 1, 100.5), (10, 1, 100.0), (10.0, 1, 100),
                                       (10, 1.5, 100), (10, True, 100)],
                              ids=["n_samples", "n_samples-float", "periods", "root_index",
@@ -131,16 +138,16 @@ class TestDephasingRobust:
 
 
 class TestWholePeriods:
-    @pytest.mark.parametrize("periods", [1, 7, 1000])
+    @pytest.mark.parametrize("periods", [1, 7, 999])
     def test_returns_the_period_count_up_to_n_over_2(self, periods):
         total_time = 20e-6
         assert _whole_periods(2 * np.pi * periods / total_time, total_time, 2000) == periods
 
     # counts that overflow (a numpy scalar must not warn), are off a whole number
-    # by 1e-8, or are past N/2
+    # by 1e-8, or reach N/2, where every sample is sin(pi m), zero but for roundoff
     @pytest.mark.parametrize("modulation_freq, total_time", [
         (1e300, 1e10), (np.float64(1e300), 1e10), (2 * np.pi * (7 + 1e-8) / 20e-6, 20e-6),
-        (2 * np.pi * 1001 / 20e-6, 20e-6)])
+        (2 * np.pi * 1000 / 20e-6, 20e-6), (2 * np.pi * 1001 / 20e-6, 20e-6)])
     def test_rejects_counts_that_are_not_whole_periods_in_range(self, modulation_freq,
                                                                  total_time):
         with pytest.raises(ParameterError, match="whole number M of periods"):
