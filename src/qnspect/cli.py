@@ -113,25 +113,35 @@ def _sweep_waveform(family: str, lam: float, n: int, dt: float, amp: float,
     raise ParameterError(f"unknown waveform family {family!r} (use 'dr' or 'dpss')")
 
 
-def _waveform_from_config(cfg: dict, lam: float) -> PiecewiseConstantWaveform:
+def _waveform_n(cfg) -> int:
     if not isinstance(cfg, dict):
         raise ParameterError(f"the waveform config must be a JSON object, got {cfg!r}")
+    return _integer(cfg["n"], "waveform n", 1)
+
+
+def _waveform_from_config(cfg: dict, lam: float) -> PiecewiseConstantWaveform:
+    n = _waveform_n(cfg)
     return _sweep_waveform(
         family=cfg.get("family", "dr"),
         lam=lam,
-        n=_integer(cfg["n"], "waveform n", 1),
+        n=n,
         dt=_real(cfg["dt_ns"], "dt_ns") * 1e-9,
         amp=_real(cfg.get("amp_mhz", 5.0), "amp_mhz") * MHZ,
         time_bandwidth=_real(cfg.get("nw", 1.0), "nw"),
     )
 
 
-def _lambdas_from_config(cfg) -> np.ndarray:
+def _lambdas_from_config(cfg, waveform_cfg) -> np.ndarray:
     # a lambda past the float range is inf, unwarned, which _whole_periods rejects
     if isinstance(cfg, dict):
         start = _real(cfg["start_mhz"], "start_mhz")
         step = _real(cfg["step_mhz"], "step_mhz")
         count = _integer(cfg["count"], "lambdas_mhz count", 1)
+        # whole period counts 1 <= M < N/2 number fewer than N/2; checked before np.arange
+        n = _waveform_n(waveform_cfg)
+        if not count < n / 2:
+            raise ParameterError(f"lambdas_mhz count must be below N/2 = {n / 2:g} of the "
+                                 f"waveform, got {count}")
         with np.errstate(over="ignore"):
             return (start + step * np.arange(count)) * MHZ
     if not isinstance(cfg, list) or not cfg:
@@ -257,7 +267,7 @@ def _cmd_simulate(args):
     realizations = _integer(args.realizations if args.realizations is not None
                             else config.get("realizations", 2000), "realizations", 1)
     out = _outdir(args)
-    lambdas = _lambdas_from_config(config["lambdas_mhz"])
+    lambdas = _lambdas_from_config(config["lambdas_mhz"], config["waveform"])
     waveforms = [_waveform_from_config(config["waveform"], lam) for lam in lambdas]
     amp_model = spectrum_model_from_json(config["amplitude_noise"])
     deph_model = spectrum_model_from_json(config["dephasing_noise"])

@@ -97,9 +97,9 @@ class DesignProblem:
     eps: float
 
     def __post_init__(self):
-        object.__setattr__(self, "omega0", _real(self.omega0, "omega0"))
         for name in ("dt", "max_rate", "eps"):
             object.__setattr__(self, name, _positive(getattr(self, name), name))
+        object.__setattr__(self, "omega0", _carrier(self.omega0, self.dt))
 
     @property
     def total_time(self) -> float:
@@ -159,10 +159,24 @@ class DesignProblem:
         return evaluate
 
 
+def _carrier(omega0, dt: float) -> float:
+    """omega0 as a float in (0, pi/dt), or ParameterError.
+
+    At or above the grid's Nyquist frequency pi/dt the samples alias to a lower
+    carrier than the one the design records; zero and below name no carrier.
+    """
+    omega0 = _real(omega0, "omega0")
+    if not 0.0 < omega0 < np.pi / dt:
+        raise ParameterError(f"omega0 must lie in (0, pi/dt) = (0, {np.pi / dt!r}) rad/s, "
+                             f"got {omega0!r}")
+    return omega0
+
+
 def amplitude_constraints(dpss_set: DpssSet, omega0: float, dt: float,
                           max_rate: float, num_orders: int) -> AffineConstraintSet:
-    """The full 2N-row family |Omega_m(x)| <= max_rate in standard form."""
-    basis = modulation_basis(dpss_set, omega0, dt, num_orders)
+    """The full 2N-row family |Omega_m(x)| <= max_rate in standard form, 0 < omega0 < pi/dt."""
+    dt = _positive(dt, "dt")
+    basis = modulation_basis(dpss_set, _carrier(omega0, dt), dt, num_orders)
     coeffs = np.vstack([basis, -basis])
     return AffineConstraintSet.from_inequalities(coeffs, np.full(2 * dpss_set.n, max_rate))
 

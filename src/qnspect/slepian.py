@@ -19,10 +19,17 @@ sym=True, norm=2, return_ratios=True)`` bit for bit wherever scipy returns:
 the same tridiagonal, the same sign conventions, and the ratios lambda_k
 from the same zero-padded ``scipy.fft.rfft``/``irfft`` autocorrelation.
 ``waveform`` builds its periodic DPSS envelope from ``_tapers`` too.
+
+``_tapers`` keeps the last ``_TAPER_CACHE_SIZE`` = 8 solves per process, keyed
+by (length, NW, K), and hands out the same read-only array on a repeat: a
+probe sweep at one (N, NW), or a design sweep at one (N, W, K), solves the
+tridiagonal once.  ``dpss`` copies the rows it returns, so a caller may change
+a ``DpssSet``'s sequences without touching the cached solve.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +38,9 @@ from scipy.fft import irfft, next_fast_len, rfft
 from .errors import ParameterError, _integer, _real
 
 __all__ = ["DpssSet", "dpss", "toeplitz_kernel"]
+
+# tridiagonal solves kept per process; a probe or design sweep reuses one key
+_TAPER_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,7 @@ def dpss(n: int, half_bandwidth: float, num_sequences: int = 1) -> DpssSet:
     if num_sequences > n:
         raise ParameterError(f"num_sequences must lie in [1, {n}], got {num_sequences}")
 
-    seqs = _tapers(n, half_bandwidth * n, num_sequences)
+    seqs = _tapers(n, half_bandwidth * n, num_sequences).copy()
     ratios = _concentrations(seqs, half_bandwidth * n)
 
     # deterministic sign: first element of appreciable magnitude positive
@@ -105,8 +115,9 @@ def dpss(n: int, half_bandwidth: float, num_sequences: int = 1) -> DpssSet:
     )
 
 
+@functools.lru_cache(maxsize=_TAPER_CACHE_SIZE)
 def _tapers(m: int, nw: float, k: int) -> np.ndarray:
-    """The k most concentrated length-m DPSS for time-bandwidth nw, shape (k, m).
+    """The k most concentrated length-m DPSS for time-bandwidth nw, shape (k, m), read-only.
 
     The eigenvectors of the Percival-Walden tridiagonal with diagonal
     ((m - 1 - 2t)/2)^2 cos(2 pi W), W = nw/m, and off-diagonal t(m - t)/2,
@@ -114,7 +125,8 @@ def _tapers(m: int, nw: float, k: int) -> np.ndarray:
     sum, antisymmetric ones begin with a positive lobe: the first point with
     v^2 > max(1e-7, 1/m), or the first point if none is (m = 2), is positive.
     The same arithmetic as ``scipy.signal.windows.dpss(m, nw, Kmax=k, sym=True,
-    norm=2)``, which raises IndexError at m = 2.
+    norm=2)``, which raises IndexError at m = 2.  Solved once per (m, nw, k)
+    while the key stays among the last ``_TAPER_CACHE_SIZE``; copy before writing.
     """
     from scipy.linalg import eigh_tridiagonal  # deferred: keeps scipy.linalg out of a cold start
 
@@ -131,6 +143,7 @@ def _tapers(m: int, nw: float, k: int) -> np.ndarray:
     for taper in tapers[1::2]:
         if taper[np.argmax(taper * taper > threshold)] < 0:
             taper *= -1
+    tapers.flags.writeable = False
     return tapers
 
 

@@ -242,7 +242,7 @@ def modulated_dpss_waveform(n: int, half_bandwidth: float, peak_rate: float,
     _whole_periods(modulation_freq, n * dt, n)
     nw, size = half_bandwidth * n, n + 1
     envelope = _tapers(size, nw, 1)[0]
-    envelope /= envelope.max()
+    envelope = envelope / envelope.max()  # out of place: _tapers' array is cached
     if size % 2 == 0:
         envelope *= size ** 2 / float(size ** 2 + nw)
     envelope = envelope[:-1] / np.max(np.abs(envelope[:-1]))

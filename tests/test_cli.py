@@ -236,6 +236,25 @@ class TestArtifactHygiene:
         on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
         assert on_disk == manifest["artifacts"]
 
+    @pytest.mark.parametrize("argv", [
+        ["ff", "--waveform", "dpss", "--lambda-mhz", 0.1, "--t-us", 100, "--n", 2000,
+         "--points", 300],
+        ["dpss", "--n", 500, "--nw", 2.0, "--k", 4],
+    ], ids=["ff-dpss", "dpss"])
+    def test_second_in_process_run_writes_the_same_bytes(self, tmp_path, argv):
+        # the first run solves the tapers, the second reads them from the cache
+        from qnspect.slepian import _tapers
+
+        _tapers.cache_clear()
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            assert run_cli(*argv, "--out", out) == 0
+        assert _tapers.cache_info().hits >= 1
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QNSPECT_OUTDIR", str(tmp_path / "envout"))
         assert run_cli("dpss", "--n", 32, "--nw", 1.0, "--k", 1) == 0
@@ -460,6 +479,11 @@ class TestErrorPaths:
                      id=f"prune-{dt}-dt")
         for dt in (0, -5)
     ] + [
+        # a carrier outside 0 < omega0 < pi/dt; dt = 250 ns puts Nyquist at 2 MHz
+        pytest.param([command, "--omega0-mhz", omega0, "--n", 400, "--dt-ns", 250],
+                     id=f"{command}-{omega0}-omega0")
+        for command in ("prune", "optimize") for omega0 in (-0.1, 0, 2.1, 3.9, 1e300)
+    ] + [
         pytest.param([command, "--config", f"{{{prefix}_{family}}}"],
                      id=f"{command}-{family}-nan-lambda")
         for command, prefix in (("simulate", "sim"), ("reconstruct", "rec"))
@@ -572,7 +596,9 @@ class TestErrorPaths:
             tables.append((out / "survival.csv").read_bytes())
         assert tables[0] == tables[1]
 
-    @pytest.mark.parametrize("count", [2.9, True, -1, 0])
+    # N/2 = 250 and past it: whole period counts 1 <= M < N/2 number fewer than N/2,
+    # and 10^12 is refused before np.arange would allocate 7 TiB
+    @pytest.mark.parametrize("count", [2.9, True, -1, 0, 250, 10 ** 12])
     def test_bad_lambda_count_is_exit_2_without_artifacts(self, tmp_path, count):
         path = tmp_path / "count.json"
         path.write_text(json.dumps({

@@ -103,7 +103,8 @@ def riemann_objective_quadrature(problem, theta):
 def test_objective_matches_adaptive_quadrature(n):
     from qnspect.optimize import _theta
 
-    problem = build_design_problem(0.1 * MHZ, n, 100e-6 / n, 5 * MHZ)
+    # 0.05 MHz: below the 80 kHz Nyquist frequency of the n = 16 grid
+    problem = build_design_problem(0.05 * MHZ, n, 100e-6 / n, 5 * MHZ)
     evaluate = problem.objective
     rng = np.random.default_rng(n)
     for _ in range(3):
@@ -294,6 +295,21 @@ class TestAmplitudeBound:
     def test_bound_must_be_positive_and_finite(self, max_rate, eps):
         with pytest.raises(ParameterError):
             build_design_problem(0.1 * MHZ, 400, 250e-9, max_rate, eps=eps)
+
+    # dt = 250 ns puts the Nyquist frequency pi/dt at 2 MHz
+    @pytest.mark.parametrize("omega0", [-0.1 * MHZ, 0.0, np.pi / 250e-9, 2.1 * MHZ, 3.9 * MHZ,
+                                        1e300 * MHZ],
+                             ids=["negative", "zero", "nyquist", "2.1MHz", "3.9MHz", "1e300MHz"])
+    def test_carrier_must_lie_between_zero_and_nyquist(self, omega0):
+        dpss_set = build_design_problem(0.1 * MHZ, 400, 250e-9, 5 * MHZ).dpss_set
+        with pytest.raises(ParameterError, match="pi/dt"):
+            build_design_problem(omega0, 400, 250e-9, 5 * MHZ)
+        with pytest.raises(ParameterError, match="pi/dt"):
+            amplitude_constraints(dpss_set, omega0, 250e-9, 5 * MHZ, 3)
+
+    def test_carrier_just_below_nyquist_is_accepted(self):
+        omega0 = np.nextafter(np.pi / 250e-9, 0.0)
+        assert build_design_problem(omega0, 400, 250e-9, 5 * MHZ).omega0 == omega0
 
     @pytest.mark.parametrize("n", [0, 1, -3])
     def test_too_few_samples_is_a_parameter_error(self, n):

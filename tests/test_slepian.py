@@ -207,3 +207,82 @@ class TestSpectralConcentration:
         wf = dephasing_robust(20e-6, 4, 1, 2000)
         with pytest.raises(ParameterError):
             spectral_concentration(wf, center, halfwidth)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Count the tridiagonal eigensolves, starting from an empty taper cache."""
+    import scipy.linalg
+
+    from qnspect.slepian import _tapers
+
+    sizes = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counted(diagonal, off_diagonal, **kwargs):
+        sizes.append(diagonal.size)
+        return solve(diagonal, off_diagonal, **kwargs)
+
+    _tapers.cache_clear()
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    yield sizes
+    _tapers.cache_clear()
+
+
+def test_a_probe_sweep_at_one_n_and_nw_solves_once(solves):
+    n, dt = 400, 50e-9
+    lambdas = 2 * np.pi * np.arange(1, 11) / (n * dt)
+    for lam in lambdas:
+        modulated_dpss_waveform(n, 1.0 / n, 5e6, lam, dt)
+    assert len(solves) == 1
+    modulated_dpss_waveform(n, 2.0 / n, 5e6, lambdas[0], dt)
+    assert len(solves) == 2
+
+
+def test_dpss_solves_once_per_length_bandwidth_and_order_count(solves):
+    for _ in range(3):
+        dpss(300, 1 / 300, 3)
+    assert len(solves) == 1
+    dpss(300, 1.5 / 300, 3)
+    dpss(300, 1 / 300, 2)
+    assert len(solves) == 3
+
+
+def test_design_problems_at_one_shape_solve_once(solves):
+    from qnspect.optimize import build_design_problem
+
+    for omega0 in (0.1, 0.2, 0.3):
+        build_design_problem(2 * np.pi * omega0 * 1e6, 400, 250e-9, 2 * np.pi * 5e6)
+    assert len(solves) == 1
+
+
+def test_cached_tapers_are_read_only():
+    from qnspect.slepian import _tapers
+
+    tapers = _tapers(301, 1.0, 2)
+    assert _tapers(301, 1.0, 2) is tapers
+    assert not tapers.flags.writeable
+    with pytest.raises(ValueError):
+        tapers[0, 0] = 1.0
+
+
+def test_changing_returned_arrays_leaves_the_next_call_bit_identical():
+    from qnspect.slepian import _tapers
+
+    n, dt = 300, 50e-9
+    fresh = _tapers.__wrapped__(n, 1.0, 3)
+    first = dpss(n, 1.0 / n, 3)
+    assert first.sequences.flags.writeable
+    first.sequences[:] = 7.0
+    again = dpss(n, 1.0 / n, 3)
+    # dpss flips whole rows to its own sign convention, which is exact
+    signs = np.sign(np.sum(again.sequences * fresh, axis=1))[:, None]
+    assert np.array_equal(again.sequences, signs * fresh)
+    assert np.array_equal(_tapers(n, 1.0, 3), fresh)
+
+    lam = 2 * np.pi * 3 / (n * dt)
+    want = modulated_dpss_waveform(n, 1.0 / n, 5e6, lam, dt).samples.copy()
+    wf = modulated_dpss_waveform(n, 1.0 / n, 5e6, lam, dt)
+    wf.samples[:] = -1.0
+    assert np.array_equal(modulated_dpss_waveform(n, 1.0 / n, 5e6, lam, dt).samples, want)
+    assert np.array_equal(_tapers(n + 1, 1.0, 1), _tapers.__wrapped__(n + 1, 1.0, 1))
